@@ -1,11 +1,14 @@
 """charp-autos: verification runner and construction explorer.
 
-Exit codes: 0 all checks pass, 1 some check fails, 2 usage or parse error.
+Exit codes: 0 all checks pass, 1 some check fails, 2 usage or parse error,
+141 (128 + SIGPIPE, as a shell reports a command killed by a closed pipe)
+when the reader of stdout closes it early, e.g. `| head`.
 Reports are deterministic for a fixed (suite, parameters, seed); timings are
 kept out of the canonical output (use --timings to see them on stderr).
 """
 
 import argparse
+import os
 import sys
 
 from .errors import CharpAutosError, ParseError, UnknownSuite
@@ -193,6 +196,20 @@ def _cmd_parse(args):
     return 0
 
 
+def _dispatch(args):
+    if args.command == "suite":
+        return _cmd_suite(args)
+    if args.command == "gallery":
+        return _cmd_gallery(args)
+    if args.command == "plane":
+        return _cmd_plane(args)
+    if args.command == "expo":
+        return _cmd_expo(args)
+    if args.command == "criteria":
+        return _cmd_criteria(args)
+    return _cmd_parse(args)
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -200,17 +217,16 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "suite":
-            return _cmd_suite(args)
-        if args.command == "gallery":
-            return _cmd_gallery(args)
-        if args.command == "plane":
-            return _cmd_plane(args)
-        if args.command == "expo":
-            return _cmd_expo(args)
-        if args.command == "criteria":
-            return _cmd_criteria(args)
-        return _cmd_parse(args)
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so that the interpreter's final flush of
+        # what is left in the buffer cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ParseError, UnknownSuite) as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2

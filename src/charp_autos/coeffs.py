@@ -139,6 +139,9 @@ class Coeff:
         if not num:
             self.num, self.den = (), (1,)
             return
+        if den == (1,):
+            self.num, self.den = num, den
+            return
         g = _ugcd(num, den, p)
         if len(g) > 1:
             num = _udivmod(num, g, p)[0]
@@ -234,6 +237,12 @@ class Coeff:
         if other is NotImplemented:
             return NotImplemented
         p = self.p
+        if self.den == (1,) and other.den == (1,):
+            a, b = self.num, other.num
+            if len(a) == 1 and len(b) == 1:
+                s = (a[0] + b[0]) % p
+                return _integral(p, (s,) if s else ())
+            return _integral(p, _uadd(a, b, p))
         num = _uadd(_umul(self.num, other.den, p), _umul(other.num, self.den, p), p)
         return Coeff(p, num, _umul(self.den, other.den, p))
 
@@ -256,6 +265,11 @@ class Coeff:
         if other is NotImplemented:
             return NotImplemented
         p = self.p
+        if self.den == (1,) and other.den == (1,):
+            a, b = self.num, other.num
+            if len(a) == 1 and len(b) == 1:
+                return _integral(p, ((a[0] * b[0]) % p,))
+            return _integral(p, _umul(a, b, p))
         return Coeff(p, _umul(self.num, other.num, p), _umul(self.den, other.den, p))
 
     __rmul__ = __mul__
@@ -325,6 +339,14 @@ class Coeff:
 
     def __repr__(self):
         return "Coeff(p=%d, %s)" % (self.p, self)
+
+
+def _integral(p, num):
+    """The Coeff num/1 for a trimmed num with entries in [0, p).  It is
+    already canonical, so the reduction in Coeff.__init__ is skipped."""
+    out = object.__new__(Coeff)
+    out.p, out.num, out.den = p, num, (1,)
+    return out
 
 
 def coeff_gcd_integral(values):

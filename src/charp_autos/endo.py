@@ -72,13 +72,6 @@ def compose(phi, psi):
     return PolyMap(phi.table, [phi.apply(g) for g in psi.images])
 
 
-def power(phi, m):
-    out = PolyMap.identity(phi.table)
-    for _ in range(m):
-        out = compose(phi, out)
-    return out
-
-
 def order_up_to(sigma, bound=None):
     """Least m <= bound with sigma^m = id, else None (ExceedsBound)."""
     if bound is None:

@@ -13,7 +13,8 @@ as long as every operand has nonnegative u-valuation, which holds throughout
 from dataclasses import dataclass
 
 from .coeffs import Coeff
-from .errors import BadH, BadParameters, UnsupportedP
+from .errors import (BadH, BadParameters, InternalIntegralityFailure,
+                     UnsupportedP)
 from .poly import MultiPoly, VarTable, exact_div, is_polynomial_over
 from .endo import PolyMap, compose, order_up_to
 from .gaction import GaAction, SliceData, slice_action, rank_certificate
@@ -268,7 +269,9 @@ def build_nonexp_family(p, d, l, g_expr=None):
         PolyMap(table, [x, y - x ** d] + [table.var(z) for z in zs]),
         PolyMap(table, [x - lam] + [table.var(n) for n in table.names[1:]]))
     # one-sided check: the expensive direction explodes at large parameters
-    assert compose(inv, coords).is_identity()
+    if not compose(inv, coords).is_identity():
+        raise InternalIntegralityFailure("coordinate inverse is not a "
+                                         "left inverse")
 
     f_expr = (table.one()
               + g_expr.substitute({"y": table.var("y").scale(u ** ((p + 1) * d))})

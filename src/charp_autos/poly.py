@@ -10,6 +10,9 @@ VarTable.  Powers use the base-p expansion of the exponent so that Frobenius
 powers f^(p^k) cost one pass over the terms.
 """
 
+import heapq
+from operator import add, sub
+
 from .coeffs import Coeff, check_prime, coeff_gcd_integral
 from .errors import (NegativeExponent, NonIntegralCoefficient, NotDivisible,
                      NotInInvariantRing, ZeroPolynomial)
@@ -143,12 +146,6 @@ class MultiPoly:
         if not self.terms:
             return None
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, name):
-        i = self.table.index[name]
-        if not self.terms:
-            return None
-        return max(e[i] for e in self.terms)
 
     def uses_var(self, name):
         i = self.table.index[name]
@@ -362,11 +359,6 @@ class MultiPoly:
                if (c.u_valuation() is not None and c.u_valuation() < bound)}
         return MultiPoly(self.table, out)
 
-    def min_u_valuation(self):
-        if not self.terms:
-            return None
-        return min(c.u_valuation() for c in self.terms.values())
-
     def __str__(self):
         from .textio import poly_to_str
         return poly_to_str(self)
@@ -384,6 +376,13 @@ def exact_div(f, g):
 
     Monomial units of invertible variables are cleared first, then ordinary
     leading-term division runs over the polynomial parts.
+
+    The remainder is one mutable dict keyed by negated exponents, so that the
+    key (sum, exponents) of a min-heap pops terms in descending graded-lex
+    order (the order of leading_term).  A term cancelled to zero leaves its
+    key in the heap; such stale keys are skipped when popped.  Each step
+    subtracts q*g in place, without the leading monomial, which cancels by
+    construction (Johnson 1974; Monagan & Pearce, JSC 2011).
     """
     if g.is_zero():
         raise ZeroPolynomial("division by the zero polynomial")
@@ -409,16 +408,38 @@ def exact_div(f, g):
     fc, fshift = clear_units(f)
     gc, gshift = clear_units(g)
     lg_exp, lg_coeff = gc.leading_term()
-    rem = fc
+    lg_inv = lg_coeff.inv()
+    neg_lg = tuple(-x for x in lg_exp)
+    # -g without its leading term, exponents negated like the remainder's
+    neg_tail = [(tuple(-x for x in e), -c) for e, c in gc.terms.items()
+                if e != lg_exp]
+    rem = {tuple(-x for x in e): c for e, c in fc.terms.items()}
+    heap = [(sum(e), e) for e in rem]
+    heapq.heapify(heap)
     qterms = {}
-    while rem.terms:
-        lr_exp, lr_coeff = rem.leading_term()
-        qe = tuple(a - b for a, b in zip(lr_exp, lg_exp))
-        if any(x < 0 for x in qe):
+    while heap:
+        neg_lr = heapq.heappop(heap)[1]
+        lr_coeff = rem.pop(neg_lr, None)
+        if lr_coeff is None:
+            continue
+        neg_q = tuple(map(sub, neg_lr, neg_lg))
+        if any(x > 0 for x in neg_q):
             raise NotDivisible("no exact quotient")
-        qc = lr_coeff / lg_coeff
-        qterms[qe] = qc
-        rem = rem - MultiPoly(table, {qe: qc}) * gc
+        qc = lr_coeff * lg_inv
+        qterms[tuple(-x for x in neg_q)] = qc
+        for e, c in neg_tail:
+            m = tuple(map(add, neg_q, e))
+            d = qc * c
+            cur = rem.get(m)
+            if cur is None:
+                rem[m] = d
+                heapq.heappush(heap, (sum(m), m))
+            else:
+                s = cur + d
+                if s.is_zero():
+                    del rem[m]
+                else:
+                    rem[m] = s
     shift = tuple(a - b for a, b in zip(fshift, gshift))
     for i, s in enumerate(shift):
         if s < 0 and table.all_names[i] not in table.invertible:

@@ -164,10 +164,6 @@ def parse_coeff(p, text):
 # printing
 # ---------------------------------------------------------------------------
 
-def coeff_to_str(c):
-    return str(c)
-
-
 def _coeff_atom(c):
     if c.is_constant():
         return str(c.const_value())
@@ -230,10 +226,6 @@ def action_to_str(action):
 def parse_action(table, text, base="field"):
     from .gaction import GaAction
     return GaAction(table, _parse_image_list(table, text), base=base)
-
-
-def word_to_str(word):
-    return word.to_text()
 
 
 _WORD_BLOCK = re.compile(r"\[\s*(aff|tri|E1|E2|H0|id)\s*(?::([^\]]*))?\]")

@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+
 from charp_autos.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def run(capsys, *argv):
@@ -82,3 +89,22 @@ def test_threaded_run_matches_sequential(capsys, monkeypatch):
     monkeypatch.setenv("CHARP_AUTOS_THREADS", "4")
     code2, out2, _ = run(capsys, "suite", "run", "ex-triangular")
     assert code1 == code2 == 0 and out1 == out2
+
+
+def test_closed_stdout_exits_quietly():
+    """As in `suite run gauss --seed 7 | head -1`, the reader of stdout is
+    gone before the report is written: exit 141 with nothing on stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "charp_autos.cli", "suite", "run", "gauss",
+         "--seed", "7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""

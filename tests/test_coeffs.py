@@ -128,3 +128,53 @@ def test_gcd_of_integral_values():
     p = 2
     g = coeff_gcd_integral([u(p) ** 2, u(p) ** 3 + u(p) ** 2])
     assert g == u(p) ** 2
+
+
+def _reduced(p, num, den):
+    """num/den reduced the general way: divide out the gcd, then make the
+    denominator monic."""
+    from charp_autos.coeffs import _trim, _udivmod, _ugcd, _uscale
+    num, den = _trim(num), _trim(den)
+    if not num:
+        return (), (1,)
+    g = _ugcd(num, den, p)
+    num, den = _udivmod(num, g, p)[0], _udivmod(den, g, p)[0]
+    inv = pow(den[-1], p - 2, p)
+    return _uscale(num, inv, p), _uscale(den, inv, p)
+
+
+@st.composite
+def _fraction_pairs(draw):
+    """(p, [(num, den), (num, den)]) with entries in [0, p); each den is (1,)
+    half of the time, otherwise dense and nonzero, possibly a non-monic
+    constant."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    digits = st.lists(st.integers(0, p - 1), max_size=4)
+    pairs = []
+    for _ in range(2):
+        num = tuple(draw(digits))
+        den = (1,) if draw(st.booleans()) else (
+            tuple(draw(digits)) + (draw(st.integers(1, p - 1)),))
+        pairs.append((num, den))
+    return p, pairs
+
+
+@given(_fraction_pairs(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_fast_paths_give_the_canonical_form(case, cancel):
+    """Sums and products, through the integral fast paths or not, carry the
+    num, den and hash of the general reduction; so does construction."""
+    from charp_autos.coeffs import _uadd, _umul
+    p, pairs = case
+    a, b = (Coeff(p, num, den) for num, den in pairs)
+    for c, (num, den) in zip((a, b), pairs):
+        assert (c.num, c.den) == _reduced(p, num, den)
+    if cancel:
+        b = -a                      # the sum is zero
+    for got, num, den in (
+            (a + b, _uadd(_umul(a.num, b.den, p), _umul(b.num, a.den, p), p),
+             _umul(a.den, b.den, p)),
+            (a * b, _umul(a.num, b.num, p), _umul(a.den, b.den, p))):
+        want = _reduced(p, num, den)
+        assert (got.num, got.den) == want
+        assert hash(got) == hash(want)

@@ -1,7 +1,9 @@
 import pytest
 
 from charp_autos.coeffs import Coeff
-from charp_autos.errors import BadH, BadParameters, UnsupportedP
+from charp_autos import gallery
+from charp_autos.errors import (BadH, BadParameters,
+                                InternalIntegralityFailure, UnsupportedP)
 from charp_autos.criteria import non_exponentiality_certificate
 from charp_autos.endo import PolyMap, compose, order_up_to
 from charp_autos.gallery import (C0Template, build_example_triangular,
@@ -29,6 +31,25 @@ def test_triangular_example_reports(p):
 def test_triangular_example_rejects_bad_p():
     with pytest.raises(UnsupportedP):
         build_example_triangular(7)
+
+
+def test_nonexp_wrong_inverse_raises(monkeypatch):
+    """The coordinate-inverse check raises a library error, so it also runs
+    under python -O.  The second compose call builds the inverse; shifting
+    its x image makes it wrong."""
+    calls = []
+
+    def compose_breaking_inverse(phi, psi):
+        out = compose(phi, psi)
+        calls.append(out)
+        if len(calls) == 2:
+            out = PolyMap(out.table, [out.images[0] + out.table.one()]
+                          + list(out.images[1:]))
+        return out
+
+    monkeypatch.setattr(gallery, "compose", compose_breaking_inverse)
+    with pytest.raises(InternalIntegralityFailure):
+        build_nonexp_family(2, 3, 1)
 
 
 def test_nonexp_constants():
