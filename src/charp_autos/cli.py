@@ -4,7 +4,8 @@ Exit codes: 0 all checks pass, 1 some check fails, 2 usage or parse error,
 141 (128 + SIGPIPE, as a shell reports a command killed by a closed pipe)
 when the reader of stdout closes it early, e.g. `| head`.
 Reports are deterministic for a fixed (suite, parameters, seed); timings are
-kept out of the canonical output (use --timings to see them on stderr).
+kept out of the canonical output (--timings prints each case's time and the
+total to stderr).
 """
 
 import argparse
@@ -14,9 +15,11 @@ import sys
 from .errors import CharpAutosError, ParseError, UnknownSuite
 from .poly import VarTable
 from .textio import (action_to_str, map_to_str, parse_coeff, parse_map,
-                     parse_poly, poly_to_str, report_to_str)
+                     parse_poly, poly_to_str)
 from .suites import SUITES, run_suite
-from . import expo, gallery, plane
+from . import criteria, expo, gallery, plane
+
+SUITE_FLAGS = ("p", "seed", "count")
 
 
 def build_parser():
@@ -28,7 +31,7 @@ def build_parser():
     listp = suite_sub.add_parser("list", help="list registered suites")
     runp = suite_sub.add_parser("run", help="run one suite")
     runp.add_argument("name")
-    for flag in ("p", "d", "l", "m", "n", "r", "seed", "count"):
+    for flag in SUITE_FLAGS:
         runp.add_argument("--%s" % flag, type=int, default=None)
     runp.add_argument("--json", action="store_true")
     runp.add_argument("--timings", action="store_true")
@@ -80,52 +83,49 @@ def _cmd_suite(args):
         for name in sorted(SUITES):
             print(name)
         return 0
-    params = {k: getattr(args, k)
-              for k in ("p", "d", "l", "m", "n", "r", "seed", "count")
+    params = {k: getattr(args, k) for k in SUITE_FLAGS
               if getattr(args, k) is not None}
     result = run_suite(args.name, **params)
     print(result.to_json() if args.json else result.to_text())
     if args.timings:
-        total = sum(c.elapsed for c in result.cases)
-        print("total %.3fs" % total, file=sys.stderr)
+        for c in result.cases:
+            print("%s %.3fs" % (c.name, c.elapsed), file=sys.stderr)
+        print("total %.3fs" % sum(c.elapsed for c in result.cases),
+              file=sys.stderr)
     return 0 if result.all_passed else 1
 
 
+def _nonexp_g(args):
+    """The optional --g of the nonexp family, a polynomial in x, y, z1..zl."""
+    if args.g is None:
+        return None
+    zs = ["z%d" % (i + 1) for i in range(args.l)]
+    return parse_poly(VarTable(args.p, tuple(["x", "y"] + zs)), args.g)
+
+
 def _cmd_gallery(args):
-    if args.name == "triangular":
-        ex = gallery.build_example_triangular(args.p)
-        print(action_to_str(ex.action))
-        print(ex.report.to_text())
-        return 0 if ex.report.all_ok() else 1
+    if args.name == "eps-invariants":
+        table, gens = gallery.epsilon_invariants(args.n, args.p)
+        print(", ".join(poly_to_str(g) for g in gens))
+        return 0
     if args.name == "nonexp":
-        g_expr = None
-        if args.g is not None:
-            zs = ["z%d" % (i + 1) for i in range(args.l)]
-            table = VarTable(args.p, tuple(["x", "y"] + zs))
-            g_expr = parse_poly(table, args.g)
-        fam, rep = gallery.build_nonexp_family(args.p, args.d, args.l, g_expr)
-        print("a=%d b=%d c=%d" % (fam.a, fam.b, fam.c))
-        print("E(y) = %s" % poly_to_str(fam.e_y()))
-        print(rep.to_text())
-        return 0 if rep.all_ok() else 1
-    if args.name == "F":
-        fam = gallery.build_F_and_Fh(args.n, args.p)
-        print(action_to_str(fam.action))
-        print(fam.report.to_text())
-        return 0 if fam.report.all_ok() else 1
-    if args.name == "rank-r":
-        built = gallery.build_rank_r_action(args.n, args.r, args.p)
+        built, _ = gallery.build_nonexp_family(args.p, args.d, args.l,
+                                               _nonexp_g(args))
+        print("a=%d b=%d c=%d" % (built.a, built.b, built.c))
+        print("E(y) = %s" % poly_to_str(built.e_y()))
+    elif args.name == "rank3":
+        built = gallery.build_rank3_family(args.p, args.l, args.m)
+        print("classification: %s" % built.classification)
+    else:
+        if args.name == "triangular":
+            built = gallery.build_example_triangular(args.p)
+        elif args.name == "F":
+            built = gallery.build_F_and_Fh(args.n, args.p)
+        else:
+            built = gallery.build_rank_r_action(args.n, args.r, args.p)
         print(action_to_str(built.action))
-        print(built.report.to_text())
-        return 0 if built.report.all_ok() else 1
-    if args.name == "rank3":
-        fam = gallery.build_rank3_family(args.p, args.l, args.m)
-        print("classification: %s" % fam.classification)
-        print(fam.report.to_text())
-        return 0 if fam.report.all_ok() else 1
-    table, gens = gallery.epsilon_invariants(args.n, args.p)
-    print(", ".join(poly_to_str(g) for g in gens))
-    return 0
+    print(built.report.to_text())
+    return 0 if built.report.all_ok() else 1
 
 
 def _cmd_plane(args):
@@ -153,27 +153,21 @@ def _cmd_expo(args):
     print("conjugator %s" % map_to_str(res.conjugator))
     theta = res.reduced_f.scale(res.a) if not res.a.is_zero() else res.reduced_f
     print("theta      %s" % poly_to_str(theta))
-    report = [("E1_equals_sigma", res.action.evaluate(1) == sigma),
-              ("restricts_to_R", res.action.restricts_to("R")[0])]
-    print(report_to_str(report))
-    return 0 if all(ok for _, ok in report) else 1
+    report = gallery.StarReport()
+    report.add("E1_equals_sigma", res.action.evaluate(1) == sigma)
+    report.add("restricts_to_R", res.action.restricts_to("R")[0])
+    print(report.to_text())
+    return 0 if report.all_ok() else 1
 
 
 def _cmd_criteria(args):
-    g_expr = None
-    if args.g is not None:
-        zs = ["z%d" % (i + 1) for i in range(args.l)]
-        table = VarTable(args.p, tuple(["x", "y"] + zs))
-        g_expr = parse_poly(table, args.g)
-    fam, rep = gallery.build_nonexp_family(args.p, args.d, args.l, g_expr)
-    from .criteria import non_exponentiality_certificate
-    cert = non_exponentiality_certificate(
+    fam, rep = gallery.build_nonexp_family(args.p, args.d, args.l,
+                                           _nonexp_g(args))
+    cert = criteria.non_exponentiality_certificate(
         fam.data(), restriction=(False, fam.restriction_witness()))
-    entries = [(name, ok) for name, ok, _ in rep.entries]
-    entries.append(("stability_" + cert.stability.kind.lower(),
-                    cert.stability.is_stable()))
-    entries.append(("verdict", cert.verdict))
-    print(report_to_str(entries))
+    rep.add("stability_" + cert.stability.kind.lower(),
+            cert.stability.is_stable())
+    print(rep.to_text(verdict=cert.verdict))
     return 0 if cert.verdict == "NotExponentialOverR" else 1
 
 

@@ -46,10 +46,6 @@ def _uneg(a, p):
     return tuple((-c) % p for c in a)
 
 
-def _usub(a, b, p):
-    return _uadd(a, _uneg(b, p), p)
-
-
 def _umul(a, b, p):
     if not a or not b:
         return ()

@@ -36,9 +36,6 @@ class PolyMap:
     def identity(cls, table):
         return cls(table, [table.var(n) for n in table.names])
 
-    def image_of(self, name):
-        return self.images[list(self.table.names).index(name)]
-
     def assignment(self):
         return dict(zip(self.table.names, self.images))
 

@@ -21,33 +21,45 @@ from .gaction import GaAction, SliceData, slice_action, rank_certificate
 from .criteria import GenericElementaryData
 
 
+@dataclass
+class Check:
+    """One named check: its verdict, a residual or witness text, and its
+    wall time in seconds (0 where the check is not timed on its own)."""
+    name: str
+    ok: bool
+    detail: str = ""
+    elapsed: float = 0.0
+
+
 class StarReport:
-    """Ordered named checks; each entry is (ok, residual/witness text)."""
+    """Ordered named checks."""
 
     def __init__(self):
-        self.entries = []
+        self.checks = []
 
     def add(self, name, ok, detail=""):
-        self.entries.append((name, bool(ok), detail))
-
-    def __getitem__(self, name):
-        for n, ok, detail in self.entries:
-            if n == name:
-                return ok, detail
-        raise KeyError(name)
+        self.checks.append(Check(name, bool(ok), detail))
 
     def ok(self, name):
-        return self[name][0]
+        for c in self.checks:
+            if c.name == name:
+                return c.ok
+        raise KeyError(name)
 
     def all_ok(self):
-        return all(ok for _, ok, _ in self.entries)
+        return all(c.ok for c in self.checks)
 
-    def to_text(self):
+    def outcome(self):
+        """(ok, witness) as a suite case reports it: the failed names."""
+        bad = [c.name for c in self.checks if not c.ok]
+        return not bad, ("failed: " + ",".join(bad) if bad else "")
+
+    def to_text(self, **values):
+        """The checks' verdicts, then any named values, in one JSON-like
+        line."""
         from .textio import report_to_str
-        return report_to_str([(n, ok) for n, ok, _ in self.entries])
-
-    def __repr__(self):
-        return self.to_text()
+        return report_to_str([(c.name, c.ok) for c in self.checks]
+                             + list(values.items()))
 
 
 # ---------------------------------------------------------------------------

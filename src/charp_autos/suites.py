@@ -1,15 +1,13 @@
 """Registered verification suites, one per acceptance criterion.
 
 Each suite builds a deterministic list of (case id, thunk) pairs from its
-parameters and the seed; thunks return (ok, witness text).  Reports are
-assembled in case-id order, so the output is byte-identical for a given
-(suite, parameters, seed) regardless of the thread count.
+parameters and the seed; thunks return (ok, witness text).  Cases run one
+at a time and the report lists them in case-id order, so the output is
+byte-identical for a given (suite, parameters, seed).
 """
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .coeffs import Coeff
@@ -18,20 +16,15 @@ from .errors import (AxiomViolation, NotAutomorphism, NotInCentralizer,
 from .poly import VarTable, content_primitive
 from .endo import PolyMap, compose, conjugate
 from .gaction import GaAction, check_axioms
+from .gallery import Check
 from .seeds import Lcg
 from . import criteria, expo, gallery, plane
 
 
 @dataclass
-class CaseResult:
-    id: str
-    ok: bool
-    witness: str = ""
-    elapsed: float = 0.0
-
-
-@dataclass
 class SuiteResult:
+    """A suite's cases, one Check per case: name is the case id and detail
+    the witness."""
     suite: str
     params: dict
     cases: list = field(default_factory=list)
@@ -40,14 +33,12 @@ class SuiteResult:
     def all_passed(self):
         return all(c.ok for c in self.cases)
 
-    def to_text(self, timings=False):
+    def to_text(self):
         lines = ["suite %s  %s" % (self.suite, _param_str(self.params))]
         for c in self.cases:
-            line = "%s: %s" % (c.id, "pass" if c.ok else "FAIL")
-            if c.witness:
-                line += "  [%s]" % c.witness
-            if timings:
-                line += "  (%.3fs)" % c.elapsed
+            line = "%s: %s" % (c.name, "pass" if c.ok else "FAIL")
+            if c.detail:
+                line += "  [%s]" % c.detail
             lines.append(line)
         lines.append("%d/%d passed" % (sum(c.ok for c in self.cases),
                                        len(self.cases)))
@@ -57,8 +48,8 @@ class SuiteResult:
         return json.dumps({
             "suite": self.suite,
             "params": {k: v for k, v in sorted(self.params.items())},
-            "cases": [{"id": c.id, "verdict": "pass" if c.ok else "fail",
-                       "witness": c.witness} for c in self.cases],
+            "cases": [{"id": c.name, "verdict": "pass" if c.ok else "fail",
+                       "witness": c.detail} for c in self.cases],
             "all_passed": self.all_passed,
         }, sort_keys=True)
 
@@ -310,11 +301,7 @@ def _suite_ex_triangular(params):
     cases = []
     for p in _plist(params, (2, 3)):
         def thunk(p=p):
-            ex = gallery.build_example_triangular(p)
-            if not ex.report.all_ok():
-                bad = [n for n, ok, _ in ex.report.entries if not ok]
-                return False, "failed: %s" % ",".join(bad)
-            return True, ""
+            return gallery.build_example_triangular(p).report.outcome()
         cases.append(("p%d" % p, thunk))
     return cases
 
@@ -323,17 +310,12 @@ def _suite_nonexp_family(params):
     triples = params.get("triples", ((2, 3, 1), (3, 2, 1), (3, 4, 2)))
     cases = []
     for (p, d, l) in triples:
-        def build(p=p, d=d, l=l):
-            return gallery.build_nonexp_family(p, d, l)
-
         def stars(p=p, d=d, l=l):
-            fam, rep = build()
-            bad = [n for n, ok, _ in rep.entries if not ok]
-            return not bad, ",".join(bad)
+            return gallery.build_nonexp_family(p, d, l)[1].outcome()
         cases.append(("stars-%d-%d-%d" % (p, d, l), stars))
 
         def certificate(p=p, d=d, l=l):
-            fam, rep = build()
+            fam, _ = gallery.build_nonexp_family(p, d, l)
             cert = criteria.non_exponentiality_certificate(
                 fam.data(), restriction=(False, fam.restriction_witness()))
             return (cert.verdict == "NotExponentialOverR"
@@ -360,10 +342,7 @@ def _suite_rank3(params):
                     if fam.classification != expected:
                         return False, "got %s, expected %s" % (
                             fam.classification, expected)
-                    if not fam.report.all_ok():
-                        bad = [n for n, ok, _ in fam.report.entries if not ok]
-                        return False, "failed: %s" % ",".join(bad)
-                    return True, ""
+                    return fam.report.outcome()
                 cases.append(("p%d-l%d-m%d" % (p, l, m), thunk))
     return cases
 
@@ -374,11 +353,7 @@ def _suite_rank_r(params):
     for (n, r) in pairs:
         for p in _plist(params, (2, 3)):
             def thunk(n=n, r=r, p=p):
-                built = gallery.build_rank_r_action(n, r, p)
-                if not built.report.all_ok():
-                    bad = [nm for nm, ok, _ in built.report.entries if not ok]
-                    return False, "failed: %s" % ",".join(bad)
-                return True, ""
+                return gallery.build_rank_r_action(n, r, p).report.outcome()
             cases.append(("n%d-r%d-p%d" % (n, r, p), thunk))
     return cases
 
@@ -494,11 +469,7 @@ def _suite_f_and_fh(params):
                         term = term * table.var(nm) ** lcg.draw(2)
                     h = h + term.scale(Coeff.from_int(p, lcg.draw_nonzero(p)))
                 hs.append(h)
-            fam = gallery.build_F_and_Fh(4, p, hs)
-            if not fam.report.all_ok():
-                bad = [nm for nm, ok, _ in fam.report.entries if not ok]
-                return False, "failed: %s" % ",".join(bad)
-            return True, ""
+            return gallery.build_F_and_Fh(4, p, hs).report.outcome()
         cases.append(("p%d" % p, thunk))
     return cases
 
@@ -668,22 +639,13 @@ def run_suite(name, **params):
         raise UnknownSuite("unknown suite %r; known: %s"
                            % (name, ", ".join(sorted(SUITES))))
     params = {k: v for k, v in params.items() if v is not None}
-    cases = SUITES[name](params)
-    threads = int(os.environ.get("CHARP_AUTOS_THREADS", "1") or 1)
-
-    def run_case(item):
-        cid, thunk = item
+    results = []
+    for cid, thunk in SUITES[name](params):
         start = time.monotonic()
         try:
             ok, witness = thunk()
         except Exception as exc:  # a crash is a failing case, not a crash
             ok, witness = False, "%s: %s" % (type(exc).__name__, exc)
-        return CaseResult(cid, ok, witness, time.monotonic() - start)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_case, cases))
-    else:
-        results = [run_case(c) for c in cases]
-    results.sort(key=lambda c: c.id)
+        results.append(Check(cid, ok, witness, time.monotonic() - start))
+    results.sort(key=lambda c: c.name)  # the canonical report order
     return SuiteResult(name, params, results)

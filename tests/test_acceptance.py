@@ -21,7 +21,7 @@ def _criterion(number, description, suite, budget=None, **params):
                                               description))
     if not result.all_passed:
         failing = [c for c in result.cases if not c.ok]
-        detail = "\n".join("  %s: %s" % (c.id, c.witness) for c in failing)
+        detail = "\n".join("  %s: %s" % (c.name, c.detail) for c in failing)
         pytest.fail("criterion %d failed:\n%s" % (number, detail))
     if budget is not None:
         assert elapsed < budget, "criterion %d exceeded %ds" % (number, budget)
@@ -32,7 +32,7 @@ def test_criterion_01_axiom_suite():
     result = _criterion(
         1, "every constructed action satisfies (A1)/(A2); corrupted ones fail",
         "axioms", budget=60)
-    assert any("corrupted" in c.id for c in result.cases)
+    assert any("corrupted" in c.name for c in result.cases)
 
 
 def test_criterion_02_theorem_n2():

@@ -84,11 +84,25 @@ def test_gallery_subcommand(capsys):
     assert code == 0 and "OnlyE1Restricts" in out
 
 
-def test_threaded_run_matches_sequential(capsys, monkeypatch):
-    code1, out1, _ = run(capsys, "suite", "run", "ex-triangular")
-    monkeypatch.setenv("CHARP_AUTOS_THREADS", "4")
-    code2, out2, _ = run(capsys, "suite", "run", "ex-triangular")
-    assert code1 == code2 == 0 and out1 == out2
+def test_suite_run_rejects_unused_parameters(capsys):
+    """No suite reads --d --l --m --n --r, so `suite run` does not accept
+    them rather than echo values it never used."""
+    code, out, err = run(capsys, "suite", "run", "rank-r", "--n", "5")
+    assert code == 2 and out == ""
+    assert "--n" in err
+
+
+def test_timings_go_to_stderr_per_case(capsys):
+    argv = ("suite", "run", "maubach", "--p", "2", "--count", "4")
+    code1, out1, err1 = run(capsys, *argv)
+    code2, out2, err2 = run(capsys, *argv, "--timings")
+    assert code1 == code2 == 0
+    assert out1 == out2 and err1 == ""
+    ids = [line.split(":")[0] for line in out1.splitlines()[1:-1]]
+    lines = err2.splitlines()
+    assert len(ids) == 4 and len(lines) == len(ids) + 1
+    assert [line.split()[0] for line in lines] == ids + ["total"]
+    assert all(line.split()[1].endswith("s") for line in lines)
 
 
 def test_closed_stdout_exits_quietly():

@@ -6,12 +6,25 @@ from charp_autos.errors import (BadH, BadParameters,
                                 InternalIntegralityFailure, UnsupportedP)
 from charp_autos.criteria import non_exponentiality_certificate
 from charp_autos.endo import PolyMap, compose, order_up_to
-from charp_autos.gallery import (C0Template, build_example_triangular,
-                                 build_F_and_Fh, build_nonexp_family,
-                                 build_rank3_family, build_rank_r_action,
-                                 epsilon_invariants)
+from charp_autos.gallery import (C0Template, StarReport,
+                                 build_example_triangular, build_F_and_Fh,
+                                 build_nonexp_family, build_rank3_family,
+                                 build_rank_r_action, epsilon_invariants)
 from charp_autos.poly import VarTable, is_polynomial_over
 from charp_autos.seeds import Lcg
+from charp_autos.suites import run_suite
+
+
+def test_star_report_outcome_names_the_failed_checks():
+    rep = StarReport()
+    rep.add("a", True)
+    assert rep.outcome() == (True, "")
+    rep.add("b", 0, "residual u")
+    rep.add("c", False)
+    assert rep.outcome() == (False, "failed: b,c")
+    assert rep.ok("a") and not rep.ok("b") and not rep.all_ok()
+    assert rep.to_text(verdict="X") == \
+        '{"a": true, "b": false, "c": false, "verdict": "X"}'
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -70,6 +83,19 @@ def test_nonexp_star_reports(p, d, l):
     fam, report = build_nonexp_family(p, d, l)
     assert report.all_ok(), report.to_text()
     assert fam.slice_axioms() == {"A1": True, "A2": True, "witness": None}
+
+
+def test_nonexp_suite_cases_build_their_own_member(monkeypatch):
+    built = []
+
+    def spy(p, d, l, *rest):
+        built.append((p, d, l))
+        return build_nonexp_family(p, d, l, *rest)
+    monkeypatch.setattr(gallery, "build_nonexp_family", spy)
+    triples = ((2, 3, 1), (3, 2, 1))
+    result = run_suite("nonexp-family", triples=triples)
+    assert result.all_passed
+    assert sorted(built) == sorted(triples * 2)
 
 
 def test_nonexp_dual_route_small_parameters():
