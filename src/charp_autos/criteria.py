@@ -128,7 +128,7 @@ def a_rigid_counter_action(table, f):
     return action, gen
 
 
-def canonical_action(data, base="field"):
+def canonical_action(data):
     """The slice action h(y1) -> h(y1 + fT) fixing y2,..,yn.
 
     The coaction axioms are verified on the slice generator system, where
@@ -142,7 +142,7 @@ def canonical_action(data, base="field"):
     report = slice_axioms_report(sd, {1: data.f_expr})
     if not (report["A1"] and report["A2"]):
         raise InconsistentSlice("slice axioms fail: %s" % report)
-    return slice_action(sd, base=base, check=False)
+    return slice_action(sd, check=False)
 
 
 @dataclass
@@ -218,8 +218,7 @@ def modify_action(action, slice_data, alpha, primitive=False):
         translation = lam.subs_T(alpha)
     new_lam = translation * table.var("T")
     return slice_action(
-        SliceData(slice_data.coords, new_lam, slice_data.coords_inverse),
-        base=action.base)
+        SliceData(slice_data.coords, new_lam, slice_data.coords_inverse))
 
 
 def gauss_check(f, g):

@@ -185,11 +185,9 @@ def _invert_affine(sigma):
     return PolyMap(table, inv_images)
 
 
-def conjugate(sigma, psi, psi_inverse=None):
+def conjugate(sigma, psi):
     """psi sigma psi^-1."""
-    if psi_inverse is None:
-        psi_inverse = invert_structured(psi)
-    return compose(psi, compose(sigma, psi_inverse))
+    return compose(psi, compose(sigma, invert_structured(psi)))
 
 
 def ideal_gens(sigma):

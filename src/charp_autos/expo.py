@@ -99,7 +99,7 @@ def exponentialize_triangular_n2(sigma):
         if b.uses_var(x2):
             raise NotTriangular("unexpected x2 dependence for a fixed x1")
         action = GaAction(table, [table.var(x1),
-                                  table.var(x2) + b * table.var("T")], base="R")
+                                  table.var(x2) + b * table.var("T")])
         return ExponentializationResult(action, PolyMap.identity(table), b,
                                         Coeff.from_int(p, 0))
 
@@ -111,7 +111,7 @@ def exponentialize_triangular_n2(sigma):
             raise InternalIntegralityFailure(
                 "coefficient %s * a escapes F_p[u]" % c)
     coords = PolyMap(table, [table.var(x1), table.var(x2) + f_red])
-    action = slice_action(SliceData(coords, table.var("T").scale(a)), base="R")
+    action = slice_action(SliceData(coords, table.var("T").scale(a)))
     if action.evaluate(1) != sigma:
         raise InternalIntegralityFailure("E_1 differs from sigma")
     ok, witness = action.restricts_to("R")
@@ -189,7 +189,7 @@ def exponentialize_field_n3(sigma):
     a = _translation_constant(sigma)
     if not a.is_zero():
         phi = maubach_conjugator(sigma, units="field")
-        action = slice_action(SliceData(phi, table.var("T").scale(a)), base="R")
+        action = slice_action(SliceData(phi, table.var("T").scale(a)))
         if action.evaluate(1) != sigma:
             raise InternalIntegralityFailure("E_1 differs from sigma")
         return ExponentializationResult(action, phi, phi.images[1], a)
@@ -198,7 +198,7 @@ def exponentialize_field_n3(sigma):
         # both x1 and x2 fixed: sigma is elementary in x3 directly
         b = sigma.images[2] - table.var(x3)
         action = GaAction(table, [table.var(x1), table.var(x2),
-                                  table.var(x3) + b * table.var("T")], base="R")
+                                  table.var(x3) + b * table.var("T")])
         return ExponentializationResult(action, PolyMap.identity(table), b,
                                         Coeff.from_int(p, 0))
 
@@ -232,7 +232,7 @@ def exponentialize_field_n3(sigma):
     sub_sigma = PolyMap(small, [promote(sigma.images[1]), promote(sigma.images[2])])
     sub = exponentialize_triangular_n2(sub_sigma)
     images = [table.var(x1)] + [demote(e) for e in sub.action.images]
-    action = GaAction(table, images, base="R")
+    action = GaAction(table, images)
     if action.evaluate(1) != sigma:
         raise InternalIntegralityFailure("E_1 differs from sigma")
     conj = PolyMap(table, [table.var(x1)] + [demote(g) for g in sub.conjugator.images])

@@ -35,9 +35,9 @@ def check_axioms(table, images):
 
 
 class GaAction:
-    __slots__ = ("table", "images", "base")
+    __slots__ = ("table", "images")
 
-    def __init__(self, table, images, base="field", _checked=False):
+    def __init__(self, table, images, _checked=False):
         images = tuple(images)
         if len(images) != table.nvars:
             raise ValueError("expected %d images" % table.nvars)
@@ -48,7 +48,6 @@ class GaAction:
                 raise ValueError("scratch parameters may not appear in images")
         self.table = table
         self.images = images
-        self.base = base
         if not _checked:
             report = check_axioms(table, images)
             if not (report["A1"] and report["A2"]):
@@ -85,8 +84,7 @@ class GaAction:
             raise NotInvariantParameter("parameter %s is not invariant" % alpha)
         t = self.table.var("T")
         return GaAction(self.table,
-                        [e.substitute({"T": alpha * t}) for e in self.images],
-                        base=self.base)
+                        [e.substitute({"T": alpha * t}) for e in self.images])
 
     def restricts_to(self, ring="R", laurent=False, localizer=None):
         """(bool, witness): do all images lie in the requested subring of B[T]?"""
@@ -129,7 +127,7 @@ class SliceData:
     coords_inverse: PolyMap = None
 
 
-def slice_action(data, base="field", check=True):
+def slice_action(data, check=True):
     """The action fixing p2,..,pn and translating p1 by lam, written on the
     x-generators through the inverse coordinates.
 
@@ -152,7 +150,7 @@ def slice_action(data, base="field", check=True):
     target = {name: img for name, img in zip(table.names, data.coords.images)}
     target[first] = target[first] + lam
     images = [q.substitute(target) for q in inverse.images]
-    return GaAction(table, images, base=base, _checked=not check)
+    return GaAction(table, images, _checked=not check)
 
 
 def slice_axioms_report(data, invariant_exprs):
@@ -182,18 +180,17 @@ def slice_axioms_report(data, invariant_exprs):
             "witness": None if (a1 and a2) else "lam"}
 
 
-def rank_certificate(action, claimed_invariant_gens, coordinate_witness,
-                     skip_invariance=False):
+def rank_certificate(action, claimed_invariant_gens, coordinate_witness):
     """Bounds {rank_lower, rank_upper} for the rank of the action.
 
     rank_upper comes from coordinates inside the invariant ring (gamma >=
     witness size); rank_lower from gamma <= dim of the linear span of the
-    claimed invariant generators.  skip_invariance is for constructions whose
-    invariance was established structurally rather than via images.
+    claimed invariant generators.  With action None the invariance check is
+    skipped, for invariance established structurally rather than via images.
     """
     gens = list(claimed_invariant_gens)
     witness = list(coordinate_witness)
-    if action is not None and not skip_invariance:
+    if action is not None:
         for g in gens:
             if not action.is_invariant(g):
                 raise NotInvariantGenerator("generator %s is not invariant" % g)

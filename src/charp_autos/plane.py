@@ -350,10 +350,10 @@ def centralizer_membership(phi, t):
             and f2.substitute(shift) == f2)
 
 
-def w_st_split(q, s, t, var=None):
+def w_st_split(q, s, t):
     """q = q1(x^p - t^(p-1)x) + t^-1 s x, given q(x+t) - q(x) = s."""
     table = q.table
-    var = var or table.names[0]
+    var = table.names[0]
     s = table.coeff(s)
     t = table.coeff(t)
     if t.is_zero():

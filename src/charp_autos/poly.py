@@ -8,6 +8,10 @@ and are never invertible.
 Negative exponents are permitted only on variables flagged invertible in the
 VarTable.  Powers use the base-p expansion of the exponent so that Frobenius
 powers f^(p^k) cost one pass over the terms.
+
+Sums, products and substitutions all build their result through one in-place
+accumulator, _accumulate.  exact_div keeps its own merge loop, because a term
+it adds to the remainder must also be pushed onto its heap of live keys.
 """
 
 import heapq
@@ -107,6 +111,22 @@ def _grlex_key(exp):
     return (sum(exp), exp)
 
 
+def _accumulate(out, pairs):
+    """Add (exponents, coefficient) pairs into the term dict out, in place;
+    a term that cancels is deleted.  Coefficients are nonzero, so a product
+    of two of them is too (F_p(u) is a field)."""
+    for e, c in pairs:
+        cur = out.get(e)
+        if cur is None:
+            out[e] = c
+        else:
+            c = cur + c
+            if c.is_zero():
+                del out[e]
+            else:
+                out[e] = c
+
+
 class MultiPoly:
     __slots__ = ("table", "terms")
 
@@ -191,16 +211,7 @@ class MultiPoly:
         if len(self.terms) < len(other.terms):
             self, other = other, self
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = out.get(e)
-            if cur is None:
-                out[e] = c
-            else:
-                s = cur + c
-                if s.is_zero():
-                    del out[e]
-                else:
-                    out[e] = s
+        _accumulate(out, other.terms.items())
         return MultiPoly(self.table, out)
 
     __radd__ = __add__
@@ -226,20 +237,10 @@ class MultiPoly:
         if len(self.terms) > len(other.terms):
             self, other = other, self
         out = {}
+        rhs = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                cur = out.get(e)
-                if cur is None:
-                    if not c.is_zero():
-                        out[e] = c
-                else:
-                    s = cur + c
-                    if s.is_zero():
-                        del out[e]
-                    else:
-                        out[e] = s
+            _accumulate(out, ((tuple(map(add, e1, e2)), c1 * c2)
+                              for e2, c2 in rhs))
         return MultiPoly(self.table, out)
 
     __rmul__ = __mul__
@@ -321,20 +322,23 @@ class MultiPoly:
                 cache[e] = got
             return got
 
-        out = table.zero()
+        out = {}
         for exp, c in self.terms.items():
             base = list(exp)
-            factors = []
+            prod = None
             for idx in images:
                 e = base[idx]
                 if e:
                     base[idx] = 0
-                    factors.append(image_power(idx, e))
-            term = MultiPoly(table, {tuple(base): c})
-            for f in factors:
-                term = term * f
-            out = out + term
-        return out
+                    f = image_power(idx, e)
+                    prod = f if prod is None else prod * f
+            # a zero image gives a zero (falsy) prod: test for None only
+            if prod is None:
+                _accumulate(out, ((tuple(base), c),))
+            else:
+                _accumulate(out, ((tuple(map(add, base, e2)), c * c2)
+                                  for e2, c2 in prod.terms.items()))
+        return MultiPoly(table, out)
 
     def subs_T(self, value):
         return self.substitute({"T": value})

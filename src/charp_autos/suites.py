@@ -123,17 +123,14 @@ def _sample_tame_word(lcg, table, max_factors=6, max_deg=4):
     return phi
 
 
-def _sample_h_gen(lcg, table, with_u=False):
+def _sample_h_gen(lcg, table):
     p = table.p
     x1 = table.names[0]
     g = table.zero()
     for e in range(1, 4):
         cc = lcg.draw(p)
         if cc:
-            coeff = Coeff.from_int(p, cc)
-            if with_u and lcg.draw(2):
-                coeff = coeff * Coeff.u(p) ** (lcg.draw(3) - 1)
-            g = g + table.monomial(coeff, **{x1: e})
+            g = g + table.monomial(cc, **{x1: e})
     if g.is_zero():
         g = table.monomial(1, **{x1: 1})
     return (lcg.choice(["E1", "E2"]), g)

@@ -223,9 +223,9 @@ def action_to_str(action):
     return "(%s)" % ", ".join(poly_to_str(g) for g in action.images)
 
 
-def parse_action(table, text, base="field"):
+def parse_action(table, text):
     from .gaction import GaAction
-    return GaAction(table, _parse_image_list(table, text), base=base)
+    return GaAction(table, _parse_image_list(table, text))
 
 
 _WORD_BLOCK = re.compile(r"\[\s*(aff|tri|E1|E2|H0|id)\s*(?::([^\]]*))?\]")

@@ -126,7 +126,7 @@ def test_modify_action_alpha_one():
     t = VarTable(p, ("x1", "x2"))
     u = Coeff.u(p)
     sd = SliceData(PolyMap.identity(t), t.var("T").scale(u))
-    E = slice_action(sd, base="R")
+    E = slice_action(sd)
     modified = modify_action(E, sd, 1)
     assert modified.evaluate(1) == E.evaluate(1)
     assert modified.images[0] == t.parse("x1 + u*T")
@@ -137,7 +137,7 @@ def test_modify_action_primitive_strips_content():
     t = VarTable(p, ("x1", "x2"))
     u = Coeff.u(p)
     sd = SliceData(PolyMap.identity(t), t.var("T").scale(u))
-    E = slice_action(sd, base="R")
+    E = slice_action(sd)
     modified = modify_action(E, sd, 1, primitive=True)
     assert modified.images[0] == t.parse("x1 + T")
 
@@ -149,7 +149,7 @@ def test_modify_action_rank_one_extension_restricts():
     u = Coeff.u(p)
     coords = PolyMap(t, [t.var("x1"), t.var("x2")])
     sd = SliceData(coords, t.var("T").scale(u))
-    E = slice_action(sd, base="R")
+    E = slice_action(sd)
     for alpha in (t.var("x2"), t.parse("x2^2 + 1"), t.parse("u*x2")):
         modified = modify_action(E, sd, alpha)
         assert modified.restricts_to("R")[0]

@@ -100,7 +100,7 @@ def test_restricts_to():
     p = 3
     t = t2(p)
     u = Coeff.u(p)
-    E = GaAction(t, [t.parse("x1 + u*T"), t.var("x2")], base="R")
+    E = GaAction(t, [t.parse("x1 + u*T"), t.var("x2")])
     assert E.restricts_to("R") == (True, None)
     E2 = GaAction(t, [t.var("x1") + t.var("T").scale(u.inv()), t.var("x2")])
     ok, witness = E2.restricts_to("R")
@@ -173,5 +173,5 @@ def test_rank_certificate_rank3_lower_bound():
     f = t.var("x1", p2) - t.var("x1", p) + t.var("x2") * t.var("x3")
     g = f ** p2 * t.var("x3") - t.var("x2", p2 - 1) \
         + f ** (p2 - p) * t.var("x2", p - 1)
-    cert = rank_certificate(None, [f, g], [], skip_invariance=True)
+    cert = rank_certificate(None, [f, g], [])
     assert cert["rank_lower"] == 3

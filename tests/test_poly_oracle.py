@@ -1,20 +1,23 @@
-"""Differential oracle for the polynomial kernel: MultiPoly mul, pow,
-substitute and exact_div against sympy's sparse polynomial rings over GF(p).
+"""Differential oracle for the polynomial kernel: MultiPoly add, mul, pow,
+substitute, exact_div and content_primitive against sympy's sparse
+polynomial rings over GF(p), GF(p)[u] and GF(p)(u).
 
-Operands have prime-field coefficients in x, y and the action parameter T;
-the other reserved slots stay zero.  Results are compared as dicts of
-exponent tuple -> residue in [0, p).
+Operands live in x, y and the action parameter T; the other reserved slots
+stay zero.  Prime-field results are compared as dicts of exponent tuple ->
+residue in [0, p); F_p(u) results are mapped into sympy's ring and their
+difference from sympy's result must be zero.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from sympy import symbols
 from sympy.polys.domains import GF
 from sympy.polys.orderings import grlex
 from sympy.polys.rings import ring
 
 from charp_autos.coeffs import Coeff
 from charp_autos.errors import NotDivisible
-from charp_autos.poly import MultiPoly, VarTable, exact_div
+from charp_autos.poly import MultiPoly, VarTable, content_primitive, exact_div
 
 PRIMES = (2, 3, 5, 7)
 ORACLE = settings(max_examples=40, deadline=None)
@@ -72,8 +75,16 @@ def test_pow_matches_sympy(case, e):
     assert as_dict(ours(table, f) ** e, p) == as_dict(theirs(oracle, f) ** e, p)
 
 
+X, Y, T = (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)
+XT, ONE = (1, 0, 1, 0, 0), (0, 0, 0, 0, 0)
+
+
 @given(operands(4, max_size=3))
 @ORACLE
+# a zero image: x*T + 1 under T -> 0 is 1
+@example((3, ({XT: 1, ONE: 1}, {X: 1}, {Y: 1}, {})))
+# terms that cancel: x + y + T under x -> -y is T
+@example((3, ({X: 1, Y: 1, T: 1}, {Y: 2}, {Y: 1}, {T: 1})))
 def test_substitute_matches_sympy(case):
     """Simultaneous substitution of x, y and T."""
     p, (f, gx, gy, gt) = case
@@ -129,3 +140,109 @@ def test_exact_div_laurent_shift(case, s_f, s_g):
     divisor = ours(table, g) * table.var("x", s_g)
     want = ours(table, f) * table.var("x", s_f - s_g)
     assert exact_div(dividend, divisor) == want
+
+
+# -- F_p[u] and F_p(u) coefficients ------------------------------------------
+
+_U = symbols("u")
+
+
+@st.composite
+def frac_operands(draw, count, max_size=3, integral=False):
+    """(p, [term dicts]): count polynomials whose coefficients are (num, den)
+    lists of u-coefficients, index = degree; den is [1] when integral.  The
+    first polynomial is nonzero."""
+    p = draw(st.sampled_from(PRIMES))
+    dense = st.lists(st.integers(0, p - 1), min_size=1, max_size=3).filter(any)
+    coeff = st.tuples(dense, st.just([1]) if integral else dense)
+    polys = [draw(st.dictionaries(_EXPS, coeff, min_size=1 if i == 0 else 0,
+                                  max_size=max_size))
+             for i in range(count)]
+    return p, polys
+
+
+def frac_rings(p):
+    table = VarTable(p, ("x", "y"))
+    oracle = ring(",".join(table.all_names), GF(p).frac_field(_U), grlex)[0]
+    return table, oracle
+
+
+def frac_ours(table, terms):
+    return MultiPoly(table, {e: Coeff(table.p, num, den)
+                             for e, (num, den) in terms.items()})
+
+
+def frac_theirs(oracle, terms):
+    field = oracle.domain.field
+    u = field.gens[0]
+
+    def value(dense):
+        return sum((c * u ** i for i, c in enumerate(dense)), field.zero)
+
+    return oracle.from_dict({e: value(num) / value(den)
+                             for e, (num, den) in terms.items()})
+
+
+def frac_mirror(oracle, poly):
+    """Our result as an element of sympy's ring."""
+    return frac_theirs(oracle, {e: (c.num, c.den)
+                                for e, c in poly.terms.items()})
+
+
+@given(frac_operands(2))
+@ORACLE
+def test_frac_add_and_mul_match_sympy(case):
+    p, (f, g) = case
+    table, oracle = frac_rings(p)
+    a, b = frac_ours(table, f), frac_ours(table, g)
+    want_a, want_b = frac_theirs(oracle, f), frac_theirs(oracle, g)
+    assert not (frac_mirror(oracle, a + b) - (want_a + want_b))
+    assert not (frac_mirror(oracle, a - b) - (want_a - want_b))
+    assert not (frac_mirror(oracle, a * b) - want_a * want_b)
+
+
+@given(frac_operands(3))
+@ORACLE
+@example((2, ({XT: ([1], [1, 1]), ONE: ([0, 1], [1])}, {X: ([1], [1])}, {})))
+def test_frac_substitute_matches_sympy(case):
+    """Simultaneous substitution of x and T."""
+    p, (f, gx, gt) = case
+    table, oracle = frac_rings(p)
+    got = frac_ours(table, f).substitute(
+        {"x": frac_ours(table, gx), "T": frac_ours(table, gt)})
+    x, _, t = oracle.gens[:3]
+    want = frac_theirs(oracle, f).compose(
+        [(x, frac_theirs(oracle, gx)), (t, frac_theirs(oracle, gt))])
+    assert not (frac_mirror(oracle, got) - want)
+
+
+def _dense(upoly, p):
+    """A sympy element of GF(p)[u] as our dense tuple, index = degree."""
+    out = [0] * (upoly.degree() + 1)
+    for (i,), c in upoly.terms():
+        out[i] = int(c) % p
+    return tuple(out)
+
+
+@given(frac_operands(1, max_size=4, integral=True), st.data())
+@ORACLE
+def test_content_primitive_matches_sympy(case, data):
+    """content_primitive of f times a common factor in F_p[u]: the content
+    is sympy's content made monic, the primitive part the quotient by it."""
+    p, (f,) = case
+    factor = data.draw(st.lists(st.integers(0, p - 1), min_size=1,
+                                max_size=3).filter(any))
+    table = VarTable(p, ("x", "y"))
+    domain = GF(p)[_U]
+    oracle = ring(",".join(table.all_names), domain, grlex)[0]
+    k = domain.ring.from_dict({(i,): c for i, c in enumerate(factor) if c})
+    theirs = oracle.from_dict(
+        {e: domain.ring.from_dict({(i,): c for i, c in enumerate(num) if c})
+         for e, (num, _) in f.items()}) * k
+    ours = MultiPoly(table, {e: Coeff(p, _dense(c, p))
+                             for e, c in theirs.terms()})
+    content, primitive = content_primitive(ours)
+    want = theirs.content().monic()
+    assert (content.num, content.den) == (_dense(want, p), (1,))
+    assert primitive == MultiPoly(table, {
+        e: Coeff(p, _dense(c, p)) for e, c in theirs.quo_ground(want).terms()})
