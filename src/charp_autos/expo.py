@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .coeffs import Coeff
 from .errors import (BadThetaSupport, InternalIntegralityFailure, NotOrderP,
                      NotTriangular, NonUnitTranslation, UnsupportedField)
-from .poly import MultiPoly, VarTable, express_in_invariant
+from .poly import MultiPoly, VarTable, _accumulate, express_in_invariant
 from .endo import PolyMap, classify, compose, conjugate, order_up_to
 from .gaction import GaAction, SliceData, slice_action
 
@@ -203,31 +203,23 @@ def exponentialize_field_n3(sigma):
                                         Coeff.from_int(p, 0))
 
     # rename x1 -> u, run the n = 2 construction over F_p[u], rename back
+    # small's exponent slots are table's without the first one, x1
     small = VarTable(p, (x2, x3))
-    idx1 = table.index[x1]
+    u = Coeff.u(p)
 
     def promote(f):
-        out = small.zero()
-        for e, c in f.terms.items():
-            coeff = c * Coeff.u(p) ** e[idx1]
-            mono = small.monomial(coeff, **{x2: e[table.index[x2]],
-                                            x3: e[table.index[x3]],
-                                            "T": e[table.index["T"]]})
-            out = out + mono
-        return out
+        out = {}
+        _accumulate(out, ((e[1:], c * u ** e[0]) for e, c in f.terms.items()))
+        return MultiPoly(small, out)
 
     def demote(f):
-        out = table.zero()
+        out = {}
         for e, c in f.terms.items():
             if not c.is_integral():
                 raise InternalIntegralityFailure("delegated image escapes R")
-            for k, n in enumerate(c.num):
-                if n:
-                    out = out + table.monomial(
-                        Coeff.from_int(p, n),
-                        **{x1: k, x2: e[small.index[x2]],
-                           x3: e[small.index[x3]], "T": e[small.index["T"]]})
-        return out
+            _accumulate(out, (((k,) + e, Coeff.from_int(p, n))
+                              for k, n in enumerate(c.num) if n))
+        return MultiPoly(table, out)
 
     sub_sigma = PolyMap(small, [promote(sigma.images[1]), promote(sigma.images[2])])
     sub = exponentialize_triangular_n2(sub_sigma)

@@ -1,8 +1,8 @@
 """Canonical suite output is pinned: at seed 7 each suite's `--json` report
 is byte-identical to the golden file the benchmark checks against.
 
-rank3 and thm15-n2 are left out here because they take most of the time of
-a full run; the benchmark's golden gate covers all twelve suites.
+thm15-n2 is left out here because it takes most of the time of a full run;
+the benchmark's golden gate covers all twelve suites.
 """
 
 import os
@@ -13,7 +13,7 @@ from charp_autos.suites import SUITES, run_suite
 
 GOLDEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "perfbench", "golden", "seed7")
-SLOW = {"rank3", "thm15-n2"}
+SLOW = {"thm15-n2"}
 
 
 @pytest.mark.parametrize("suite", sorted(set(SUITES) - SLOW))

@@ -4,9 +4,9 @@ from charp_autos.coeffs import Coeff
 from charp_autos.errors import (NegativeExponent, NonIntegralCoefficient,
                                 NotDivisible, NotInInvariantRing,
                                 ZeroPolynomial)
-from charp_autos.poly import (VarTable, content_primitive, exact_div,
-                              express_in_invariant, is_polynomial_over,
-                              linear_span_dim)
+from charp_autos.poly import (MultiPoly, VarTable, content_primitive,
+                              exact_div, express_in_invariant,
+                              is_polynomial_over, linear_span_dim)
 from charp_autos.seeds import Lcg
 
 
@@ -169,6 +169,21 @@ def test_is_polynomial_over_paper_terms():
     assert is_polynomial_over(bad, "Ra", localizer=u)[0]
 
 
+def test_is_polynomial_over_witness_is_grlex_least():
+    """Three offenders, inserted greatest, least, middle: the witness is the
+    graded-lex least, neither the first, the last nor the greatest."""
+    p = 3
+    t = VarTable(p, ("x1", "x2"))
+    u_inv = Coeff.u(p).inv()
+    one = Coeff.from_int(p, 1)
+    terms = {}
+    for x1, x2, c in ((3, 1, u_inv), (0, 1, u_inv), (2, 0, one),
+                      (1, 1, u_inv)):
+        terms[(x1, x2, 0, 0, 0)] = c
+    ok, witness = is_polynomial_over(MultiPoly(t, terms), "R")
+    assert not ok and witness == ((0, 1, 0, 0, 0), u_inv)
+
+
 def test_is_polynomial_over_laurent_flag():
     t = VarTable(2, ("x1", "x2"), invertible=("x2",))
     f = t.var("x2", -1) * t.var("x1")
@@ -209,6 +224,16 @@ def test_express_in_invariant_reconstruction_and_member_mode():
         express_in_invariant(t.parse("x"), "x", a, mode="member")
     q1, rem = express_in_invariant(w ** 2 + t.one(), "x", a, mode="member")
     assert rem.is_zero() and q1 == t.parse("x^2 + 1")
+    # degree 39: every exponent below the top one is visited on the way down
+    q = t.zero()
+    for e in range(40):
+        cc = lcg.draw(p)
+        if cc or e == 39:
+            q = q + t.monomial(cc or 1, x=e)
+    q1, rem = express_in_invariant(q, "x", a)
+    assert q1.total_degree() == 39 // p
+    assert q == q1.substitute({"x": w}) + rem
+    assert all(e[0] % p for e in rem.terms)
 
 
 def test_linear_span_dim():

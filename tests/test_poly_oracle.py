@@ -58,8 +58,16 @@ def as_dict(poly, p):
     return {e: int(c) % p for e, c in poly.terms() if int(c) % p}
 
 
+X, Y, T = (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)
+XT, ONE = (1, 0, 1, 0, 0), (0, 0, 0, 0, 0)
+
+
 @given(operands(2))
 @ORACLE
+# products that cancel mod p: (x+1)^2 = x^2 + 1 at p = 2, and
+# (x+1)(x+2) = x^2 + 2 at p = 3
+@example((2, ({X: 1, ONE: 1}, {X: 1, ONE: 1})))
+@example((3, ({X: 1, ONE: 1}, {X: 1, ONE: 2})))
 def test_mul_matches_sympy(case):
     p, (f, g) = case
     table, oracle = rings(p)
@@ -72,11 +80,11 @@ def test_mul_matches_sympy(case):
 def test_pow_matches_sympy(case, e):
     p, (f,) = case
     table, oracle = rings(p)
-    assert as_dict(ours(table, f) ** e, p) == as_dict(theirs(oracle, f) ** e, p)
-
-
-X, Y, T = (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)
-XT, ONE = (1, 0, 1, 0, 0), (0, 0, 0, 0, 0)
+    got = ours(table, f) ** e
+    assert as_dict(got, p) == as_dict(theirs(oracle, f) ** e, p)
+    # the prime-field product path builds canonical constants
+    assert all(c.den == (1,) and len(c.num) == 1 and 0 < c.num[0] < p
+               for c in got.terms.values())
 
 
 @given(operands(4, max_size=3))
@@ -191,6 +199,9 @@ def frac_mirror(oracle, poly):
 
 @given(frac_operands(2))
 @ORACLE
+# an operand with F_p coefficients times one with F_p(u) coefficients
+@example((3, ({X: ([2], [1]), ONE: ([1], [1])},
+              {X: ([1], [0, 1]), T: ([1, 1], [1])})))
 def test_frac_add_and_mul_match_sympy(case):
     p, (f, g) = case
     table, oracle = frac_rings(p)
