@@ -207,8 +207,7 @@ class Coeff:
 
         Decided by stripping gcd(den, s) factors until the gcd is a unit.
         """
-        if not isinstance(s, Coeff) or not s.is_integral() or s.is_zero():
-            raise InvalidLocalizer("localizer must be a nonzero element of F_p[u]")
+        _check_localizer(s)
         d = self.den
         while len(d) > 1:
             g = _ugcd(d, s.num, self.p)
@@ -335,6 +334,12 @@ class Coeff:
 
     def __repr__(self):
         return "Coeff(p=%d, %s)" % (self.p, self)
+
+
+def _check_localizer(s):
+    """InvalidLocalizer unless s is a nonzero element of F_p[u]."""
+    if not isinstance(s, Coeff) or not s.is_integral() or s.is_zero():
+        raise InvalidLocalizer("localizer must be a nonzero element of F_p[u]")
 
 
 def _integral(p, num):

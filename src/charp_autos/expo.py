@@ -7,6 +7,26 @@ lower variables (sum_{c in F_p} (w+c)^{p-1} = -1), so (x1, f2,..,fn) is a
 strict triangular coordinate change conjugating the translation to sigma.
 Correctness is verified by composition afterwards, so the construction is
 safe even if it differs from the original one.
+
+Each entry point (maubach_conjugator, exponentialize_triangular_n2 and the
+sigma(x1) != x1 branch of exponentialize_field_n3) runs its guards once,
+then the shared averaging core: classify(sigma) once, and one list of
+powers sigma^0..sigma^p that serves both the order test and the averaging.
+
+The identities are asserted here, by raising InternalIntegralityFailure:
+- the averaging core, so every entry point: conjugating x1 -> x1 + a by the
+  conjugator gives back sigma;
+- exponentialize_triangular_n2: a*c lies in F_p[u] for every coefficient c
+  of the reduced f, E_1 = sigma, and the action restricts to R;
+- exponentialize_field_n3: E_1 = sigma (and, on the path delegated to
+  n = 2, the images demoted from F_p[u] lie in F_p[x1]);
+- theta_of: theta's coefficients lie in R and sigma_from_theta(a, theta)
+  is sigma, so a result computed for another map is rejected;
+- sigma_from_theta: the images it builds lie over R.
+The thm15-n2 suite therefore checks none of these again: a case builds
+sigma from (a, theta), exponentializes it once and reports whether theta_of
+gives back (a, theta); an identity that fails above makes the case fail,
+with the exception as its witness.
 """
 
 from dataclasses import dataclass
@@ -15,7 +35,7 @@ from .coeffs import Coeff
 from .errors import (BadThetaSupport, InternalIntegralityFailure, NotOrderP,
                      NotTriangular, NonUnitTranslation, UnsupportedField)
 from .poly import MultiPoly, VarTable, _accumulate, express_in_invariant
-from .endo import PolyMap, classify, compose, conjugate, order_up_to
+from .endo import PolyMap, classify, compose, conjugate
 from .gaction import GaAction, SliceData, slice_action
 
 
@@ -36,45 +56,65 @@ def _translation_constant(sigma):
     return diff.constant_term()
 
 
-def maubach_conjugator(sigma, units="base"):
-    """phi = (x1, f2,..,fn) with conjugate((x1+a, x2,..), phi) = sigma.
+def _order_p_powers(sigma):
+    """[sigma^0, .., sigma^(p-1)], or NotOrderP unless sigma has order p.
 
-    units selects what counts as a unit for a = sigma(x1)-x1: "base" demands
-    a in F_p* (a unit of F_p[u]); "field" accepts any nonzero constant, for
-    callers that have already extended scalars to R_a.
+    For prime p, "sigma != id and sigma^p = id" is the same as "order exactly
+    p", so the powers the averaging needs also carry the order test: p - 1
+    compositions in all, the last one giving sigma^p.
     """
     table = sigma.table
     p = table.p
-    if order_up_to(sigma, p) != p:
+    powers = [PolyMap.identity(table), sigma]
+    while len(powers) <= p:
+        powers.append(compose(sigma, powers[-1]))
+    if sigma.is_identity() or not powers[p].is_identity():
         raise NotOrderP("automorphism does not have order %d" % p)
-    if "strict_triangular" not in classify(sigma):
-        raise NotTriangular("conjugator needs a strict triangular input")
-    a = _translation_constant(sigma)
-    if a.is_zero():
-        raise NonUnitTranslation("sigma fixes x1")
-    if units == "base" and not (a.is_integral() and a.is_constant()):
-        raise NonUnitTranslation("translation %s is not a unit of F_p[u]" % a)
+    return powers[:p]
 
-    w = table.var(table.names[0]).scale(a.inv())
-    powers = []
-    sigma_j = PolyMap.identity(table)
-    for j in range(p):
-        powers.append(((w + table.const(j)) ** (p - 1), sigma_j))
-        sigma_j = compose(sigma, sigma_j)
-    images = [table.var(table.names[0])]
+
+def _averaged_conjugator(sigma, a, powers):
+    """Maubach's conjugator by Artin-Schreier averaging over the powers
+    [sigma^0, .., sigma^(p-1)] of an order-p strict triangular sigma with
+    sigma(x1) = x1 + a, a != 0; the conjugation is verified before return."""
+    table = sigma.table
+    p = table.p
+    x1 = table.var(table.names[0])
+    w = x1.scale(a.inv())
+    weights = [(w + table.const(j)) ** (p - 1) for j in range(p)]
+    images = [x1]
     for i in range(1, table.nvars):
         acc = table.zero()
-        for weight, sj in powers:
+        for weight, sj in zip(weights, powers):
             acc = acc + weight * sj.images[i]
         images.append(-acc)
     phi = PolyMap(table, images)
 
     translation = PolyMap(
-        table, [table.var(table.names[0]) + table.const(a)]
-        + [table.var(n) for n in table.names[1:]])
+        table, [x1 + table.const(a)] + [table.var(n) for n in table.names[1:]])
     if conjugate(translation, phi) != sigma:
         raise InternalIntegralityFailure("averaging produced a bad conjugator")
     return phi
+
+
+def maubach_conjugator(sigma, units="base"):
+    """phi = (x1, f2,..,fn) with conjugate((x1+a, x2,..), phi) = sigma.
+
+    units selects what counts as a unit for a = sigma(x1)-x1: "base" demands
+    a in F_p* (a unit of F_p[u]); "field" accepts any nonzero constant, for
+    callers that have already extended scalars to R_a.  The shape test runs
+    before the p - 1 compositions of the order test, so a triangular input
+    that is not strict raises NotTriangular.
+    """
+    if "strict_triangular" not in classify(sigma):
+        raise NotTriangular("conjugator needs a strict triangular input")
+    powers = _order_p_powers(sigma)
+    a = _translation_constant(sigma)
+    if a.is_zero():
+        raise NonUnitTranslation("sigma fixes x1")
+    if units == "base" and not (a.is_integral() and a.is_constant()):
+        raise NonUnitTranslation("translation %s is not a unit of F_p[u]" % a)
+    return _averaged_conjugator(sigma, a, powers)
 
 
 def exponentialize_triangular_n2(sigma):
@@ -85,8 +125,7 @@ def exponentialize_triangular_n2(sigma):
     p = table.p
     if table.nvars != 2:
         raise ValueError("this construction is for n = 2")
-    if order_up_to(sigma, p) != p:
-        raise NotOrderP("automorphism does not have order %d" % p)
+    powers = _order_p_powers(sigma)
     flags = classify(sigma)
     if "triangular" not in flags:
         raise NotTriangular("input is not triangular")
@@ -103,7 +142,9 @@ def exponentialize_triangular_n2(sigma):
         return ExponentializationResult(action, PolyMap.identity(table), b,
                                         Coeff.from_int(p, 0))
 
-    phi = maubach_conjugator(sigma, units="field")
+    if "strict_triangular" not in flags:
+        raise NotTriangular("conjugator needs a strict triangular input")
+    phi = _averaged_conjugator(sigma, a, powers)
     f = phi.images[1] - table.var(x2)
     _, f_red = express_in_invariant(f, x1, a, mode="split")
     for _, c in f_red.terms.items():
@@ -120,19 +161,18 @@ def exponentialize_triangular_n2(sigma):
     return ExponentializationResult(action, coords, f_red, a)
 
 
-def theta_of(sigma):
+def theta_of(sigma, result):
     """(a, theta) with sigma = (x1+a, x2 + a^-1(theta(x1) - theta(x1+a))),
-    theta supported on exponents prime to p."""
-    table = sigma.table
-    result = exponentialize_triangular_n2(sigma)
+    theta supported on exponents prime to p, read off
+    result = exponentialize_triangular_n2(sigma).  The theta found must
+    reproduce sigma, so a result for another map raises."""
     if result.a.is_zero():
         raise NonUnitTranslation("theta needs sigma(x1) != x1")
     theta = result.reduced_f.scale(result.a)
     for c in theta.terms.values():
         if not c.is_integral():
             raise InternalIntegralityFailure("theta coefficient %s not in R" % c)
-    check = sigma_from_theta(result.a, theta)
-    if check != sigma:
+    if sigma_from_theta(result.a, theta) != sigma:
         raise InternalIntegralityFailure("theta does not reproduce sigma")
     return result.a, theta
 
@@ -180,15 +220,17 @@ def exponentialize_field_n3(sigma):
         for c in g.terms.values():
             if not c.is_constant():
                 raise UnsupportedField("coefficients must lie in F_p")
-    if order_up_to(sigma, p) != p:
-        raise NotOrderP("automorphism does not have order %d" % p)
-    if "triangular" not in classify(sigma):
+    powers = _order_p_powers(sigma)
+    flags = classify(sigma)
+    if "triangular" not in flags:
         raise NotTriangular("input is not triangular")
     x1, x2, x3 = table.names
 
     a = _translation_constant(sigma)
     if not a.is_zero():
-        phi = maubach_conjugator(sigma, units="field")
+        if "strict_triangular" not in flags:
+            raise NotTriangular("conjugator needs a strict triangular input")
+        phi = _averaged_conjugator(sigma, a, powers)
         action = slice_action(SliceData(phi, table.var("T").scale(a)))
         if action.evaluate(1) != sigma:
             raise InternalIntegralityFailure("E_1 differs from sigma")

@@ -25,7 +25,8 @@ coefficients measured 3.02/2.63 s against 3.41/2.53 s unpacked on rank3.
 import heapq
 from operator import add, sub
 
-from .coeffs import Coeff, _integral, check_prime, coeff_gcd_integral
+from .coeffs import (Coeff, _check_localizer, _integral, check_prime,
+                     coeff_gcd_integral)
 from .errors import (NegativeExponent, NonIntegralCoefficient, NotDivisible,
                      NotInInvariantRing, ZeroPolynomial)
 
@@ -507,10 +508,16 @@ def is_polynomial_over(f, ring="R", laurent=False, localizer=None):
 
     ring: "R" for F_p[u], "Ra" for F_p[u][1/localizer], "field" for F_p(u).
     Returns (ok, witness) where witness is the graded-lex least offending
-    (exponents, coeff) pair, or None.
+    (exponents, coeff) pair, or None.  An unknown ring, or for "Ra" a
+    missing or invalid localizer, raises before any term is looked at.
     """
-    if ring == "Ra" and localizer is None:
-        raise ValueError("ring 'Ra' needs a localizer")
+    if ring not in ("R", "Ra", "field"):
+        raise ValueError("unknown ring %r; expected 'R', 'Ra' or 'field'"
+                         % (ring,))
+    if ring == "Ra":
+        if localizer is None:
+            raise ValueError("ring 'Ra' needs a localizer")
+        _check_localizer(localizer)
     offenders = [(e, c) for e, c in f.terms.items()
                  if (not laurent and min(e) < 0)
                  or (ring == "R" and not c.is_integral())

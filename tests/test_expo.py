@@ -1,14 +1,20 @@
+import sys
+
 import pytest
 
+from charp_autos import endo, expo
 from charp_autos.coeffs import Coeff
-from charp_autos.errors import (BadThetaSupport, NonUnitTranslation, NotOrderP,
-                                NotTriangular, UnsupportedField)
+from charp_autos.errors import (BadThetaSupport, InternalIntegralityFailure,
+                                NonUnitTranslation, NotOrderP, NotTriangular,
+                                UnsupportedField)
 from charp_autos.endo import PolyMap, conjugate, order_up_to
 from charp_autos.expo import (exponentialize_field_n3,
                               exponentialize_triangular_n2,
                               maubach_conjugator, sigma_from_theta, theta_of)
+from charp_autos.gaction import GaAction
 from charp_autos.poly import VarTable, is_polynomial_over
 from charp_autos.seeds import Lcg
+from charp_autos.suites import SUITES, run_suite
 
 
 def t2(p):
@@ -100,6 +106,38 @@ def test_exponentialize_errors():
         exponentialize_triangular_n2(PolyMap(t, [t.var("x2"), t.var("x1")]))
 
 
+def test_entry_points_reject_maps_not_of_order_p():
+    # (x1+1, x2+x1) has order 4 over F_2; (x1+1, x2+x1^2) order 9 over F_3
+    t = t2(2)
+    order4 = PolyMap(t, [t.parse("x1+1"), t.parse("x2+x1")])
+    assert order_up_to(order4) == 4
+    t3 = t2(3)
+    order9 = PolyMap(t3, [t3.parse("x1+1"), t3.parse("x2+x1^2")])
+    assert order_up_to(order9, 9) == 9
+    n3 = VarTable(2, ("x1", "x2", "x3"))
+    order4_n3 = PolyMap(n3, [n3.parse("x1+1"), n3.parse("x2+x1"),
+                             n3.var("x3")])
+    cases = [(maubach_conjugator, order4), (maubach_conjugator, order9),
+             (maubach_conjugator, PolyMap.identity(t)),
+             (exponentialize_triangular_n2, order4),
+             (exponentialize_triangular_n2, order9),
+             (exponentialize_triangular_n2, PolyMap.identity(t)),
+             (exponentialize_field_n3, order4_n3),
+             (exponentialize_field_n3, PolyMap.identity(n3))]
+    for entry, sigma in cases:
+        with pytest.raises(NotOrderP):
+            entry(sigma)
+
+
+def test_maubach_rejects_triangular_maps_that_are_not_strict():
+    t = t2(3)
+    with pytest.raises(NotTriangular):
+        maubach_conjugator(PolyMap(t, [t.parse("x1+1"), t.parse("2*x2")]))
+    with pytest.raises(NotTriangular):
+        maubach_conjugator(PolyMap(t, [t.parse("x1+1"),
+                                       t.parse("2*x2+x1^2")]))
+
+
 def test_sigma_from_theta_validation():
     p = 3
     t = t2(p)
@@ -131,8 +169,73 @@ def test_theta_round_trip():
                 theta = t.var("x1")
             a = (u, u * u, u + 1)[lcg.draw(3)]
             sigma = sigma_from_theta(a, theta)
-            a2, theta2 = theta_of(sigma)
+            a2, theta2 = theta_of(sigma, exponentialize_triangular_n2(sigma))
             assert a2 == a and theta2 == theta
+
+
+def test_theta_of_rejects_the_result_of_another_map():
+    t = t2(3)
+    u = Coeff.u(3)
+    sigma = sigma_from_theta(u, t.parse("x1^2 + x1"))
+    other = sigma_from_theta(u, t.parse("x1^4"))
+    with pytest.raises(InternalIntegralityFailure):
+        theta_of(sigma, exponentialize_triangular_n2(other))
+    # a result whose translation differs is rejected as well
+    shifted = sigma_from_theta(u + 1, t.parse("x1^2 + x1"))
+    with pytest.raises(InternalIntegralityFailure):
+        theta_of(sigma, exponentialize_triangular_n2(shifted))
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap every charp_autos binding of owner.name; returns the list of
+    argument tuples, one per call."""
+    original = getattr(owner, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, wrapper)
+        return calls
+    for modname, module in list(sys.modules.items()):
+        if (modname.startswith("charp_autos")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_thm15_case_establishes_each_fact_once(monkeypatch, p):
+    built = _count_calls(monkeypatch, expo, "sigma_from_theta")
+    expos = _count_calls(monkeypatch, expo, "exponentialize_triangular_n2")
+    orders = _count_calls(monkeypatch, endo, "order_up_to")
+    shapes = _count_calls(monkeypatch, endo, "classify")
+    composes = _count_calls(monkeypatch, endo, "compose")
+    evaluations = _count_calls(monkeypatch, GaAction, "evaluate")
+    restrictions = _count_calls(monkeypatch, GaAction, "restricts_to")
+    (_, thunk), = SUITES["thm15-n2"]({"p": p, "count": 1})
+    assert thunk() == (True, "")
+    assert len(expos) == 1
+    sigma, = expos[0]
+    assert sum(args[0] == sigma for args in orders) <= 1
+    assert sum(args[0] == sigma for args in shapes) == 1
+    # one list of powers: sigma^2, .., sigma^p, each composed once
+    assert sum(args[0] == sigma for args in composes) == p - 1
+    assert len(evaluations) == 1 and len(restrictions) == 1
+    # the suite builds sigma once and theta_of rebuilds it for its check
+    assert len(built) == 2
+
+
+def test_thm15_case_fails_when_a_library_check_fails(monkeypatch):
+    monkeypatch.setattr(GaAction, "restricts_to",
+                        lambda self, *args, **kwargs: (False, ("x2", None)))
+    result = run_suite("thm15-n2", p=2, count=2)
+    assert [c.ok for c in result.cases] == [False, False]
+    assert all(c.detail.startswith("InternalIntegralityFailure")
+               for c in result.cases)
+    assert "p2-00: FAIL" in result.to_text()
 
 
 def test_proof_step_coefficient_integrality():

@@ -1,23 +1,19 @@
 """Canonical suite output is pinned: at seed 7 each suite's `--json` report
-is byte-identical to the golden file the benchmark checks against.
-
-thm15-n2 is left out here because it takes most of the time of a full run;
-the benchmark's golden gate covers all twelve suites.
-"""
+is byte-identical to the golden file the benchmark checks against."""
 
 import os
 
 import pytest
 
-from charp_autos.suites import SUITES, run_suite
+from charp_autos.suites import SUITES
 
 GOLDEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "perfbench", "golden", "seed7")
-SLOW = {"thm15-n2"}
 
 
-@pytest.mark.parametrize("suite", sorted(set(SUITES) - SLOW))
-def test_suite_matches_golden(suite):
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_suite_matches_golden(suite, suite_run):
     with open(os.path.join(GOLDEN, suite + ".json")) as fh:
         golden = fh.read()
-    assert run_suite(suite, seed=7).to_json() + "\n" == golden
+    result, _ = suite_run(suite, seed=7)
+    assert result.to_json() + "\n" == golden

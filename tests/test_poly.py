@@ -1,9 +1,9 @@
 import pytest
 
 from charp_autos.coeffs import Coeff
-from charp_autos.errors import (NegativeExponent, NonIntegralCoefficient,
-                                NotDivisible, NotInInvariantRing,
-                                ZeroPolynomial)
+from charp_autos.errors import (InvalidLocalizer, NegativeExponent,
+                                NonIntegralCoefficient, NotDivisible,
+                                NotInInvariantRing, ZeroPolynomial)
 from charp_autos.poly import (MultiPoly, VarTable, content_primitive,
                               exact_div, express_in_invariant,
                               is_polynomial_over, linear_span_dim)
@@ -182,6 +182,26 @@ def test_is_polynomial_over_witness_is_grlex_least():
         terms[(x1, x2, 0, 0, 0)] = c
     ok, witness = is_polynomial_over(MultiPoly(t, terms), "R")
     assert not ok and witness == ((0, 1, 0, 0, 0), u_inv)
+
+
+@pytest.mark.parametrize("localizer", [
+    Coeff.from_int(3, 0), Coeff.u(3).inv(), 1, "u"])
+def test_is_polynomial_over_rejects_an_invalid_localizer_up_front(localizer):
+    """Zero, non-integral or non-Coeff localizers raise for every input,
+    including ones whose terms never reach the coefficient test."""
+    t = VarTable(3, ("x1", "x2"), invertible=("x2",))
+    negative_exponents_only = t.var("x2", -1) + t.var("x2", -2)
+    for f in (t.zero(), negative_exponents_only, t.var("x1")):
+        with pytest.raises(InvalidLocalizer):
+            is_polynomial_over(f, "Ra", localizer=localizer)
+
+
+def test_is_polynomial_over_rejects_an_unknown_ring():
+    t = VarTable(2, ("x1", "x2"))
+    for f in (t.zero(), t.var("x1")):
+        for ring in ("r", "F_p(u)", None):
+            with pytest.raises(ValueError):
+                is_polynomial_over(f, ring)
 
 
 def test_is_polynomial_over_laurent_flag():
