@@ -153,9 +153,22 @@ def _cmd_expo(args):
     print("conjugator %s" % map_to_str(res.conjugator))
     theta = res.reduced_f.scale(res.a) if not res.a.is_zero() else res.reduced_f
     print("theta      %s" % poly_to_str(theta))
+    # Report only what the library has not asserted by raising.  For n = 2
+    # and sigma(x1) != x1 it has asserted E_1 = sigma and the restriction to
+    # R, so what is left is theta_of's round trip.  The n = 2 branch for
+    # sigma(x1) = x1 and the n = 3 branch for sigma(x1) != x1 do not test
+    # the restriction to R, so the other paths report it.
     report = gallery.StarReport()
-    report.add("E1_equals_sigma", res.action.evaluate(1) == sigma)
-    report.add("restricts_to_R", res.action.restricts_to("R")[0])
+    if args.base == "Fp[u]" and not res.a.is_zero():
+        failure = None
+        try:
+            expo.theta_of(sigma, res)
+        except CharpAutosError as exc:
+            failure = exc
+            print("theta_round_trip: %s" % exc, file=sys.stderr)
+        report.add("theta_round_trip", failure is None)
+    else:
+        report.add("restricts_to_R", res.action.restricts_to("R")[0])
     print(report.to_text())
     return 0 if report.all_ok() else 1
 

@@ -6,6 +6,21 @@ elements of F_p[u] are those with denominator 1 (see is_integral).  The
 denominator is kept monic and coprime to the numerator, so equality is plain
 structural equality.
 
+Coeff.__init__ reaches that form by one of two reductions.  A denominator
+c*u^k (every entry but the leading one zero) is reduced by valuation: with
+m = min(k, v(num)), where v is the order of vanishing at u = 0, the result
+is c^-1 num/u^m over u^(k-m).  The only irreducible factor of u^k is u, so
+gcd(num, c*u^k) is u^m and this is exactly the gcd reduction, found without
+a Euclidean division.  Every other denominator goes through the monic gcd.
+Both end with a monic denominator coprime to the numerator, and that form is
+unique, so the path taken never shows in num, den, equality or hashes.  The
+u-power denominators are the common case: F_p[u] is the paper's UFD R, and
+most fractions its constructions produce have denominators c*u^k.  Products
+and sums of such fractions stay u-powers: _umul shifts and scales when a
+factor is a monomial, and __add__ adds over u^max(i, j).  Negation,
+inversion and frob_power map canonical fractions to canonical fractions, so
+they build their results without a reduction.
+
 Dense polynomials are tuples of ints in [0, p), index = degree, with no
 trailing zeros; the zero polynomial is the empty tuple.
 """
@@ -36,9 +51,8 @@ def _trim(cs):
 def _uadd(a, b, p):
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
+    out = [(x + y) % p for x, y in zip(a, b)]
+    out.extend(a[len(b):])
     return _trim(out)
 
 
@@ -49,13 +63,21 @@ def _uneg(a, p):
 def _umul(a, b, p):
     if not a or not b:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] = (out[i + j] + ca * cb) % p
-    return _trim(out)
+    if any(a[:-1]):
+        if any(b[:-1]):
+            out = [0] * (len(a) + len(b) - 1)
+            for i, ca in enumerate(a):
+                if ca:
+                    for j, cb in enumerate(b):
+                        if cb:
+                            out[i + j] = (out[i + j] + ca * cb) % p
+            return _trim(out)
+        a, b = b, a
+    # a = c*u^k: a shift and a scale instead of the double loop
+    c = a[-1]
+    if c != 1:
+        b = tuple((x * c) % p for x in b)
+    return (0,) * (len(a) - 1) + b
 
 
 def _uscale(a, c, p):
@@ -93,10 +115,10 @@ def _ugcd(a, b, p):
 
 
 def _uval(a):
-    """Order of vanishing at u = 0 (multiplicity of the factor u)."""
-    for i, c in enumerate(a):
-        if c:
-            return i
+    """Order of vanishing at u = 0 (multiplicity of the factor u).  Found as
+    the index of the first nonzero entry's value: both scans run in C."""
+    for c in filter(None, a):
+        return a.index(c)
     raise ValueError("valuation of zero polynomial")
 
 
@@ -138,10 +160,17 @@ class Coeff:
         if den == (1,):
             self.num, self.den = num, den
             return
-        g = _ugcd(num, den, p)
-        if len(g) > 1:
-            num = _udivmod(num, g, p)[0]
-            den = _udivmod(den, g, p)[0]
+        if not any(den[:-1]):
+            # den = c*u^k: cancel u^m, m = min(k, v(num)), then scale by 1/c
+            k = len(den) - 1
+            m = min(k, _uval(num))
+            num = num[m:]
+            den = (0,) * (k - m) + den[-1:]
+        else:
+            g = _ugcd(num, den, p)
+            if len(g) > 1:
+                num = _udivmod(num, g, p)[0]
+                den = _udivmod(den, g, p)[0]
         if den[-1] != 1:
             inv = pow(den[-1], p - 2, p)
             num = _uscale(num, inv, p)
@@ -236,15 +265,23 @@ class Coeff:
             a, b = self.num, other.num
             if len(a) == 1 and len(b) == 1:
                 s = (a[0] + b[0]) % p
-                return _integral(p, (s,) if s else ())
-            return _integral(p, _uadd(a, b, p))
-        num = _uadd(_umul(self.num, other.den, p), _umul(other.num, self.den, p), p)
-        return Coeff(p, num, _umul(self.den, other.den, p))
+                return _canonical(p, (s,) if s else ())
+            return _canonical(p, _uadd(a, b, p))
+        sd, od = self.den, other.den
+        if not any(sd[:-1]) and not any(od[:-1]):
+            # u^i and u^j: add over their lcm u^k, k = max(i, j), not u^(i+j)
+            k = max(len(sd), len(od)) - 1
+            num = _uadd((0,) * (k + 1 - len(sd)) + self.num,
+                        (0,) * (k + 1 - len(od)) + other.num, p)
+            return Coeff(p, num, (0,) * k + (1,))
+        num = _uadd(_umul(self.num, od, p), _umul(other.num, sd, p), p)
+        return Coeff(p, num, _umul(sd, od, p))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Coeff(self.p, _uneg(self.num, self.p), self.den)
+        # -num/den is still reduced with a monic denominator
+        return _canonical(self.p, _uneg(self.num, self.p), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -263,8 +300,8 @@ class Coeff:
         if self.den == (1,) and other.den == (1,):
             a, b = self.num, other.num
             if len(a) == 1 and len(b) == 1:
-                return _integral(p, ((a[0] * b[0]) % p,))
-            return _integral(p, _umul(a, b, p))
+                return _canonical(p, ((a[0] * b[0]) % p,))
+            return _canonical(p, _umul(a, b, p))
         return Coeff(p, _umul(self.num, other.num, p), _umul(self.den, other.den, p))
 
     __rmul__ = __mul__
@@ -272,7 +309,10 @@ class Coeff:
     def inv(self):
         if not self.num:
             raise DivisionByZero("inverse of zero")
-        return Coeff(self.p, self.den, self.num)
+        # den/num is still reduced; only the new denominator needs making monic
+        p = self.p
+        inv = pow(self.num[-1], p - 2, p)
+        return _canonical(p, _uscale(self.den, inv, p), _uscale(self.num, inv, p))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -307,7 +347,9 @@ class Coeff:
                 out[i * q] = c
             return tuple(out)
 
-        return Coeff(self.p, dilate(self.num), dilate(self.den))
+        # a(u^q) = a(u)^q over F_p, so the dilated fraction stays reduced, and
+        # leading coefficients do not move, so its denominator stays monic
+        return _canonical(self.p, dilate(self.num), dilate(self.den))
 
     # -- structure -----------------------------------------------------------
 
@@ -342,11 +384,12 @@ def _check_localizer(s):
         raise InvalidLocalizer("localizer must be a nonzero element of F_p[u]")
 
 
-def _integral(p, num):
-    """The Coeff num/1 for a trimmed num with entries in [0, p).  It is
-    already canonical, so the reduction in Coeff.__init__ is skipped."""
+def _canonical(p, num, den=(1,)):
+    """The Coeff num/den for trimmed num, den with entries in [0, p) that
+    are already canonical: den monic and coprime to num, and (1,) when num
+    is zero.  The reduction in Coeff.__init__ is skipped."""
     out = object.__new__(Coeff)
-    out.p, out.num, out.den = p, num, (1,)
+    out.p, out.num, out.den = p, num, den
     return out
 
 

@@ -25,7 +25,7 @@ coefficients measured 3.02/2.63 s against 3.41/2.53 s unpacked on rank3.
 import heapq
 from operator import add, sub
 
-from .coeffs import (Coeff, _check_localizer, _integral, check_prime,
+from .coeffs import (Coeff, _canonical, _check_localizer, check_prime,
                      coeff_gcd_integral)
 from .errors import (NegativeExponent, NonIntegralCoefficient, NotDivisible,
                      NotInInvariantRing, ZeroPolynomial)
@@ -148,7 +148,7 @@ def _fp_product(p, lhs, rhs):
         for e2, k2 in rhs:
             e = tuple(map(add, e1, e2))
             acc[e] = get(e, 0) + k1 * k2
-    consts = [None] + [_integral(p, (k,)) for k in range(1, p)]
+    consts = [None] + [_canonical(p, (k,)) for k in range(1, p)]
     out = {}
     for e, k in acc.items():
         k %= p

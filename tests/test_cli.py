@@ -65,10 +65,41 @@ def test_plane_subcommands(capsys):
 
 
 def test_expo_subcommand(capsys):
+    """For n = 2 with sigma(x1) != x1 the library has asserted E_1 = sigma
+    and the restriction to R, so the report holds theta_of's round trip
+    alone."""
     code, out, _ = run(capsys, "expo", "(x1+u, x2+x1^2+u*x1+u^2)", "--p", "2")
     assert code == 0
-    assert '"E1_equals_sigma": true' in out
     assert "theta      x1^3" in out
+    assert out.splitlines()[-1] == '{"theta_round_trip": true}'
+
+
+def test_expo_reports_a_failed_theta_round_trip(capsys, monkeypatch):
+    from charp_autos import expo
+    from charp_autos.errors import InternalIntegralityFailure
+
+    def broken(sigma, result):
+        raise InternalIntegralityFailure("theta does not reproduce sigma")
+    monkeypatch.setattr(expo, "theta_of", broken)
+    code, out, err = run(capsys, "expo", "(x1+u, x2+x1^2+u*x1+u^2)", "--p", "2")
+    assert code == 1
+    assert out.splitlines()[-1] == '{"theta_round_trip": false}'
+    assert "theta does not reproduce sigma" in err
+
+
+def test_expo_reports_the_restriction_the_library_leaves_open(capsys):
+    """sigma(x1) = x1 for n = 2, and the n = 3 path with sigma(x1) != x1:
+    the library does not assert the restriction to R there."""
+    code, out, _ = run(capsys, "expo", "(x1, x2+x1/u)", "--p", "2")
+    assert code == 1
+    assert out.splitlines()[-1] == '{"restricts_to_R": false}'
+    code, out, _ = run(capsys, "expo", "(x1, x2+x1^2)", "--p", "2")
+    assert code == 0
+    assert out.splitlines()[-1] == '{"restricts_to_R": true}'
+    code, out, _ = run(capsys, "expo", "(x1+1, x2+x1^2+x1, x3)", "--p", "2",
+                       "--base", "Fp")
+    assert code == 0
+    assert out.splitlines()[-1] == '{"restricts_to_R": true}'
 
 
 def test_criteria_certify(capsys):

@@ -178,3 +178,118 @@ def test_fast_paths_give_the_canonical_form(case, cancel):
         want = _reduced(p, num, den)
         assert (got.num, got.den) == want
         assert hash(got) == hash(want)
+
+
+def _schoolbook(a, b, p):
+    """Dense product a*b over F_p, the double loop with no special cases."""
+    from charp_autos.coeffs import _trim
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = (out[i + j] + ca * cb) % p
+    return _trim(out)
+
+
+def _dilate(cs, q):
+    """cs(u^q) as a dense tuple."""
+    out = [0] * ((len(cs) - 1) * q + 1) if cs else []
+    for i, c in enumerate(cs):
+        out[i * q] = c
+    return tuple(out)
+
+
+@st.composite
+def _u_power_fractions(draw):
+    """(p, [(num, den), (num, den)]): each den is c*u^k with k in 0..12 and
+    c in 1..p-1 (non-monic unless p = 2 or c = 1); each num is nonzero with
+    u-valuation 0..k+2, so it cancels all, part or none of u^k."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    pairs = []
+    for _ in range(2):
+        k = draw(st.integers(0, 12))
+        den = (0,) * k + (draw(st.integers(1, p - 1)),)
+        v = draw(st.integers(0, k + 2))
+        tail = draw(st.lists(st.integers(0, p - 1), max_size=5))
+        num = (0,) * v + (draw(st.integers(1, p - 1)),) + tuple(tail)
+        pairs.append((num, den))
+    return p, pairs
+
+
+@given(_u_power_fractions(), st.integers(1, 2))
+@settings(max_examples=300, deadline=None)
+def test_u_power_denominators_give_the_canonical_form(case, k):
+    """Construction, the field operations and frob_power on fractions over
+    c*u^k carry the num, den and hash of the generic gcd reduction."""
+    from charp_autos.coeffs import _uadd, _uneg
+    p, pairs = case
+    a, b = (Coeff(p, num, den) for num, den in pairs)
+    for c, (num, den) in zip((a, b), pairs):
+        assert (c.num, c.den) == _reduced(p, num, den)
+    mul = _schoolbook
+    q = p ** k
+    for got, num, den in (
+            (a + b, _uadd(mul(a.num, b.den, p), mul(b.num, a.den, p), p),
+             mul(a.den, b.den, p)),
+            (a - b, _uadd(mul(a.num, b.den, p), _uneg(mul(b.num, a.den, p), p),
+                          p), mul(a.den, b.den, p)),
+            (-a, _uneg(a.num, p), a.den),
+            (a * b, mul(a.num, b.num, p), mul(a.den, b.den, p)),
+            (a / b, mul(a.num, b.den, p), mul(a.den, b.num, p)),
+            (a.inv(), a.den, a.num),
+            (a.frob_power(k), _dilate(a.num, q), _dilate(a.den, q))):
+        want = _reduced(p, num, den)
+        assert (got.num, got.den) == want
+        assert hash(got) == hash(want)
+
+
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(0, 12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_umul_monomial_matches_the_schoolbook_product(p, k, data):
+    """_umul's shift-and-scale for a factor c*u^k, on either side."""
+    from charp_autos.coeffs import _umul
+    mono = (0,) * k + (data.draw(st.integers(1, p - 1)),)
+    other = tuple(data.draw(st.lists(st.integers(0, p - 1), max_size=8)))
+    while other and not other[-1]:
+        other = other[:-1]
+    want = _schoolbook(mono, other, p)
+    assert _umul(mono, other, p) == want
+    assert _umul(other, mono, p) == want
+
+
+def _count_gcd_calls(monkeypatch):
+    """Wrap coeffs._ugcd from outside; the returned list grows by one entry
+    per call."""
+    from charp_autos import coeffs
+    calls = []
+    inner = coeffs._ugcd
+
+    def counted(a, b, p):
+        calls.append((a, b))
+        return inner(a, b, p)
+    monkeypatch.setattr(coeffs, "_ugcd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_u_power_fractions_never_reach_the_gcd(monkeypatch, p):
+    calls = _count_gcd_calls(monkeypatch)
+    x = u(p)
+    a = (x ** 3 + 1) / (c(p, p - 1) * x ** 5)      # non-monic c*u^5
+    b = (x ** 2 + x) / x ** 4                     # cancels one u: (u+1)/u^3
+    values = [a, b, x ** 7 * (x + 1), c(p, 1) / x]
+    for s in values:
+        for t in values:
+            assert (s + t) * (s - t) == s * s - t * t
+            # dividing by c*u^k keeps the denominator a u-power
+            assert (s * t) / (c(p, p - 1) * x ** 3) * x ** 3 == -(s * t)
+            assert -s + s == 0
+            assert s.frob_power(1) == s ** p
+    assert calls == []
+
+
+def test_general_denominators_still_take_the_gcd_path(monkeypatch):
+    p = 2
+    calls = _count_gcd_calls(monkeypatch)
+    w = (u(p) ** 2 + u(p)) / (u(p) ** 3 + u(p) ** 2)   # u(u+1) / u^2(u+1)
+    assert calls
+    assert w == u(p).inv()

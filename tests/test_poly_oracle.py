@@ -158,11 +158,19 @@ _U = symbols("u")
 @st.composite
 def frac_operands(draw, count, max_size=3, integral=False):
     """(p, [term dicts]): count polynomials whose coefficients are (num, den)
-    lists of u-coefficients, index = degree; den is [1] when integral.  The
-    first polynomial is nonzero."""
+    lists of u-coefficients, index = degree; den is [1] when integral.
+    Otherwise den is dense of degree <= 2 or c*u^k with k <= 12, and num may
+    carry a factor u^v with v <= 14, so that it cancels part or all of a
+    u-power.  The first polynomial is nonzero."""
     p = draw(st.sampled_from(PRIMES))
     dense = st.lists(st.integers(0, p - 1), min_size=1, max_size=3).filter(any)
-    coeff = st.tuples(dense, st.just([1]) if integral else dense)
+    if integral:
+        coeff = st.tuples(dense, st.just([1]))
+    else:
+        shifted = st.builds(lambda v, d: [0] * v + d, st.integers(0, 14), dense)
+        u_power = st.builds(lambda k, c: [0] * k + [c], st.integers(0, 12),
+                            st.integers(1, p - 1))
+        coeff = st.tuples(dense | shifted, dense | u_power)
     polys = [draw(st.dictionaries(_EXPS, coeff, min_size=1 if i == 0 else 0,
                                   max_size=max_size))
              for i in range(count)]
