@@ -14,8 +14,8 @@ import sys
 
 from .errors import CharpAutosError, ParseError, UnknownSuite
 from .poly import VarTable
-from .textio import (action_to_str, map_to_str, parse_coeff, parse_map,
-                     parse_poly, poly_to_str)
+from .textio import (map_to_str, parse_coeff, parse_map, parse_poly,
+                     poly_to_str)
 from .suites import SUITES, run_suite
 from . import criteria, expo, gallery, plane
 
@@ -123,7 +123,7 @@ def _cmd_gallery(args):
             built = gallery.build_F_and_Fh(args.n, args.p)
         else:
             built = gallery.build_rank_r_action(args.n, args.r, args.p)
-        print(action_to_str(built.action))
+        print(map_to_str(built.action))
     print(built.report.to_text())
     return 0 if built.report.all_ok() else 1
 
@@ -149,10 +149,15 @@ def _cmd_expo(args):
         res = expo.exponentialize_triangular_n2(sigma)
     else:
         res = expo.exponentialize_field_n3(sigma)
-    print("action     %s" % action_to_str(res.action))
-    print("conjugator %s" % map_to_str(res.conjugator))
-    theta = res.reduced_f.scale(res.a) if not res.a.is_zero() else res.reduced_f
-    print("theta      %s" % poly_to_str(theta))
+    print("action     %s" % map_to_str(res.action))
+    # For n = 3 reduced_f is not theta: it is a conjugator image, or on the
+    # path that fixes x1 the n = 2 result's, with u standing for x1.  So the
+    # conjugator and theta lines are printed for n = 2 only.
+    if args.base == "Fp[u]":
+        print("conjugator %s" % map_to_str(res.conjugator))
+        theta = (res.reduced_f.scale(res.a) if not res.a.is_zero()
+                 else res.reduced_f)
+        print("theta      %s" % poly_to_str(theta))
     # Report only what the library has not asserted by raising.  For n = 2
     # and sigma(x1) != x1 it has asserted E_1 = sigma and the restriction to
     # R, so what is left is theta_of's round trip.  The n = 2 branch for
@@ -168,7 +173,7 @@ def _cmd_expo(args):
             print("theta_round_trip: %s" % exc, file=sys.stderr)
         report.add("theta_round_trip", failure is None)
     else:
-        report.add("restricts_to_R", res.action.restricts_to("R")[0])
+        report.add("restricts_to_R", res.action.restricts_to()[0])
     print(report.to_text())
     return 0 if report.all_ok() else 1
 
@@ -199,7 +204,7 @@ def _cmd_parse(args):
         print(word.to_text())
     else:
         from .textio import parse_action
-        print(action_to_str(parse_action(table, args.text)))
+        print(map_to_str(parse_action(table, args.text)))
     return 0
 
 

@@ -25,7 +25,7 @@ Dense polynomials are tuples of ints in [0, p), index = degree, with no
 trailing zeros; the zero polynomial is the empty tuple.
 """
 
-from .errors import DivisionByZero, InvalidLocalizer
+from .errors import DivisionByZero
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 
@@ -231,20 +231,6 @@ class Coeff:
             return True
         return self.is_integral() and _uval(self.num) >= e
 
-    def is_in_localization(self, s):
-        """Membership in R[1/s]: the reduced denominator divides a power of s.
-
-        Decided by stripping gcd(den, s) factors until the gcd is a unit.
-        """
-        _check_localizer(s)
-        d = self.den
-        while len(d) > 1:
-            g = _ugcd(d, s.num, self.p)
-            if len(g) <= 1:
-                return False
-            d = _udivmod(d, g, self.p)[0]
-        return True
-
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other):
@@ -376,12 +362,6 @@ class Coeff:
 
     def __repr__(self):
         return "Coeff(p=%d, %s)" % (self.p, self)
-
-
-def _check_localizer(s):
-    """InvalidLocalizer unless s is a nonzero element of F_p[u]."""
-    if not isinstance(s, Coeff) or not s.is_integral() or s.is_zero():
-        raise InvalidLocalizer("localizer must be a nonzero element of F_p[u]")
 
 
 def _canonical(p, num, den=(1,)):

@@ -59,14 +59,6 @@ class GenericElementaryData:
         images = dict(zip(self.table.names, self.coords.images))
         return self.f_expr.substitute(images)
 
-    def sigma_restricts(self):
-        """Whether the induced automorphism (the slice evaluated at 1) maps
-        R[x] into R[x].  Materializes the action: only for data whose images
-        stay small; the translation families verify this by congruences."""
-        from .poly import is_polynomial_over
-        sigma = canonical_action(self).evaluate(1)
-        return all(is_polynomial_over(g, "R")[0] for g in sigma.images)
-
 
 def f_stability(avar_names, f):
     """Stability of A = k[avar_names] for the translation by f.
@@ -169,7 +161,7 @@ def non_exponentiality_certificate(data, restriction=None):
                                  reason="A is not f-stable")
     if restriction is None:
         action = canonical_action(data)
-        restriction = action.restricts_to("R")
+        restriction = action.restricts_to()
     ok, witness = restriction
     if ok:
         return CertificateResult("Inconclusive", stability=verdict,

@@ -6,9 +6,10 @@ product phi*psi of the paper-style word.
 """
 
 from .coeffs import Coeff
-from .errors import (NotDivisible, NotStructured, NotUnitMultiple,
-                     SingularAffine)
-from .poly import exact_div
+from .errors import NotStructured, SingularAffine
+# Unused here; perfbench/selftest.py checks that its tracer replaces this
+# binding of exact_div along with the ones in poly and gallery.
+from .poly import exact_div  # noqa: F401
 
 
 class PolyMap:
@@ -125,9 +126,7 @@ def classify(sigma):
 def invert_structured(sigma):
     """Inverse of an affine or triangular map; both compositions verified."""
     flags = classify(sigma)
-    if "triangular" in flags and "affine" not in flags:
-        inv = _invert_triangular(sigma)
-    elif "affine" in flags:
+    if "affine" in flags:
         inv = _invert_affine(sigma)
     elif "triangular" in flags:
         inv = _invert_triangular(sigma)
@@ -189,23 +188,3 @@ def conjugate(sigma, psi):
     """psi sigma psi^-1."""
     return compose(psi, compose(sigma, invert_structured(psi)))
 
-
-def ideal_gens(sigma):
-    """Generators (sigma(x1)-x1, .., sigma(xn)-xn) of I(sigma)."""
-    table = sigma.table
-    return [g - table.var(n) for n, g in zip(table.names, sigma.images)]
-
-
-def unit_multiple_of(h, f):
-    """The field unit c with h = c*f, else NotUnitMultiple."""
-    if f.is_zero():
-        raise ValueError("f must be nonzero")
-    if h.is_zero():
-        raise NotUnitMultiple("zero is not a unit multiple")
-    try:
-        q = exact_div(h, f)
-    except NotDivisible:
-        raise NotUnitMultiple("%s does not divide %s" % (f, h))
-    if not q.is_constant():
-        raise NotUnitMultiple("quotient %s is not a constant" % q)
-    return q.constant_term()

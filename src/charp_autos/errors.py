@@ -16,10 +16,6 @@ class DivisionByZero(CharpAutosError):
     pass
 
 
-class InvalidLocalizer(CharpAutosError):
-    pass
-
-
 # -- polynomials -------------------------------------------------------------
 
 class NegativeExponent(CharpAutosError):
@@ -38,10 +34,6 @@ class NonIntegralCoefficient(CharpAutosError):
     pass
 
 
-class NotInInvariantRing(CharpAutosError):
-    pass
-
-
 # -- endomorphisms -----------------------------------------------------------
 
 class NotStructured(CharpAutosError):
@@ -49,10 +41,6 @@ class NotStructured(CharpAutosError):
 
 
 class SingularAffine(CharpAutosError):
-    pass
-
-
-class NotUnitMultiple(CharpAutosError):
     pass
 
 

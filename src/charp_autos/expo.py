@@ -97,14 +97,12 @@ def _averaged_conjugator(sigma, a, powers):
     return phi
 
 
-def maubach_conjugator(sigma, units="base"):
+def maubach_conjugator(sigma):
     """phi = (x1, f2,..,fn) with conjugate((x1+a, x2,..), phi) = sigma.
 
-    units selects what counts as a unit for a = sigma(x1)-x1: "base" demands
-    a in F_p* (a unit of F_p[u]); "field" accepts any nonzero constant, for
-    callers that have already extended scalars to R_a.  The shape test runs
-    before the p - 1 compositions of the order test, so a triangular input
-    that is not strict raises NotTriangular.
+    a = sigma(x1)-x1 must be a unit of F_p[u], that is an element of F_p*.
+    The shape test runs before the p - 1 compositions of the order test, so
+    a triangular input that is not strict raises NotTriangular.
     """
     if "strict_triangular" not in classify(sigma):
         raise NotTriangular("conjugator needs a strict triangular input")
@@ -112,7 +110,7 @@ def maubach_conjugator(sigma, units="base"):
     a = _translation_constant(sigma)
     if a.is_zero():
         raise NonUnitTranslation("sigma fixes x1")
-    if units == "base" and not (a.is_integral() and a.is_constant()):
+    if not a.is_constant():
         raise NonUnitTranslation("translation %s is not a unit of F_p[u]" % a)
     return _averaged_conjugator(sigma, a, powers)
 
@@ -146,7 +144,7 @@ def exponentialize_triangular_n2(sigma):
         raise NotTriangular("conjugator needs a strict triangular input")
     phi = _averaged_conjugator(sigma, a, powers)
     f = phi.images[1] - table.var(x2)
-    _, f_red = express_in_invariant(f, x1, a, mode="split")
+    _, f_red = express_in_invariant(f, x1, a)
     for _, c in f_red.terms.items():
         if not (c * a).is_integral():
             raise InternalIntegralityFailure(
@@ -155,7 +153,7 @@ def exponentialize_triangular_n2(sigma):
     action = slice_action(SliceData(coords, table.var("T").scale(a)))
     if action.evaluate(1) != sigma:
         raise InternalIntegralityFailure("E_1 differs from sigma")
-    ok, witness = action.restricts_to("R")
+    ok, witness = action.restricts_to()
     if not ok:
         raise InternalIntegralityFailure("action escapes R: %s" % (witness,))
     return ExponentializationResult(action, coords, f_red, a)
@@ -211,6 +209,11 @@ def exponentialize_field_n3(sigma):
     the parameter u and delegates to the n = 2 construction over F_p[u].
     Only k = F_p is supported, because the delegation consumes the single
     parameter slot.
+
+    The action is always on sigma's table.  On the delegated path only the
+    action is renamed back: the conjugator, reduced f and a are those of the
+    n = 2 result, on the table (x2, x3) with u standing for x1, because they
+    live over F_p[x1][1/a(x1)] and need not lie in F_p[x1].
     """
     table = sigma.table
     p = table.p
@@ -244,8 +247,8 @@ def exponentialize_field_n3(sigma):
         return ExponentializationResult(action, PolyMap.identity(table), b,
                                         Coeff.from_int(p, 0))
 
-    # rename x1 -> u, run the n = 2 construction over F_p[u], rename back
-    # small's exponent slots are table's without the first one, x1
+    # rename x1 -> u, run the n = 2 construction over F_p[u] and rename its
+    # action back; small's exponent slots are table's without the first, x1
     small = VarTable(p, (x2, x3))
     u = Coeff.u(p)
 
@@ -269,5 +272,5 @@ def exponentialize_field_n3(sigma):
     action = GaAction(table, images)
     if action.evaluate(1) != sigma:
         raise InternalIntegralityFailure("E_1 differs from sigma")
-    conj = PolyMap(table, [table.var(x1)] + [demote(g) for g in sub.conjugator.images])
-    return ExponentializationResult(action, conj, demote(sub.reduced_f), sub.a)
+    return ExponentializationResult(action, sub.conjugator, sub.reduced_f,
+                                    sub.a)

@@ -74,23 +74,10 @@ class GaAction:
             raise NotInvariantParameter("parameter %s is not invariant" % alpha)
         return PolyMap(self.table, [e.subs_T(alpha) for e in self.images])
 
-    def rescale(self, alpha):
-        """Replace T by alpha*T; the result E' satisfies E'_1 = E_alpha."""
-        if isinstance(alpha, (int, Coeff)):
-            alpha = self.table.const(alpha)
-        if alpha.is_zero():
-            raise NotInvariantParameter("rescaling parameter must be nonzero")
-        if not self.is_invariant(alpha):
-            raise NotInvariantParameter("parameter %s is not invariant" % alpha)
-        t = self.table.var("T")
-        return GaAction(self.table,
-                        [e.substitute({"T": alpha * t}) for e in self.images])
-
-    def restricts_to(self, ring="R", laurent=False, localizer=None):
-        """(bool, witness): do all images lie in the requested subring of B[T]?"""
+    def restricts_to(self):
+        """(bool, witness): do all images lie in R[x1..xn, T], R = F_p[u]?"""
         for name, e in zip(self.table.names, self.images):
-            ok, bad = is_polynomial_over(e, ring=ring, laurent=laurent,
-                                         localizer=localizer)
+            ok, bad = is_polynomial_over(e, "R")
             if not ok:
                 return False, (name, bad)
         return True, None
@@ -101,8 +88,8 @@ class GaAction:
         return self.table == other.table and self.images == other.images
 
     def __str__(self):
-        from .textio import action_to_str
-        return action_to_str(self)
+        from .textio import map_to_str
+        return map_to_str(self)
 
     __repr__ = __str__
 
@@ -202,5 +189,5 @@ def rank_certificate(action, claimed_invariant_gens, coordinate_witness):
         if len(w.terms) != 1 or w.total_degree() != 1:
             raise NotInvariantGenerator("witness %s is not a coordinate" % w)
     n = table.nvars
-    dim, _ = linear_span_dim(gens)
+    dim = linear_span_dim(gens)
     return {"rank_lower": n - dim, "rank_upper": n - len(witness)}

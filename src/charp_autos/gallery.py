@@ -122,7 +122,7 @@ def build_example_triangular(p):
     report.add("E1_restricts", okr)
     report.add("E1_order_p", order_up_to(sigma, p) == p)
 
-    restr, witness = action.restricts_to("R")
+    restr, witness = action.restricts_to()
     carries = (not restr) and not witness[1][1].is_integral()
     report.add("E_not_restricts", carries,
                "witness %s in E(%s)" % (witness[1][1], witness[0])
@@ -363,7 +363,7 @@ def build_F_and_Fh(n, p, h_exprs=()):
     moved = target.substitute({"x1": images[0]})
     quotient = exact_div(target - moved, x3)
     report.add("F_x2_divisibility", x2 + quotient == images[1])
-    report.add("F_restricts", action.restricts_to("R")[0])
+    report.add("F_restricts", action.restricts_to()[0])
     report.add("F_f_invariant", action.is_invariant(f))
 
     eps = PolyMap(table, [x1 + table.one()]
@@ -456,9 +456,9 @@ def build_rank_r_action(n, r, p):
     ideal = xn * tpow
     for i in range(2, r + 1):
         q = exact_div(deltas[i], ideal)
-        membership = membership and is_polynomial_over(q, "field", laurent=False)[0]
+        membership = membership and is_polynomial_over(q, "field")[0]
     q1 = exact_div(delta1 - table.var("T"), ideal)
-    membership = membership and is_polynomial_over(q1, "field", laurent=False)[0]
+    membership = membership and is_polynomial_over(q1, "field")[0]
     report.add("condition_c_cosets", membership)
 
     eps = PolyMap(table, [xvars[0] + table.one()] + xvars[1:])
@@ -466,7 +466,7 @@ def build_rank_r_action(n, r, p):
 
     gens = [xn * fs[i - 1] for i in range(2, r + 1)] + xvars[r:]
     inv_ok = all(action.is_invariant(g) for g in gens)
-    poly_ok = all(is_polynomial_over(g, "field", laurent=False)[0] for g in gens)
+    poly_ok = all(is_polynomial_over(g, "field")[0] for g in gens)
     report.add("invariant_generators", inv_ok and poly_ok)
 
     zero_images = []
@@ -551,8 +551,8 @@ def build_rank3_family(p, l, m):
         report.add("slice_consistency", f * e1 + e2 == r_elt + lam)
         report.add("e2_congruent_x2_mod_fp2",
                    exact_div(e2 - x2, f ** p2) == -block)
-        ok1 = is_polynomial_over(e1, "field", laurent=False)[0]
-        ok2 = is_polynomial_over(e2, "field", laurent=False)[0]
+        ok1 = is_polynomial_over(e1, "field")[0]
+        ok2 = is_polynomial_over(e2, "field")[0]
         report.add("images_polynomial", ok1 and ok2)
         # E(x3) is polynomial by binomial grouping over e2 = x2 + f^(p^2) h.
         # Not checked: the exact E(x3) = (f - e1^(p^2) + e1^p)/e2 takes
@@ -597,7 +597,7 @@ def build_rank3_family(p, l, m):
 
 
 # ---------------------------------------------------------------------------
-# invariants of the translation and the C0 sampling template
+# invariants of the translation
 # ---------------------------------------------------------------------------
 
 def epsilon_invariants(n, p):
@@ -612,31 +612,3 @@ def epsilon_invariants(n, p):
             raise AssertionError("generator %s is not invariant" % gpoly)
     return table, gens
 
-
-@dataclass
-class C0Template:
-    """Sampler for generators of the subgroup C0(eps): the i-th coordinate
-    becomes a*x_i + g with g built from the invariants not involving x_i
-    (and a = 1 when i = 1)."""
-    n: int
-    p: int
-
-    def sample(self, draw):
-        """draw(bound) -> int in [0, bound); returns a PolyMap."""
-        table, gens = epsilon_invariants(self.n, self.p)
-        i = draw(self.n)
-        if i == 0:
-            a = Coeff.from_int(self.p, 1)
-            pool = gens[1:]
-        else:
-            a = Coeff.from_int(self.p, 1 + draw(self.p - 1))
-            pool = [g for j, g in enumerate(gens) if j != i]
-        g = table.const(draw(self.p))
-        for _ in range(1 + draw(2)):
-            term = table.const(1 + draw(self.p - 1))
-            for _ in range(1 + draw(2)):
-                term = term * pool[draw(len(pool))] ** (1 + draw(2))
-            g = g + term
-        images = [table.var(nm) for nm in table.names]
-        images[i] = images[i].scale(a) + g
-        return table, PolyMap(table, images)

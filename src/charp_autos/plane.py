@@ -362,7 +362,7 @@ def w_st_split(q, s, t):
     if diff != table.const(s):
         raise NotInWst("q(x+t) - q(x) = %s differs from s" % diff)
     core = q - table.var(var).scale(s / t)
-    q1, rem = express_in_invariant(core, var, t, mode="split")
+    q1, rem = express_in_invariant(core, var, t)
     if not rem.is_zero():
         raise NotInWst("residual part %s survives" % rem)
     return q1
@@ -526,5 +526,5 @@ def fpf_witness_check(f, psi_word):
                           table.var(table.names[1])])
     if action.evaluate(1) != tau:
         raise WitnessNotCentralizing("E_1 differs from the translation")
-    ok, witness = action.restricts_to("R")
+    ok, witness = action.restricts_to()
     return {"restricts": ok, "witness": witness, "action": action}

@@ -25,10 +25,9 @@ coefficients measured 3.02/2.63 s against 3.41/2.53 s unpacked on rank3.
 import heapq
 from operator import add, sub
 
-from .coeffs import (Coeff, _canonical, _check_localizer, check_prime,
-                     coeff_gcd_integral)
+from .coeffs import Coeff, _canonical, check_prime, coeff_gcd_integral
 from .errors import (NegativeExponent, NonIntegralCoefficient, NotDivisible,
-                     NotInInvariantRing, ZeroPolynomial)
+                     ZeroPolynomial)
 
 RESERVED = ("T", "T1", "T2")
 
@@ -391,10 +390,10 @@ class MultiPoly:
         """Drop terms whose coefficient lies in u^bound * F_p[u].
 
         Exact modulo u^bound as long as every operand in the surrounding
-        computation has u-valuation >= 0.
+        computation has u-valuation >= 0.  Stored coefficients are nonzero,
+        so each has a valuation.
         """
-        out = {e: c for e, c in self.terms.items()
-               if (c.u_valuation() is not None and c.u_valuation() < bound)}
+        out = {e: c for e, c in self.terms.items() if c.u_valuation() < bound}
         return MultiPoly(self.table, out)
 
     def __str__(self):
@@ -503,36 +502,28 @@ def content_primitive(f):
     return content, primitive
 
 
-def is_polynomial_over(f, ring="R", laurent=False, localizer=None):
-    """Coefficient-and-exponent membership test.
+def is_polynomial_over(f, ring="R"):
+    """Membership in ring[x1..xn, T]: no negative exponent, and for "R" every
+    coefficient in F_p[u] ("field" allows all of F_p(u)).
 
-    ring: "R" for F_p[u], "Ra" for F_p[u][1/localizer], "field" for F_p(u).
     Returns (ok, witness) where witness is the graded-lex least offending
-    (exponents, coeff) pair, or None.  An unknown ring, or for "Ra" a
-    missing or invalid localizer, raises before any term is looked at.
+    (exponents, coeff) pair, or None.  An unknown ring raises before any
+    term is looked at.
     """
-    if ring not in ("R", "Ra", "field"):
-        raise ValueError("unknown ring %r; expected 'R', 'Ra' or 'field'"
-                         % (ring,))
-    if ring == "Ra":
-        if localizer is None:
-            raise ValueError("ring 'Ra' needs a localizer")
-        _check_localizer(localizer)
+    if ring not in ("R", "field"):
+        raise ValueError("unknown ring %r; expected 'R' or 'field'" % (ring,))
     offenders = [(e, c) for e, c in f.terms.items()
-                 if (not laurent and min(e) < 0)
-                 or (ring == "R" and not c.is_integral())
-                 or (ring == "Ra" and not c.is_in_localization(localizer))]
+                 if min(e) < 0 or (ring == "R" and not c.is_integral())]
     if not offenders:
         return True, None
     return False, min(offenders, key=lambda kv: _grlex_key(kv[0]))
 
 
-def express_in_invariant(q, var, a, mode="split"):
+def express_in_invariant(q, var, a):
     """Write a univariate q as q1(w) + rem with w = var^p - a^(p-1)*var.
 
     rem collects the monomials var^i with p not dividing i.  q1 is returned
-    as a polynomial in var whose variable stands for w.  In mode "member" a
-    nonzero rem raises NotInInvariantRing.
+    as a polynomial in var whose variable stands for w.
 
     The exponents of var are walked downward over one mutable dict: when
     p | m the term c*var^m goes to q1 as c*var^(m/p) and c*w^(m/p) is
@@ -566,10 +557,7 @@ def express_in_invariant(q, var, a, mode="split"):
             q1[power(m // p)] = c
             _accumulate(work, ((e, -c * k)
                                for e, k in (w ** (m // p)).terms.items()))
-    rem = MultiPoly(table, rem)
-    if mode == "member" and not rem.is_zero():
-        raise NotInInvariantRing("residual part %s outside R[w]" % rem)
-    return MultiPoly(table, q1), rem
+    return MultiPoly(table, q1), MultiPoly(table, rem)
 
 
 def linear_span_dim(gens):
@@ -581,7 +569,7 @@ def linear_span_dim(gens):
     """
     gens = list(gens)
     if not gens:
-        return 0, []
+        return 0
     table = gens[0].table
     n = table.nvars
     rows = []
@@ -606,11 +594,4 @@ def linear_span_dim(gens):
         if col is not None:
             basis.append(row)
             pivots.append(col)
-    basis_polys = []
-    for row in basis:
-        poly = table.zero()
-        for name, c in zip(table.names, row):
-            if not c.is_zero():
-                poly = poly + table.var(name).scale(c)
-        basis_polys.append(poly)
-    return len(basis), basis_polys
+    return len(basis)

@@ -189,6 +189,7 @@ def poly_to_str(f):
 
 
 def map_to_str(pmap):
+    """A PolyMap or a GaAction as its image list "(g1, .., gn)"."""
     return "(%s)" % ", ".join(poly_to_str(g) for g in pmap.images)
 
 
@@ -217,10 +218,6 @@ def _parse_image_list(table, text):
 def parse_map(table, text):
     from .endo import PolyMap
     return PolyMap(table, _parse_image_list(table, text))
-
-
-def action_to_str(action):
-    return "(%s)" % ", ".join(poly_to_str(g) for g in action.images)
 
 
 def parse_action(table, text):

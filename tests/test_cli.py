@@ -102,6 +102,24 @@ def test_expo_reports_the_restriction_the_library_leaves_open(capsys):
     assert out.splitlines()[-1] == '{"restricts_to_R": true}'
 
 
+def test_expo_over_fp_prints_the_action_and_the_report_only(capsys):
+    """For n = 3 the result holds no theta on sigma's table, so neither a
+    conjugator nor a theta line is printed; sigma(x1) = x1 with x1 in
+    sigma(x2) - x2 exponentializes (its conjugator is not over F_p[x1])."""
+    for argv, action in (
+            (("(x1+1, x2+x1^2+x1, x3)", "--p", "2"),
+             "(x1 + T, x1^2*T + x1*T^2 + T^3 + x2 + T, x3)"),
+            (("(x1, x2+x1, x3+x2^2+x1*x2)", "--p", "2"),
+             "(x1, x1*T + x2, x1^2*T^3 + x1*x2*T^2 + x1^2*T + x2^2*T + x3)"),
+            (("(x1, x2+x1, x3+x2^3-x1^2*x2)", "--p", "3"),
+             "(x1, x1*T + x2, x1^3*T^4 + x1^2*x2*T^3 + 2*x1^3*T^2"
+             " + x1^2*x2*T + x2^3*T + x3)")):
+        code, out, err = run(capsys, "expo", *argv, "--base", "Fp")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["action     " + action,
+                                    '{"restricts_to_R": true}']
+
+
 def test_criteria_certify(capsys):
     code, out, _ = run(capsys, "criteria", "certify", "--p", "2", "--d", "3",
                        "--l", "1")

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charp_autos.coeffs import Coeff, coeff_gcd_integral
-from charp_autos.errors import DivisionByZero, InvalidLocalizer
+from charp_autos.errors import DivisionByZero
 from charp_autos.seeds import Lcg
 
 
@@ -36,22 +36,6 @@ def test_is_integral():
     assert w.is_integral() and w == u() + 1
 
 
-def test_localization_membership():
-    p = 2
-    assert (u(p) ** -3).is_in_localization(u(p))
-    assert not (1 / (u(p) + 1)).is_in_localization(u(p))
-    # 1/(u^2 (u+1)) needs two rounds of gcd stripping against u(u+1)
-    a = 1 / (u(p) ** 2 * (u(p) + 1))
-    assert a.is_in_localization(u(p) * (u(p) + 1))
-
-
-def test_localizer_validation():
-    with pytest.raises(InvalidLocalizer):
-        u().is_in_localization(c(2, 0))
-    with pytest.raises(InvalidLocalizer):
-        u().is_in_localization(u().inv())
-
-
 def _random_coeff(lcg, p, allow_zero=True):
     num = tuple(lcg.draw(p) for _ in range(1 + lcg.draw(4)))
     den = tuple(lcg.draw(p) for _ in range(lcg.draw(3))) + (1,)
@@ -82,19 +66,6 @@ def test_integrality_closed_under_ring_ops(p):
         b = Coeff.from_u_coeffs(p, [lcg.draw(p) for _ in range(4)])
         assert (a + b).is_integral()
         assert (a * b).is_integral()
-
-
-def test_localization_monotone():
-    p = 3
-    lcg = Lcg(99)
-    for _ in range(100):
-        a = _random_coeff(lcg, p)
-        s = Coeff.from_u_coeffs(p, [lcg.draw(p) for _ in range(3)])
-        t = Coeff.from_u_coeffs(p, [lcg.draw(p) for _ in range(3)])
-        if s.is_zero() or t.is_zero():
-            continue
-        if a.is_in_localization(s):
-            assert a.is_in_localization(s * t)
 
 
 @given(st.integers(0, 60), st.integers(0, 60), st.integers(1, 2))

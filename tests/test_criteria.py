@@ -104,11 +104,7 @@ def test_generic_data_invariants():
         GenericElementaryData(ident, ident, t.zero(), ("y",))
     with pytest.raises(ValueError):
         GenericElementaryData(ident, ident, t.var("x"), ("y",))
-    data = GenericElementaryData(ident, ident, t.var("y"), ("y",))
-    assert data.sigma_restricts()
-    frac = GenericElementaryData(ident, ident,
-                                 t.var("y").scale(Coeff.u(2).inv()), ("y",))
-    assert not frac.sigma_restricts()
+    GenericElementaryData(ident, ident, t.var("y"), ("y",))  # accepted
 
 
 def test_certificate_accepts_precomputed_restriction():
@@ -152,10 +148,10 @@ def test_modify_action_rank_one_extension_restricts():
     E = slice_action(sd)
     for alpha in (t.var("x2"), t.parse("x2^2 + 1"), t.parse("u*x2")):
         modified = modify_action(E, sd, alpha)
-        assert modified.restricts_to("R")[0]
+        assert modified.restricts_to()[0]
         assert modified.evaluate(1) == E.evaluate(alpha)
         primitive = modify_action(E, sd, alpha, primitive=True)
-        assert primitive.restricts_to("R")[0]
+        assert primitive.restricts_to()[0]
     with pytest.raises(NotInvariantParameter):
         modify_action(E, sd, t.var("x1"))
 

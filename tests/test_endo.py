@@ -1,10 +1,8 @@
 import pytest
 
-from charp_autos.coeffs import Coeff
-from charp_autos.errors import NotStructured, NotUnitMultiple, SingularAffine
+from charp_autos.errors import NotStructured, SingularAffine
 from charp_autos.endo import (PolyMap, classify, compose, conjugate,
-                              ideal_gens, invert_structured, order_up_to,
-                              unit_multiple_of)
+                              invert_structured, order_up_to)
 from charp_autos.poly import VarTable
 from charp_autos.seeds import Lcg
 
@@ -117,28 +115,6 @@ def test_conjugate_translation_shape():
     assert sigma.apply(phi.images[0]) == phi.images[0] + t.const(2)
     assert "triangular" in classify(sigma)
     assert order_up_to(sigma, 3) == 3
-
-
-def test_ideal_gens():
-    t = t2(3)
-    eps = PolyMap(t, [t.parse("x1+2"), t.var("x2")])
-    gens = ideal_gens(eps)
-    assert gens[0] == t.const(2) and gens[1].is_zero()
-    assert all(g.is_zero() for g in ideal_gens(PolyMap.identity(t)))
-    gens = ideal_gens(PolyMap(t, [t.parse("x1+x2^2"), t.var("x2")]))
-    assert gens[0] == t.parse("x2^2") and gens[1].is_zero()
-
-
-def test_unit_multiple_of():
-    t = t2(5)
-    f = t.parse("x1^2 + 3*x2")
-    assert unit_multiple_of(f.scale(3), f) == Coeff.from_int(5, 3)
-    u = Coeff.u(5)
-    assert unit_multiple_of(f.scale(u), f) == u
-    with pytest.raises(NotUnitMultiple):
-        unit_multiple_of(t.var("x1") * f, f)
-    with pytest.raises(NotUnitMultiple):
-        unit_multiple_of(t.zero(), f)
 
 
 def test_order_p_triangular_is_strict():

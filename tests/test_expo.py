@@ -15,6 +15,7 @@ from charp_autos.gaction import GaAction
 from charp_autos.poly import VarTable, is_polynomial_over
 from charp_autos.seeds import Lcg
 from charp_autos.suites import SUITES, run_suite
+from charp_autos.textio import parse_map
 
 
 def t2(p):
@@ -70,9 +71,6 @@ def test_maubach_unit_discipline():
     sigma = sigma_from_theta(u, t.parse("x1^3"))
     with pytest.raises(NonUnitTranslation):
         maubach_conjugator(sigma)          # u is not a unit of F_2[u]
-    phi = maubach_conjugator(sigma, units="field")
-    translation = PolyMap(t, [t.var("x1") + t.const(u), t.var("x2")])
-    assert conjugate(translation, phi) == sigma
 
 
 def test_exponentialize_worked_example():
@@ -86,7 +84,7 @@ def test_exponentialize_worked_example():
     assert res.action.images[0] == t.parse("x1 + u*T")
     assert res.action.images[1] == t.parse("x2 + x1^2*T + u*x1*T^2 + u^2*T^3")
     assert res.action.evaluate(1) == sigma
-    assert res.action.restricts_to("R")[0]
+    assert res.action.restricts_to()[0]
     assert res.a == u
 
 
@@ -257,7 +255,7 @@ def test_field_n3_direct_case():
     sigma = PolyMap(t, [t.parse("x1+1"), t.var("x2"), t.parse("x3+x2^2")])
     res = exponentialize_field_n3(sigma)
     assert res.action.evaluate(1) == sigma
-    assert res.action.restricts_to("R")[0]
+    assert res.action.restricts_to()[0]
 
 
 def test_field_n3_delegated_case():
@@ -268,9 +266,28 @@ def test_field_n3_delegated_case():
     assert order_up_to(sigma, 5) == 5
     res = exponentialize_field_n3(sigma)
     assert res.action.evaluate(1) == sigma
-    assert res.action.restricts_to("R")[0]
+    assert res.action.restricts_to()[0]
     for img in res.action.images:
         assert is_polynomial_over(img, "R")[0]
+
+
+@pytest.mark.parametrize("p, text", [
+    (2, "(x1, x2+x1, x3+x2^2+x1*x2)"),
+    (3, "(x1, x2+x1, x3+x2^3-x1^2*x2)")])
+def test_field_n3_delegated_case_with_x1_in_the_translation(p, text):
+    """sigma(x2) - x2 = x1 gives a = u after renaming: the n = 2 conjugator
+    and reduced f live over F_p[u][1/u], so they stay on the renamed table
+    while the integral action is renamed back."""
+    t = VarTable(p, ("x1", "x2", "x3"))
+    sigma = parse_map(t, text)
+    res = exponentialize_field_n3(sigma)
+    assert res.action.table == t
+    assert res.action.evaluate(1) == sigma
+    assert res.action.restricts_to() == (True, None)
+    assert res.a == Coeff.u(p)
+    assert res.conjugator.table.names == ("x2", "x3")
+    assert res.reduced_f.table.names == ("x2", "x3")
+    assert any(not c.is_integral() for c in res.reduced_f.terms.values())
 
 
 def test_field_n3_both_fixed_case():

@@ -6,12 +6,11 @@ from charp_autos.errors import (BadH, BadParameters,
                                 InternalIntegralityFailure, UnsupportedP)
 from charp_autos.criteria import non_exponentiality_certificate
 from charp_autos.endo import PolyMap, compose, order_up_to
-from charp_autos.gallery import (C0Template, StarReport,
-                                 build_example_triangular, build_F_and_Fh,
-                                 build_nonexp_family, build_rank3_family,
-                                 build_rank_r_action, epsilon_invariants)
+from charp_autos.gallery import (StarReport, build_example_triangular,
+                                 build_F_and_Fh, build_nonexp_family,
+                                 build_rank3_family, build_rank_r_action,
+                                 epsilon_invariants)
 from charp_autos.poly import VarTable, is_polynomial_over
-from charp_autos.seeds import Lcg
 from charp_autos.suites import run_suite
 
 
@@ -114,7 +113,7 @@ def test_nonexp_dual_route_small_parameters():
             nonintegral = nonintegral + MultiPoly(action.table, {exps: coeff})
     shift = fam.nonintegral_shift()
     assert nonintegral == shift
-    ok, witness = action.restricts_to("R")
+    ok, witness = action.restricts_to()
     assert not ok and witness[0] == "x"
     # sigma restricts: evaluate at 1 and check every image
     sigma = action.evaluate(1)
@@ -170,21 +169,6 @@ def test_rank_r_bad_parameters():
         build_rank_r_action(4, 2, 5)
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_rank3_classification_table(p):
-    expected = {
-        (1, 1): "ActionRestricts", (1, 2): "ActionRestricts",
-        (2, 1): "ActionRestricts", (2, 2): "ActionRestricts",
-        (1, 0): "OnlyE1Restricts",
-        (0, 0): "Neither", (0, 1): "Neither", (0, 2): "Neither",
-        (2, 0): "Neither",
-    }
-    for (l, m), want in sorted(expected.items()):
-        fam = build_rank3_family(p, l, m)
-        assert fam.classification == want, (p, l, m)
-        assert fam.report.all_ok(), fam.report.to_text()
-
-
 def test_rank3_certified_identities_char2():
     p = 2
     fam = build_rank3_family(p, 1, 1)
@@ -237,9 +221,10 @@ def test_epsilon_invariants_and_c0():
     assert gens[1] == table.var("x2")
     shift = {"x1": table.parse("x1 + 1")}
     assert table.var("x1").substitute(shift) != table.var("x1")
-    lcg = Lcg(8)
-    tpl = C0Template(3, 3)
-    for _ in range(12):
-        t, gmap = tpl.sample(lcg.draw)
-        eps = PolyMap(t, [t.parse("x1+1"), t.var("x2"), t.var("x3")])
+    # generators of C0(eps): a*x_i + g, g in the invariants without x_i
+    t, (w, x2, x3) = epsilon_invariants(3, 3)
+    eps = PolyMap(t, [t.parse("x1+1"), x2, x3])
+    for gmap in (PolyMap(t, [t.var("x1") + x2 ** 2 * x3 + t.one(), x2, x3]),
+                 PolyMap(t, [t.var("x1"), x2.scale(2) + w * x3 + w ** 2, x3]),
+                 PolyMap(t, [t.var("x1"), x2, x3 + w ** 4 * x2])):
         assert compose(gmap, eps) == compose(eps, gmap)

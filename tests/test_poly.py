@@ -1,9 +1,8 @@
 import pytest
 
 from charp_autos.coeffs import Coeff
-from charp_autos.errors import (InvalidLocalizer, NegativeExponent,
-                                NonIntegralCoefficient, NotDivisible,
-                                NotInInvariantRing, ZeroPolynomial)
+from charp_autos.errors import (NegativeExponent, NonIntegralCoefficient,
+                                NotDivisible, ZeroPolynomial)
 from charp_autos.poly import (MultiPoly, VarTable, content_primitive,
                               exact_div, express_in_invariant,
                               is_polynomial_over, linear_span_dim)
@@ -166,7 +165,6 @@ def test_is_polynomial_over_paper_terms():
     ok, witness = is_polynomial_over(bad, "R")
     assert not ok and witness[1] == u.inv()
     assert is_polynomial_over(bad, "field")[0]
-    assert is_polynomial_over(bad, "Ra", localizer=u)[0]
 
 
 def test_is_polynomial_over_witness_is_grlex_least():
@@ -184,18 +182,6 @@ def test_is_polynomial_over_witness_is_grlex_least():
     assert not ok and witness == ((0, 1, 0, 0, 0), u_inv)
 
 
-@pytest.mark.parametrize("localizer", [
-    Coeff.from_int(3, 0), Coeff.u(3).inv(), 1, "u"])
-def test_is_polynomial_over_rejects_an_invalid_localizer_up_front(localizer):
-    """Zero, non-integral or non-Coeff localizers raise for every input,
-    including ones whose terms never reach the coefficient test."""
-    t = VarTable(3, ("x1", "x2"), invertible=("x2",))
-    negative_exponents_only = t.var("x2", -1) + t.var("x2", -2)
-    for f in (t.zero(), negative_exponents_only, t.var("x1")):
-        with pytest.raises(InvalidLocalizer):
-            is_polynomial_over(f, "Ra", localizer=localizer)
-
-
 def test_is_polynomial_over_rejects_an_unknown_ring():
     t = VarTable(2, ("x1", "x2"))
     for f in (t.zero(), t.var("x1")):
@@ -207,9 +193,9 @@ def test_is_polynomial_over_rejects_an_unknown_ring():
 def test_is_polynomial_over_laurent_flag():
     t = VarTable(2, ("x1", "x2"), invertible=("x2",))
     f = t.var("x2", -1) * t.var("x1")
-    assert is_polynomial_over(f, "field", laurent=True)[0]
-    ok, witness = is_polynomial_over(f, "field", laurent=False)
-    assert not ok and witness is not None
+    for ring in ("R", "field"):
+        ok, witness = is_polynomial_over(f, ring)
+        assert not ok and witness == (next(iter(f.terms)), Coeff.from_int(2, 1))
 
 
 def test_express_in_invariant_char2():
@@ -240,9 +226,10 @@ def test_express_in_invariant_reconstruction_and_member_mode():
         q1, rem = express_in_invariant(q, "x", a)
         assert q1.substitute({"x": w}) + rem == q
         assert all(e[0] % p for e in rem.terms)
-    with pytest.raises(NotInInvariantRing):
-        express_in_invariant(t.parse("x"), "x", a, mode="member")
-    q1, rem = express_in_invariant(w ** 2 + t.one(), "x", a, mode="member")
+    # membership in R[w] is a zero rem
+    q1, rem = express_in_invariant(t.parse("x"), "x", a)
+    assert q1.is_zero() and rem == t.parse("x")
+    q1, rem = express_in_invariant(w ** 2 + t.one(), "x", a)
     assert rem.is_zero() and q1 == t.parse("x^2 + 1")
     # degree 39: every exponent below the top one is visited on the way down
     q = t.zero()
@@ -259,15 +246,15 @@ def test_express_in_invariant_reconstruction_and_member_mode():
 def test_linear_span_dim():
     p = 2
     t = VarTable(p, ("x1", "x2", "x3"))
-    assert linear_span_dim([t.var("x1"), t.var("x2")])[0] == 2
+    assert linear_span_dim([t.var("x1"), t.var("x2")]) == 2
     # the rank-three pair: both generators have no linear part
     p2 = p * p
     f = t.var("x1", p2) - t.var("x1", p) + t.var("x2") * t.var("x3")
     g = f ** p2 * t.var("x3") - t.var("x2", p2 - 1) \
         + f ** (p2 - p) * t.var("x2", p - 1)
-    assert linear_span_dim([f, g])[0] == 0
+    assert linear_span_dim([f, g]) == 0
     # translated generators contribute only their own linear part
-    assert linear_span_dim([f + t.var("x1"), t.var("x2") + t.one()])[0] == 2
+    assert linear_span_dim([f + t.var("x1"), t.var("x2") + t.one()]) == 2
 
 
 def test_negative_exponent_discipline():

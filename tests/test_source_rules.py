@@ -4,6 +4,9 @@
   silently stops checking.
 - No report entry whose verdict is a literal: `report.add(name, True, ...)`
   records a check that cannot fail.
+- Every public module-level function or class, and every public method, is
+  named somewhere in the library outside its own definition: code that only
+  tests call is code with no callers.
 """
 
 import ast
@@ -12,6 +15,14 @@ from pathlib import Path
 import charp_autos
 
 SOURCES = sorted(Path(charp_autos.__file__).parent.glob("*.py"))
+
+# Public names the library may define without naming them elsewhere.
+UNNAMED_ALLOWED = {
+    # the building block of a planned suite on the non-uniqueness of the
+    # G_a-actions inducing one automorphism (ROADMAP); that suite needs a
+    # golden file, which only a change to the benchmark may add
+    "modify_action",
+}
 
 
 def _violations(path):
@@ -30,6 +41,37 @@ def _violations(path):
                         path.name, node.lineno, v.value)
 
 
+def _defs(tree):
+    """Module-level functions and classes, and the methods of the classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, ast.FunctionDef))
+
+
+def _unnamed_public_defs(paths):
+    """Public functions, classes and methods whose name occurs in no name,
+    attribute or import of the given sources outside their own definition."""
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in paths]
+    named = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            named.setdefault(name, []).append(id(node))
+    found = []
+    for tree in trees:
+        for d in _defs(tree):
+            if d.name.startswith("_"):
+                continue
+            inside = {id(n) for n in ast.walk(d)}
+            if all(n in inside for n in named.get(d.name, ())):
+                found.append(d.name)
+    return sorted(found)
+
+
 def test_no_assert_and_no_literal_verdict():
     assert "gallery.py" in {p.name for p in SOURCES}
     found = [v for path in SOURCES for v in _violations(path)]
@@ -43,3 +85,17 @@ def test_rules_catch_planted_violations(tmp_path):
     assert [v.split(": ", 1)[1] for v in _violations(planted)] == [
         "assert statement", "check with the literal verdict True",
         "check with the literal verdict False"]
+
+
+def test_every_public_name_has_a_caller_in_the_library():
+    assert _unnamed_public_defs(SOURCES) == sorted(UNNAMED_ALLOWED)
+
+
+def test_unnamed_rule_catches_planted_definitions(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "def used():\n    return used()\n\n"
+        "def unused():\n    return unused() + used()\n\n"
+        "class Box:\n    def put(self):\n        return self.put()\n"
+        "    def _private(self):\n        pass\n")
+    assert _unnamed_public_defs([planted]) == ["Box", "put", "unused"]

@@ -2,9 +2,9 @@ import pytest
 
 from charp_autos.errors import ParseError
 from charp_autos.poly import VarTable
-from charp_autos.textio import (action_to_str, map_to_str, parse_action,
-                                parse_coeff, parse_map, parse_poly,
-                                poly_to_str, report_to_str)
+from charp_autos.textio import (map_to_str, parse_action, parse_coeff,
+                                parse_map, parse_poly, poly_to_str,
+                                report_to_str)
 
 
 def test_parse_print_idempotent():
@@ -70,8 +70,8 @@ def test_map_round_trip():
 def test_action_text():
     t = VarTable(2, ("x1", "x2"))
     action = parse_action(t, "(x1 + u*T, x2)")
-    assert action_to_str(action) == "(x1 + (u)*T, x2)"
-    assert parse_action(t, action_to_str(action)) == action
+    assert map_to_str(action) == "(x1 + (u)*T, x2)"
+    assert parse_action(t, map_to_str(action)) == action
 
 
 def test_laurent_printing_round_trip():
