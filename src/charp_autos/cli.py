@@ -145,26 +145,22 @@ def _cmd_expo(args):
     names = ("x1", "x2") if args.base == "Fp[u]" else ("x1", "x2", "x3")
     table = VarTable(args.p, names)
     sigma = parse_map(table, args.map)
+    res = None
     if args.base == "Fp[u]":
         res = expo.exponentialize_triangular_n2(sigma)
+        action = res.action
     else:
-        res = expo.exponentialize_field_n3(sigma)
-    print("action     %s" % map_to_str(res.action))
-    # For n = 3 reduced_f is not theta: it is a conjugator image, or on the
-    # path that fixes x1 the n = 2 result's, with u standing for x1.  So the
-    # conjugator and theta lines are printed for n = 2 only.
-    if args.base == "Fp[u]":
-        print("conjugator %s" % map_to_str(res.conjugator))
-        theta = (res.reduced_f.scale(res.a) if not res.a.is_zero()
-                 else res.reduced_f)
-        print("theta      %s" % poly_to_str(theta))
+        action = expo.exponentialize_field_n3(sigma)
+    print("action     %s" % map_to_str(action))
     # Report only what the library has not asserted by raising.  For n = 2
     # and sigma(x1) != x1 it has asserted E_1 = sigma and the restriction to
-    # R, so what is left is theta_of's round trip.  The n = 2 branch for
-    # sigma(x1) = x1 and the n = 3 branch for sigma(x1) != x1 do not test
-    # the restriction to R, so the other paths report it.
+    # R, so what is left is theta_of's round trip.  Every other path reports
+    # the restriction to R, which the library leaves open for n = 2 with
+    # sigma(x1) = x1 and for n = 3 with sigma(x1) != x1.
     report = gallery.StarReport()
-    if args.base == "Fp[u]" and not res.a.is_zero():
+    if res is not None and not res.a.is_zero():
+        print("conjugator %s" % map_to_str(res.conjugator))
+        print("theta      %s" % poly_to_str(res.reduced_f.scale(res.a)))
         failure = None
         try:
             expo.theta_of(sigma, res)
@@ -173,7 +169,7 @@ def _cmd_expo(args):
             print("theta_round_trip: %s" % exc, file=sys.stderr)
         report.add("theta_round_trip", failure is None)
     else:
-        report.add("restricts_to_R", res.action.restricts_to()[0])
+        report.add("restricts_to_R", action.restricts_to()[0])
     print(report.to_text())
     return 0 if report.all_ok() else 1
 

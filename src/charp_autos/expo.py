@@ -8,21 +8,23 @@ strict triangular coordinate change conjugating the translation to sigma.
 Correctness is verified by composition afterwards, so the construction is
 safe even if it differs from the original one.
 
-Each entry point (maubach_conjugator, exponentialize_triangular_n2 and the
-sigma(x1) != x1 branch of exponentialize_field_n3) runs its guards once,
-then the shared averaging core: classify(sigma) once, and one list of
-powers sigma^0..sigma^p that serves both the order test and the averaging.
+Each entry point runs one shape guard, then at most one order test per map:
+the powers sigma^0..sigma^p that the averaging also uses, or, for n = 2 and
+sigma = (x1, x2 + b(x1)), b != 0.  n = 3 delegates sigma(x1) = x1 to n = 2
+before any order test.
 
 The identities are asserted here, by raising InternalIntegralityFailure:
 - the averaging core, so every entry point: conjugating x1 -> x1 + a by the
   conjugator gives back sigma;
-- exponentialize_triangular_n2: a*c lies in F_p[u] for every coefficient c
-  of the reduced f, E_1 = sigma, and the action restricts to R;
+- exponentialize_triangular_n2: E_1 = sigma, and the action restricts to R,
+  so a*c lies in F_p[u] for each coefficient c of the reduced f (the
+  x1^(i-1)*T coefficient of E(x2) is -i*a*c, and p does not divide i);
 - exponentialize_field_n3: E_1 = sigma (and, on the path delegated to
   n = 2, the images demoted from F_p[u] lie in F_p[x1]);
-- theta_of: theta's coefficients lie in R and sigma_from_theta(a, theta)
-  is sigma, so a result computed for another map is rejected;
-- sigma_from_theta: the images it builds lie over R.
+- theta_of: sigma_from_theta(a, theta) is sigma, so a result computed for
+  another map is rejected;
+- sigma_from_theta: theta lies in sum_{p∤i} R x1^i (else BadThetaSupport)
+  and the images it builds lie over R.
 The thm15-n2 suite therefore checks none of these again: a case builds
 sigma from (a, theta), exponentializes it once and reports whether theta_of
 gives back (a, theta); an identity that fails above makes the case fail,
@@ -47,13 +49,15 @@ class ExponentializationResult:
     a: Coeff
 
 
-def _translation_constant(sigma):
-    """sigma(x1) - x1, which strict triangularity puts in the coefficient ring."""
-    table = sigma.table
-    diff = sigma.images[0] - table.var(table.names[0])
-    if not diff.is_constant():
-        raise NotTriangular("sigma(x1) - x1 = %s is not a constant" % diff)
-    return diff.constant_term()
+def _check_shape(sigma):
+    """NotTriangular unless sigma is triangular, NotOrderP unless it is also
+    strict: a leading unit c of an order-p map has c^p = 1, and in
+    characteristic p that forces c = 1."""
+    flags = classify(sigma)
+    if "triangular" not in flags:
+        raise NotTriangular("input is not triangular")
+    if "strict_triangular" not in flags:
+        raise NotOrderP("automorphism does not have order %d" % sigma.table.p)
 
 
 def _order_p_powers(sigma):
@@ -107,7 +111,8 @@ def maubach_conjugator(sigma):
     if "strict_triangular" not in classify(sigma):
         raise NotTriangular("conjugator needs a strict triangular input")
     powers = _order_p_powers(sigma)
-    a = _translation_constant(sigma)
+    table = sigma.table
+    a = (sigma.images[0] - table.var(table.names[0])).constant_term()
     if a.is_zero():
         raise NonUnitTranslation("sigma fixes x1")
     if not a.is_constant():
@@ -123,32 +128,23 @@ def exponentialize_triangular_n2(sigma):
     p = table.p
     if table.nvars != 2:
         raise ValueError("this construction is for n = 2")
-    powers = _order_p_powers(sigma)
-    flags = classify(sigma)
-    if "triangular" not in flags:
-        raise NotTriangular("input is not triangular")
+    _check_shape(sigma)
     x1, x2 = table.names
 
-    a = _translation_constant(sigma)
+    a = (sigma.images[0] - table.var(x1)).constant_term()
     if a.is_zero():
-        # one-variable case: sigma = (x1, x2 + b(x1)) is elementary
+        # sigma = (x1, x2 + b(x1)) is elementary, of order p iff b != 0
         b = sigma.images[1] - table.var(x2)
-        if b.uses_var(x2):
-            raise NotTriangular("unexpected x2 dependence for a fixed x1")
+        if b.is_zero():
+            raise NotOrderP("automorphism does not have order %d" % p)
         action = GaAction(table, [table.var(x1),
                                   table.var(x2) + b * table.var("T")])
         return ExponentializationResult(action, PolyMap.identity(table), b,
                                         Coeff.from_int(p, 0))
 
-    if "strict_triangular" not in flags:
-        raise NotTriangular("conjugator needs a strict triangular input")
-    phi = _averaged_conjugator(sigma, a, powers)
+    phi = _averaged_conjugator(sigma, a, _order_p_powers(sigma))
     f = phi.images[1] - table.var(x2)
     _, f_red = express_in_invariant(f, x1, a)
-    for _, c in f_red.terms.items():
-        if not (c * a).is_integral():
-            raise InternalIntegralityFailure(
-                "coefficient %s * a escapes F_p[u]" % c)
     coords = PolyMap(table, [table.var(x1), table.var(x2) + f_red])
     action = slice_action(SliceData(coords, table.var("T").scale(a)))
     if action.evaluate(1) != sigma:
@@ -167,9 +163,6 @@ def theta_of(sigma, result):
     if result.a.is_zero():
         raise NonUnitTranslation("theta needs sigma(x1) != x1")
     theta = result.reduced_f.scale(result.a)
-    for c in theta.terms.values():
-        if not c.is_integral():
-            raise InternalIntegralityFailure("theta coefficient %s not in R" % c)
     if sigma_from_theta(result.a, theta) != sigma:
         raise InternalIntegralityFailure("theta does not reproduce sigma")
     return result.a, theta
@@ -210,10 +203,9 @@ def exponentialize_field_n3(sigma):
     Only k = F_p is supported, because the delegation consumes the single
     parameter slot.
 
-    The action is always on sigma's table.  On the delegated path only the
-    action is renamed back: the conjugator, reduced f and a are those of the
-    n = 2 result, on the table (x2, x3) with u standing for x1, because they
-    live over F_p[x1][1/a(x1)] and need not lie in F_p[x1].
+    Returns the GaAction on sigma's table.  The n = 2 result of the
+    delegated path is not returned: its conjugator and reduced f live over
+    F_p[x1][1/a(x1)] and need not lie in F_p[x1].
     """
     table = sigma.table
     p = table.p
@@ -223,29 +215,16 @@ def exponentialize_field_n3(sigma):
         for c in g.terms.values():
             if not c.is_constant():
                 raise UnsupportedField("coefficients must lie in F_p")
-    powers = _order_p_powers(sigma)
-    flags = classify(sigma)
-    if "triangular" not in flags:
-        raise NotTriangular("input is not triangular")
+    _check_shape(sigma)
     x1, x2, x3 = table.names
 
-    a = _translation_constant(sigma)
+    a = (sigma.images[0] - table.var(x1)).constant_term()
     if not a.is_zero():
-        if "strict_triangular" not in flags:
-            raise NotTriangular("conjugator needs a strict triangular input")
-        phi = _averaged_conjugator(sigma, a, powers)
+        phi = _averaged_conjugator(sigma, a, _order_p_powers(sigma))
         action = slice_action(SliceData(phi, table.var("T").scale(a)))
         if action.evaluate(1) != sigma:
             raise InternalIntegralityFailure("E_1 differs from sigma")
-        return ExponentializationResult(action, phi, phi.images[1], a)
-
-    if sigma.images[1] == table.var(x2):
-        # both x1 and x2 fixed: sigma is elementary in x3 directly
-        b = sigma.images[2] - table.var(x3)
-        action = GaAction(table, [table.var(x1), table.var(x2),
-                                  table.var(x3) + b * table.var("T")])
-        return ExponentializationResult(action, PolyMap.identity(table), b,
-                                        Coeff.from_int(p, 0))
+        return action
 
     # rename x1 -> u, run the n = 2 construction over F_p[u] and rename its
     # action back; small's exponent slots are table's without the first, x1
@@ -272,5 +251,4 @@ def exponentialize_field_n3(sigma):
     action = GaAction(table, images)
     if action.evaluate(1) != sigma:
         raise InternalIntegralityFailure("E_1 differs from sigma")
-    return ExponentializationResult(action, sub.conjugator, sub.reduced_f,
-                                    sub.a)
+    return action

@@ -18,7 +18,7 @@ from .errors import (BadH, BadParameters, InternalIntegralityFailure,
 from .poly import MultiPoly, VarTable, exact_div, is_polynomial_over
 from .endo import PolyMap, compose, order_up_to
 from .gaction import GaAction, SliceData, slice_action, rank_certificate
-from .criteria import GenericElementaryData
+from .criteria import GenericElementaryData, canonical_action
 
 # largest p*a+1 for which NonExpFamily.materialize_action builds the images
 _MATERIALIZE_MAX_EXPONENT = 6
@@ -221,20 +221,14 @@ class NonExpFamily:
         return ("x", (exps, coeff))
 
     def materialize_action(self):
-        """Full slice action with explicit images; only for small parameters
-        (the power p*a+1 controls the blow-up).  The axiom check runs on the
-        slice generators: on the x-generators it would need powers of the
-        image of x, which do not fit in memory."""
+        """Full slice action with explicit images, the canonical action of
+        data(); only for small parameters (the power p*a+1 controls the
+        blow-up)."""
         exponent = p_a_exponent(self.p, self.d)
         if exponent > _MATERIALIZE_MAX_EXPONENT:
             raise BadParameters("materialization refused: exponent %d > %d"
                                 % (exponent, _MATERIALIZE_MAX_EXPONENT))
-        rep = self.slice_axioms()
-        if not (rep["A1"] and rep["A2"]):
-            raise BadParameters("slice axioms fail: %s" % rep)
-        lam_t = self.translation * self.table.var("T")
-        return slice_action(SliceData(self.coords, lam_t, self.coords_inverse),
-                            check=False)
+        return canonical_action(self.data())
 
 
 def p_a_exponent(p, d):

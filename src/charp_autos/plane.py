@@ -99,12 +99,6 @@ class TameWord:
             return "[id]"
         return "".join(f.to_text() for f in self.factors)
 
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __len__(self):
-        return len(self.factors)
-
 
 def recompose(word):
     """Left-to-right product of the word's factors."""

@@ -301,9 +301,8 @@ def _suite_ex_triangular(params):
 
 
 def _suite_nonexp_family(params):
-    triples = params.get("triples", ((2, 3, 1), (3, 2, 1), (3, 4, 2)))
     cases = []
-    for (p, d, l) in triples:
+    for (p, d, l) in ((2, 3, 1), (3, 2, 1), (3, 4, 2)):
         def stars(p=p, d=d, l=l):
             return gallery.build_nonexp_family(p, d, l)[1].outcome()
         cases.append(("stars-%d-%d-%d" % (p, d, l), stars))
@@ -342,9 +341,8 @@ def _suite_rank3(params):
 
 
 def _suite_rank_r(params):
-    pairs = params.get("pairs", ((3, 2), (4, 2), (4, 3)))
     cases = []
-    for (n, r) in pairs:
+    for (n, r) in ((3, 2), (4, 2), (4, 3)):
         for p in _plist(params, (2, 3)):
             def thunk(n=n, r=r, p=p):
                 return gallery.build_rank_r_action(n, r, p).report.outcome()
@@ -384,7 +382,7 @@ def _suite_jvdk(params):
 
 def _suite_centralizer(params):
     count = params.get("count", 50)
-    bad_count = params.get("bad_count", 20)
+    bad_count = 20
     seed = _seed(params)
     cases = []
     for p in _plist(params, (2, 3)):

@@ -115,13 +115,20 @@ def test_entry_points_reject_maps_not_of_order_p():
     n3 = VarTable(2, ("x1", "x2", "x3"))
     order4_n3 = PolyMap(n3, [n3.parse("x1+1"), n3.parse("x2+x1"),
                              n3.var("x3")])
+    # triangular but not strict: a leading unit 2 has order 2, not 3
+    scaled = PolyMap(t3, [t3.var("x1"), t3.parse("2*x2+x1")])
+    n3p3 = VarTable(3, ("x1", "x2", "x3"))
+    scaled_n3 = PolyMap(n3p3, [n3p3.var("x1"), n3p3.parse("2*x2"),
+                               n3p3.parse("x3+x1")])
     cases = [(maubach_conjugator, order4), (maubach_conjugator, order9),
              (maubach_conjugator, PolyMap.identity(t)),
              (exponentialize_triangular_n2, order4),
              (exponentialize_triangular_n2, order9),
              (exponentialize_triangular_n2, PolyMap.identity(t)),
+             (exponentialize_triangular_n2, scaled),
              (exponentialize_field_n3, order4_n3),
-             (exponentialize_field_n3, PolyMap.identity(n3))]
+             (exponentialize_field_n3, PolyMap.identity(n3)),
+             (exponentialize_field_n3, scaled_n3)]
     for entry, sigma in cases:
         with pytest.raises(NotOrderP):
             entry(sigma)
@@ -226,6 +233,34 @@ def test_thm15_case_establishes_each_fact_once(monkeypatch, p):
     assert len(built) == 2
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fixed_x1_paths_make_no_compositions(monkeypatch, p):
+    """sigma = (x1, x2 + b(x1)) has order p exactly when b != 0, so neither
+    n = 2 nor n = 3 with x1 and x2 fixed composes anything."""
+    composes = _count_calls(monkeypatch, endo, "compose")
+    t = t2(p)
+    exponentialize_triangular_n2(PolyMap(t, [t.var("x1"),
+                                             t.parse("x2 + x1^2 + u")]))
+    t3 = VarTable(p, ("x1", "x2", "x3"))
+    exponentialize_field_n3(PolyMap(t3, [t3.var("x1"), t3.var("x2"),
+                                         t3.parse("x3 + x1*x2 + 1")]))
+    assert composes == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_field_n3_delegated_path_tests_order_once(monkeypatch, p):
+    """The order test runs once, on the renamed map inside n = 2: p - 1
+    compositions in all, none of them on sigma itself."""
+    t = VarTable(p, ("x1", "x2", "x3"))
+    sigma = parse_map(t, "(x1, x2+x1, x3+x2^%d-x1^%d*x2)" % (p, p - 1))
+    expos = _count_calls(monkeypatch, expo, "exponentialize_triangular_n2")
+    composes = _count_calls(monkeypatch, endo, "compose")
+    exponentialize_field_n3(sigma)
+    renamed, = expos[0]
+    assert sum(args[0] == sigma for args in composes) == 0
+    assert sum(args[0] == renamed for args in composes) == p - 1
+
+
 def test_thm15_case_fails_when_a_library_check_fails(monkeypatch):
     monkeypatch.setattr(GaAction, "restricts_to",
                         lambda self, *args, **kwargs: (False, ("x2", None)))
@@ -253,9 +288,10 @@ def test_proof_step_coefficient_integrality():
 def test_field_n3_direct_case():
     t = VarTable(2, ("x1", "x2", "x3"))
     sigma = PolyMap(t, [t.parse("x1+1"), t.var("x2"), t.parse("x3+x2^2")])
-    res = exponentialize_field_n3(sigma)
-    assert res.action.evaluate(1) == sigma
-    assert res.action.restricts_to()[0]
+    action = exponentialize_field_n3(sigma)
+    assert isinstance(action, GaAction)
+    assert action.evaluate(1) == sigma
+    assert action.restricts_to()[0]
 
 
 def test_field_n3_delegated_case():
@@ -264,10 +300,11 @@ def test_field_n3_delegated_case():
     sigma = PolyMap(t, [t.var("x1"), t.parse("x2+1"),
                         t.parse("x3+x2^2*(x1^2+1)")])
     assert order_up_to(sigma, 5) == 5
-    res = exponentialize_field_n3(sigma)
-    assert res.action.evaluate(1) == sigma
-    assert res.action.restricts_to()[0]
-    for img in res.action.images:
+    action = exponentialize_field_n3(sigma)
+    assert isinstance(action, GaAction)
+    assert action.evaluate(1) == sigma
+    assert action.restricts_to()[0]
+    for img in action.images:
         assert is_polynomial_over(img, "R")[0]
 
 
@@ -276,26 +313,22 @@ def test_field_n3_delegated_case():
     (3, "(x1, x2+x1, x3+x2^3-x1^2*x2)")])
 def test_field_n3_delegated_case_with_x1_in_the_translation(p, text):
     """sigma(x2) - x2 = x1 gives a = u after renaming: the n = 2 conjugator
-    and reduced f live over F_p[u][1/u], so they stay on the renamed table
-    while the integral action is renamed back."""
+    lives over F_p[u][1/u], and the integral action is renamed back."""
     t = VarTable(p, ("x1", "x2", "x3"))
     sigma = parse_map(t, text)
-    res = exponentialize_field_n3(sigma)
-    assert res.action.table == t
-    assert res.action.evaluate(1) == sigma
-    assert res.action.restricts_to() == (True, None)
-    assert res.a == Coeff.u(p)
-    assert res.conjugator.table.names == ("x2", "x3")
-    assert res.reduced_f.table.names == ("x2", "x3")
-    assert any(not c.is_integral() for c in res.reduced_f.terms.values())
+    action = exponentialize_field_n3(sigma)
+    assert action.table == t
+    assert action.evaluate(1) == sigma
+    assert action.restricts_to() == (True, None)
 
 
 def test_field_n3_both_fixed_case():
     t = VarTable(2, ("x1", "x2", "x3"))
     sigma = PolyMap(t, [t.var("x1"), t.var("x2"),
                         t.parse("x3 + x1*x2 + 1")])
-    res = exponentialize_field_n3(sigma)
-    assert res.action.evaluate(1) == sigma
+    action = exponentialize_field_n3(sigma)
+    assert isinstance(action, GaAction)
+    assert action.evaluate(1) == sigma
 
 
 def test_field_n3_rejects_parameters():

@@ -91,10 +91,9 @@ def test_nonexp_suite_cases_build_their_own_member(monkeypatch):
         built.append((p, d, l))
         return build_nonexp_family(p, d, l, *rest)
     monkeypatch.setattr(gallery, "build_nonexp_family", spy)
-    triples = ((2, 3, 1), (3, 2, 1))
-    result = run_suite("nonexp-family", triples=triples)
+    result = run_suite("nonexp-family")
     assert result.all_passed
-    assert sorted(built) == sorted(triples * 2)
+    assert sorted(built) == sorted(((2, 3, 1), (3, 2, 1), (3, 4, 2)) * 2)
 
 
 def test_nonexp_dual_route_small_parameters():

@@ -51,7 +51,7 @@ def test_affine_input_single_factor():
     t = t2(3)
     phi = PolyMap(t, [t.parse("x1+2*x2+1"), t.parse("x1+x2")])
     word = jvdk_factor(phi)
-    assert len(word) == 1 and isinstance(word.factors[0], AffineFactor)
+    assert len(word.factors) == 1 and isinstance(word.factors[0], AffineFactor)
     assert recompose(word) == phi
 
 
