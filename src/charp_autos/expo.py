@@ -10,8 +10,10 @@ safe even if it differs from the original one.
 
 Each entry point runs one shape guard, then at most one order test per map:
 the powers sigma^0..sigma^p that the averaging also uses, or, for n = 2 and
-sigma = (x1, x2 + b(x1)), b != 0.  n = 3 delegates sigma(x1) = x1 to n = 2
-before any order test.
+sigma = (x1, x2 + b(x1)), b != 0.  n = 3 delegates sigma(x1) = x1 to the
+n = 2 construction past its guard, before any order test: the renamed map
+is strict triangular whenever sigma is, so sigma's shape is classified once
+on that path too.
 
 The identities are asserted here, by raising InternalIntegralityFailure:
 - the averaging core, so every entry point: conjugating x1 -> x1 + a by the
@@ -124,11 +126,17 @@ def exponentialize_triangular_n2(sigma):
     """Theorem: a triangular order-p automorphism of R[x1,x2], R = F_p[u],
     is E_1 of a G_a-action over R.  Returns the action together with the
     conjugator data."""
-    table = sigma.table
-    p = table.p
-    if table.nvars != 2:
+    if sigma.table.nvars != 2:
         raise ValueError("this construction is for n = 2")
     _check_shape(sigma)
+    return _exponentialize_n2(sigma)
+
+
+def _exponentialize_n2(sigma):
+    """exponentialize_triangular_n2 for a sigma that has passed the shape
+    guard: strict triangular in two variables."""
+    table = sigma.table
+    p = table.p
     x1, x2 = table.names
 
     a = (sigma.images[0] - table.var(x1)).constant_term()
@@ -246,7 +254,7 @@ def exponentialize_field_n3(sigma):
         return MultiPoly(table, out)
 
     sub_sigma = PolyMap(small, [promote(sigma.images[1]), promote(sigma.images[2])])
-    sub = exponentialize_triangular_n2(sub_sigma)
+    sub = _exponentialize_n2(sub_sigma)
     images = [table.var(x1)] + [demote(e) for e in sub.action.images]
     action = GaAction(table, images)
     if action.evaluate(1) != sigma:

@@ -503,10 +503,29 @@ class Rank3Family:
     report: StarReport = None
 
 
+_RANK3_PARAMETERS = "need p in {2,3} and small l, m >= 0"
+
+
 def _pi_map(poly, keep):
     table = poly.table
     assignment = {nm: table.const(0) for nm in table.names if nm != keep}
     return poly.substitute(assignment)
+
+
+def _rank3_xi(p):
+    """(table, f, g, r, xi, ok) for the rank-three family at p: its part
+    that does not depend on (l, m), with ok the check xi = g x2 by exact
+    division."""
+    if p not in (2, 3):
+        raise BadParameters(_RANK3_PARAMETERS)
+    table = VarTable(p, ("x1", "x2", "x3"))
+    p2 = p * p
+    x1, x2, x3 = (table.var(nm) for nm in table.names)
+    f = table.var("x1", p2) - table.var("x1", p) + x2 * x3
+    g = f ** p2 * x3 - table.var("x2", p2 - 1) + f ** (p2 - p) * table.var("x2", p - 1)
+    r_elt = f * x1 + x2
+    xi = f ** (p2 + 1) - r_elt ** p2 + f ** (p2 - p) * r_elt ** p
+    return table, f, g, r_elt, xi, exact_div(xi, g) == x2
 
 
 def build_rank3_family(p, l, m):
@@ -517,18 +536,14 @@ def build_rank3_family(p, l, m):
     evaluation at 1 restricts (and extends eps); otherwise neither does, by
     the substitution-map nonvanishing oracle.
     """
-    if p not in (2, 3) or l < 0 or m < 0 or max(l, m) > 4:
-        raise BadParameters("need p in {2,3} and small l, m >= 0")
-    table = VarTable(p, ("x1", "x2", "x3"))
+    if l < 0 or m < 0 or max(l, m) > 4:
+        raise BadParameters(_RANK3_PARAMETERS)
+    table, f, g, r_elt, xi, xi_ok = _rank3_xi(p)
     p2 = p * p
     x1, x2, x3 = (table.var(nm) for nm in table.names)
-    f = table.var("x1", p2) - table.var("x1", p) + x2 * x3
-    g = f ** p2 * x3 - table.var("x2", p2 - 1) + f ** (p2 - p) * table.var("x2", p - 1)
-    r_elt = f * x1 + x2
-    xi = f ** (p2 + 1) - r_elt ** p2 + f ** (p2 - p) * r_elt ** p
 
     report = StarReport()
-    report.add("xi_equals_g_x2", exact_div(xi, g) == x2)
+    report.add("xi_equals_g_x2", xi_ok)
 
     fam = Rank3Family(p, l, m, table, f, g, r_elt, xi, "", report=report)
     tvar = table.var("T")

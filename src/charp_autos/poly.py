@@ -18,12 +18,28 @@ path, _fp_product: coefficient products are summed as plain ints and reduced
 mod p once per result term, so no Coeff is built per term product (as in
 sympy's galoistools gf_mul).  exact_div has no such path: on the rank3 suite
 one measured 2.59/2.26/2.16 s against 2.74/2.29/2.94 s without, within noise.
-Exponents stay tuples: Kronecker-packed int monomials on top of the int
-coefficients measured 3.02/2.63 s against 3.41/2.53 s unpacked on rank3.
+
+Term dicts stay keyed by exponent tuples; packing every table's monomials
+into ints measured no gain on rank3.  Packing pays inside one large
+F_p product instead: once the product has _PACK_MIN_PRODUCTS = 128 term
+products and more than one term in each operand, each exponent tuple is
+packed into one int, mixed radix over the slots that vary in this product
+(packed monomials as in Monagan & Pearce, JSC 2011).  A term product is then
+one int addition, and each result term is decoded once.  Encoding both
+operands and decoding the result cost more than they save on small
+products, and a one-term operand saves nothing, since each of its term
+products is a result term of its own.  Packed/tuple time ratios by term
+products, replaying the recorded F_p products (both operands above one
+term) of the rank3, gallery-axioms and seeded-instances suites (2 cores,
+Python 3.11):
+
+    term products   <= 4  <= 16  <= 64  <= 128  <= 256  <= 1024  <= 4096  more
+    packed / tuple  3.57   2.43   1.24    0.87    0.74     0.65     0.51  0.49
 """
 
 import heapq
-from operator import add, sub
+from itertools import repeat
+from operator import add, floordiv, mod, mul, sub
 
 from .coeffs import Coeff, _canonical, check_prime, coeff_gcd_integral
 from .errors import (NegativeExponent, NonIntegralCoefficient, NotDivisible,
@@ -135,10 +151,24 @@ def _accumulate(out, pairs):
                 out[e] = c
 
 
+# Prime-field products of at least this many term products, with more than
+# one term in each operand, pack their exponents (see the module docstring).
+_PACK_MIN_PRODUCTS = 128
+
+_RESIDUES = {}   # p -> [None, 1, .., p-1] as canonical constant Coeffs
+
+
 def _fp_product(p, lhs, rhs):
-    """Product of two term dicts with coefficients in F_p.  The sums of
-    coefficient products are plain ints, reduced mod p once per result term;
-    the result shares one Coeff per nonzero residue."""
+    """Product of two term dicts with coefficients in F_p, lhs the shorter
+    one.  The sums of coefficient products are plain ints, reduced mod p
+    once per result term; the result shares one Coeff per nonzero
+    residue."""
+    consts = _RESIDUES.get(p)
+    if consts is None:
+        consts = _RESIDUES[p] = [None] + [_canonical(p, (k,))
+                                          for k in range(1, p)]
+    if len(lhs) > 1 and len(lhs) * len(rhs) >= _PACK_MIN_PRODUCTS:
+        return _fp_product_packed(p, lhs, rhs, consts)
     rhs = [(e, c.num[0]) for e, c in rhs.items()]
     acc = {}
     get = acc.get
@@ -147,13 +177,74 @@ def _fp_product(p, lhs, rhs):
         for e2, k2 in rhs:
             e = tuple(map(add, e1, e2))
             acc[e] = get(e, 0) + k1 * k2
-    consts = [None] + [_canonical(p, (k,)) for k in range(1, p)]
     out = {}
     for e, k in acc.items():
         k %= p
         if k:
             out[e] = consts[k]
     return out
+
+
+def _fp_product_packed(p, lhs, rhs, consts):
+    """_fp_product on exponents packed into ints.
+
+    Slot i of a product exponent lies between base[i] = lo1[i] + lo2[i] and
+    hi1[i] + hi2[i], the sums of the operands' per-slot minimums and
+    maximums: span[i] values.  An operand's tuple e packs to
+    sum((e[i] - lo[i]) * weight[i]), with mixed-radix weights over the slots
+    whose span exceeds 1 and weight 0 on the others, which are fixed at
+    base[i].  The key of a term product is then the sum of its factors'
+    keys, without carries between slots, and each result key is decoded
+    once.
+    """
+    cols1 = list(zip(*lhs))
+    cols2 = list(zip(*rhs))
+    lo1 = list(map(min, cols1))
+    lo2 = list(map(min, cols2))
+    base = list(map(add, lo1, lo2))
+    weights = []
+    radices = []        # (slot, span) of the varying slots, low digit first
+    w = 1
+    for i, (b, h1, h2) in enumerate(zip(base, map(max, cols1),
+                                        map(max, cols2))):
+        span = h1 + h2 - b + 1
+        if span > 1:
+            radices.append((i, span))
+            weights.append(w)
+            w *= span
+        else:
+            weights.append(0)
+    off1 = sum(map(mul, lo1, weights))
+    off2 = sum(map(mul, lo2, weights))
+    # rhs keys grouped by coefficient: the inner loop multiplies nothing
+    groups = {}
+    for e, c in rhs.items():
+        groups.setdefault(c.num[0], []).append(sum(map(mul, e, weights))
+                                               - off2)
+    groups = list(groups.items())
+    acc = {}
+    get = acc.get
+    for e, c in lhs.items():
+        k1 = c.num[0]
+        key1 = sum(map(mul, e, weights)) - off1
+        for k2, keys in groups:
+            k = k1 * k2
+            for key2 in keys:
+                key = key1 + key2
+                acc[key] = get(key, 0) + k
+    keys = []
+    coeffs = []
+    for key, k in acc.items():
+        k %= p
+        if k:
+            keys.append(key)
+            coeffs.append(consts[k])
+    # the result's exponent columns: digit by digit, low digit first
+    columns = [repeat(b) for b in base]
+    for i, span in radices:
+        columns[i] = map(add, map(mod, keys, repeat(span)), repeat(base[i]))
+        keys = list(map(floordiv, keys, repeat(span)))
+    return dict(zip(zip(*columns), coeffs))
 
 
 class MultiPoly:

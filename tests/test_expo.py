@@ -253,12 +253,28 @@ def test_field_n3_delegated_path_tests_order_once(monkeypatch, p):
     compositions in all, none of them on sigma itself."""
     t = VarTable(p, ("x1", "x2", "x3"))
     sigma = parse_map(t, "(x1, x2+x1, x3+x2^%d-x1^%d*x2)" % (p, p - 1))
-    expos = _count_calls(monkeypatch, expo, "exponentialize_triangular_n2")
+    orders = _count_calls(monkeypatch, expo, "_order_p_powers")
     composes = _count_calls(monkeypatch, endo, "compose")
     exponentialize_field_n3(sigma)
-    renamed, = expos[0]
+    (renamed,), = orders
     assert sum(args[0] == sigma for args in composes) == 0
     assert sum(args[0] == renamed for args in composes) == p - 1
+
+
+def test_field_n3_delegated_path_classifies_sigma_once(monkeypatch):
+    """The shape guard runs on sigma only: the renamed map goes to the n = 2
+    construction past its guard.  The other two classifications are
+    invert_structured's, on the conjugator and on the slice coordinates."""
+    t = VarTable(5, ("x1", "x2", "x3"))
+    sigma = parse_map(t, "(x1, x2+x1, x3+x2^5-x1^4*x2)")
+    orders = _count_calls(monkeypatch, expo, "_order_p_powers")
+    shapes = _count_calls(monkeypatch, endo, "classify")
+    inversions = _count_calls(monkeypatch, endo, "invert_structured")
+    exponentialize_field_n3(sigma)
+    (renamed,), = orders
+    assert [args[0] == sigma for args in shapes] == [True, False, False]
+    assert not any(args[0] == renamed for args in shapes)
+    assert [args[0] for args in shapes[1:]] == [args[0] for args in inversions]
 
 
 def test_thm15_case_fails_when_a_library_check_fails(monkeypatch):

@@ -11,7 +11,7 @@ from charp_autos.gallery import (StarReport, build_example_triangular,
                                  build_rank3_family, build_rank_r_action,
                                  epsilon_invariants)
 from charp_autos.poly import VarTable, is_polynomial_over
-from charp_autos.suites import run_suite
+from charp_autos.suites import SUITES, run_suite
 
 
 def test_star_report_outcome_names_the_failed_checks():
@@ -183,6 +183,19 @@ def test_rank3_certified_identities_char2():
     scaled_T = {"T": scale * t.var("T")}
     assert fam22.e2 == fam.e2.substitute(scaled_T)
     assert fam22.e1 == fam.e1.substitute(scaled_T)
+
+
+def test_rank3_xi_cases_check_xi_without_building_a_member(monkeypatch):
+    """Each xi-p* case runs the one check xi = g*x2 itself: with exact_div
+    returning its dividend the check fails, so both cases FAIL, and neither
+    builds an (l, m) member of the family."""
+    built = []
+    monkeypatch.setattr(gallery, "build_rank3_family",
+                        lambda *args: built.append(args))
+    monkeypatch.setattr(gallery, "exact_div", lambda f, g: f)
+    cases = dict(SUITES["rank3"]({}))
+    assert [cases["xi-p2"](), cases["xi-p3"]()] == [(False, ""), (False, "")]
+    assert built == []
 
 
 def test_F_family_and_commutator():

@@ -2,11 +2,14 @@
 substitute, exact_div and content_primitive against sympy's sparse
 polynomial rings over GF(p), GF(p)[u] and GF(p)(u).
 
-Operands live in x, y and the action parameter T; the other reserved slots
-stay zero.  Prime-field results are compared as dicts of exponent tuple ->
-residue in [0, p); F_p(u) results are mapped into sympy's ring and their
-difference from sympy's result must be zero.
+Operands live in x, y and the action parameter T (the packed-product test
+also uses T1); the other reserved slots stay zero.  Prime-field results are
+compared as dicts of exponent tuple -> residue in [0, p); F_p(u) results
+are mapped into sympy's ring and their difference from sympy's result must
+be zero.
 """
+
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -73,6 +76,82 @@ def test_mul_matches_sympy(case):
     table, oracle = rings(p)
     assert as_dict(ours(table, f) * ours(table, g), p) \
         == as_dict(theirs(oracle, f) * theirs(oracle, g), p)
+
+
+# Exponent sets an operand draws per slot for the packed-product test:
+# fixed; small; a nonzero minimum; above 2^31 with a small span; a span
+# above 2^31, so that packed keys span several int digits; negative (x
+# only, which is invertible).
+_PROFILES = ((0,), (3,), (0, 1, 2, 3), (5, 6, 7), (2 ** 31, 2 ** 31 + 1),
+             (0, 1, 2, 2 ** 31 + 1))
+_NEGATIVE = (-2, -1, 0, 1)
+_SLOTS = 4                          # x, y, T, T1; T2 stays zero
+
+
+@st.composite
+def slot_operand(draw, p, sizes):
+    """A nonzero F_p term dict over x, y, T and T1: each slot draws its
+    exponents from one profile, and the terms are distinct points of the
+    box those profiles span, as many as one of sizes or the whole box."""
+    profiles = [draw(st.sampled_from(_PROFILES + ((_NEGATIVE,) if i == 0
+                                                   else ())))
+                for i in range(_SLOTS)]
+    box = list(product(*profiles))
+    size = min(len(box), draw(st.sampled_from(sizes)))
+    exps = draw(st.permutations(box))[:size]
+    coeffs = draw(st.lists(st.integers(1, p - 1), min_size=size,
+                           max_size=size))
+    return {e + (0,): c for e, c in zip(exps, coeffs)}
+
+
+@st.composite
+def packed_operands(draw):
+    p = draw(st.sampled_from(PRIMES))
+    return p, draw(slot_operand(p, (1, 3, 8, 16))), draw(
+        slot_operand(p, (4, 16, 40)))
+
+
+def sympy_product(oracle, p, f, g):
+    """sympy's f*g.  Each operand is first divided by the monomial of its
+    per-slot minimum exponents, which leaves nonnegative exponents sympy
+    can hold, and the product is multiplied back by both monomials."""
+    lows = [[min(col) for col in zip(*h)] for h in (f, g)]
+    shifted = [{tuple(a - b for a, b in zip(e, low)): c
+                for e, c in h.items()} for h, low in zip((f, g), lows)]
+    shift = [a + b for a, b in zip(*lows)]
+    return {tuple(a + b for a, b in zip(e, shift)): c for e, c in as_dict(
+        theirs(oracle, shifted[0]) * theirs(oracle, shifted[1]), p).items()}
+
+
+X1, XY = (1, 0, 0, 0, 0), (1, 1, 0, 0, 0)
+SUM_X64 = {(i, 0, 0, 0, 0): 1 for i in range(64)}
+WIDE = {(0, 0, 1, 2 ** 31 + 1, 0): 1, (-2, 1, 0, 0, 0): 2, (1, 0, 2, 1, 0): 1}
+
+
+@given(packed_operands())
+@ORACLE
+# one side of _PACK_MIN_PRODUCTS and the other: 2 * 63 and 2 * 64 terms
+@example((3, {X1: 1, ONE: 2}, dict(list(SUM_X64.items())[:63])))
+@example((3, {X1: 1, ONE: 2}, SUM_X64))
+# cancelling mod p: (x + 1)(x^63 + .. + 1) = x^64 + 1 at p = 2, and
+# (x - 1)(x^63 + .. + 1) = x^64 - 1 at p = 5
+@example((2, {X1: 1, ONE: 1}, SUM_X64))
+@example((5, {X1: 1, ONE: 4}, SUM_X64))
+# y and T1 the same in every term of both operands, x spanning two values
+@example((7, {XY: 3, (0, 1, 0, 0, 0): 5},
+          {(0, 1, j, 0, 0): 1 + j % 6 for j in range(70)}))
+# negative exponents of x and a span above 2^31 in T1
+@example((7, WIDE, {(i, j, 0, 0, 0): 1 + (i * j) % 6
+                    for i in range(-2, 6) for j in range(8)}))
+def test_fp_product_matches_sympy_on_both_sides_of_packing(case):
+    """Prime-field products of operands with up to 16 * 40 term products,
+    so that both the tuple and the packed path of poly._fp_product run."""
+    p, f, g = case
+    table, oracle = rings(p, invertible=("x",))
+    got = ours(table, f) * ours(table, g)
+    assert as_dict(got, p) == sympy_product(oracle, p, f, g)
+    assert all(c.den == (1,) and len(c.num) == 1 and 0 < c.num[0] < p
+               for c in got.terms.values())
 
 
 @given(operands(1, max_size=3), st.integers(0, 15))

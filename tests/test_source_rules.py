@@ -7,9 +7,12 @@
 - Every public module-level function or class, and every public method, is
   named somewhere in the library outside its own definition: code that only
   tests call is code with no callers.
+- Every import names the standard library or the library itself, which
+  keeps `dependencies = []` in pyproject.toml true.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import charp_autos
@@ -39,6 +42,23 @@ def _violations(path):
                 if isinstance(v, ast.Constant) and isinstance(v.value, bool):
                     yield "%s:%d: check with the literal verdict %r" % (
                         path.name, node.lineno, v.value)
+
+
+def _foreign_imports(path):
+    """Imports of a module outside sys.stdlib_module_names and charp_autos;
+    a relative import stays inside the library."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top != "charp_autos" and top not in sys.stdlib_module_names:
+                yield "%s:%d: imports %s" % (path.name, node.lineno, name)
 
 
 def _defs(tree):
@@ -85,6 +105,21 @@ def test_rules_catch_planted_violations(tmp_path):
     assert [v.split(": ", 1)[1] for v in _violations(planted)] == [
         "assert statement", "check with the literal verdict True",
         "check with the literal verdict False"]
+
+
+def test_library_imports_only_the_standard_library_and_itself():
+    assert [v for path in SOURCES for v in _foreign_imports(path)] == []
+
+
+def test_import_rule_catches_planted_imports(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "import os.path, numpy as np\nfrom . import poly\n"
+        "from charp_autos.poly import VarTable\n"
+        "def lazy():\n    from sympy.polys import rings\n"
+        "    import charp_autos_extra\n")
+    assert [v.split(": ", 1)[1] for v in _foreign_imports(planted)] == [
+        "imports numpy", "imports sympy.polys", "imports charp_autos_extra"]
 
 
 def test_every_public_name_has_a_caller_in_the_library():
