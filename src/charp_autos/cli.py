@@ -158,7 +158,7 @@ def _cmd_expo(args):
     # the restriction to R, which the library leaves open for n = 2 with
     # sigma(x1) = x1 and for n = 3 with sigma(x1) != x1.
     report = gallery.StarReport()
-    if res is not None and not res.a.is_zero():
+    if res is not None and res.a is not None:
         print("conjugator %s" % map_to_str(res.conjugator))
         print("theta      %s" % poly_to_str(res.reduced_f.scale(res.a)))
         failure = None

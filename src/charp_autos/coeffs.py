@@ -21,6 +21,12 @@ factor is a monomial, and __add__ adds over u^max(i, j).  Negation,
 inversion and frob_power map canonical fractions to canonical fractions, so
 they build their results without a reduction.
 
+The constants 0, 1, .., p-1 of each supported F_p exist once: from_int,
+and sums and products of two nonzero constants, return the shared objects
+of one table, _CONSTANTS, which poly's prime-field products hand out too.
+Sharing is safe because a Coeff is never changed once built: only this
+module assigns num and den, and only to a Coeff it is creating.
+
 Dense polynomials are tuples of ints in [0, p), index = degree, with no
 trailing zeros; the zero polynomial is the empty tuple.
 """
@@ -179,10 +185,9 @@ class Coeff:
 
     # -- constructors --------------------------------------------------------
 
-    @classmethod
-    def from_int(cls, p, n):
-        n %= p
-        return cls(p, (n,) if n else ())
+    @staticmethod
+    def from_int(p, n):
+        return _CONSTANTS[p][n % p]
 
     @classmethod
     def u(cls, p, power=1):
@@ -250,8 +255,7 @@ class Coeff:
         if self.den == (1,) and other.den == (1,):
             a, b = self.num, other.num
             if len(a) == 1 and len(b) == 1:
-                s = (a[0] + b[0]) % p
-                return _canonical(p, (s,) if s else ())
+                return _CONSTANTS[p][(a[0] + b[0]) % p]
             return _canonical(p, _uadd(a, b, p))
         sd, od = self.den, other.den
         if not any(sd[:-1]) and not any(od[:-1]):
@@ -286,7 +290,7 @@ class Coeff:
         if self.den == (1,) and other.den == (1,):
             a, b = self.num, other.num
             if len(a) == 1 and len(b) == 1:
-                return _canonical(p, ((a[0] * b[0]) % p,))
+                return _CONSTANTS[p][a[0] * b[0] % p]
             return _canonical(p, _umul(a, b, p))
         return Coeff(p, _umul(self.num, other.num, p), _umul(self.den, other.den, p))
 
@@ -371,6 +375,11 @@ def _canonical(p, num, den=(1,)):
     out = object.__new__(Coeff)
     out.p, out.num, out.den = p, num, den
     return out
+
+
+# p -> (0, 1, .., p-1) as canonical constant Coeffs, shared by every caller
+_CONSTANTS = {p: tuple(_canonical(p, (k,) if k else ()) for k in range(p))
+              for p in SUPPORTED_PRIMES}
 
 
 def coeff_gcd_integral(values):

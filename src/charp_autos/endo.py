@@ -63,6 +63,12 @@ class PolyMap:
     __repr__ = __str__
 
 
+def eps_map(table, t):
+    """The translation (x1 + t, x2, .., xn)."""
+    return PolyMap(table, [table.var(table.names[0]) + table.const(t)]
+                   + [table.var(n) for n in table.names[1:]])
+
+
 def compose(phi, psi):
     """(phi psi)(xi) = phi(psi(xi))."""
     if phi.table != psi.table:

@@ -39,16 +39,19 @@ from .coeffs import Coeff
 from .errors import (BadThetaSupport, InternalIntegralityFailure, NotOrderP,
                      NotTriangular, NonUnitTranslation, UnsupportedField)
 from .poly import MultiPoly, VarTable, _accumulate, express_in_invariant
-from .endo import PolyMap, classify, compose, conjugate
+from .endo import PolyMap, classify, compose, conjugate, eps_map
 from .gaction import GaAction, SliceData, slice_action
 
 
 @dataclass
 class ExponentializationResult:
+    """The action and, when sigma(x1) = x1 + a with a != 0, the data of its
+    construction: a, the reduced f and the coordinates (x1, x2 + reduced f).
+    When sigma fixes x1 the action is built directly and these are None."""
     action: GaAction
-    conjugator: PolyMap
-    reduced_f: MultiPoly
-    a: Coeff
+    conjugator: PolyMap = None
+    reduced_f: MultiPoly = None
+    a: Coeff = None
 
 
 def _check_shape(sigma):
@@ -96,9 +99,7 @@ def _averaged_conjugator(sigma, a, powers):
         images.append(-acc)
     phi = PolyMap(table, images)
 
-    translation = PolyMap(
-        table, [x1 + table.const(a)] + [table.var(n) for n in table.names[1:]])
-    if conjugate(translation, phi) != sigma:
+    if conjugate(eps_map(table, a), phi) != sigma:
         raise InternalIntegralityFailure("averaging produced a bad conjugator")
     return phi
 
@@ -124,8 +125,8 @@ def maubach_conjugator(sigma):
 
 def exponentialize_triangular_n2(sigma):
     """Theorem: a triangular order-p automorphism of R[x1,x2], R = F_p[u],
-    is E_1 of a G_a-action over R.  Returns the action together with the
-    conjugator data."""
+    is E_1 of a G_a-action over R.  Returns the action, with the conjugator
+    data when sigma(x1) != x1."""
     if sigma.table.nvars != 2:
         raise ValueError("this construction is for n = 2")
     _check_shape(sigma)
@@ -145,10 +146,8 @@ def _exponentialize_n2(sigma):
         b = sigma.images[1] - table.var(x2)
         if b.is_zero():
             raise NotOrderP("automorphism does not have order %d" % p)
-        action = GaAction(table, [table.var(x1),
-                                  table.var(x2) + b * table.var("T")])
-        return ExponentializationResult(action, PolyMap.identity(table), b,
-                                        Coeff.from_int(p, 0))
+        return ExponentializationResult(GaAction(
+            table, [table.var(x1), table.var(x2) + b * table.var("T")]))
 
     phi = _averaged_conjugator(sigma, a, _order_p_powers(sigma))
     f = phi.images[1] - table.var(x2)
@@ -168,7 +167,7 @@ def theta_of(sigma, result):
     theta supported on exponents prime to p, read off
     result = exponentialize_triangular_n2(sigma).  The theta found must
     reproduce sigma, so a result for another map raises."""
-    if result.a.is_zero():
+    if result.a is None:
         raise NonUnitTranslation("theta needs sigma(x1) != x1")
     theta = result.reduced_f.scale(result.a)
     if sigma_from_theta(result.a, theta) != sigma:

@@ -16,7 +16,7 @@ from .coeffs import Coeff
 from .errors import (BadH, BadParameters, InternalIntegralityFailure,
                      UnsupportedP)
 from .poly import MultiPoly, VarTable, exact_div, is_polynomial_over
-from .endo import PolyMap, compose, order_up_to
+from .endo import PolyMap, compose, eps_map, order_up_to
 from .gaction import GaAction, SliceData, slice_action, rank_certificate
 from .criteria import GenericElementaryData, canonical_action
 
@@ -42,12 +42,6 @@ class StarReport:
 
     def add(self, name, ok, detail=""):
         self.checks.append(Check(name, bool(ok), detail))
-
-    def ok(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c.ok
-        raise KeyError(name)
 
     def all_ok(self):
         return all(c.ok for c in self.checks)
@@ -360,8 +354,7 @@ def build_F_and_Fh(n, p, h_exprs=()):
     report.add("F_restricts", action.restricts_to()[0])
     report.add("F_f_invariant", action.is_invariant(f))
 
-    eps = PolyMap(table, [x1 + table.one()]
-                  + [table.var(n_) for n_ in table.names[1:]])
+    eps = eps_map(table, 1)
     all_ok = True
     for h_expr in h_exprs:
         if h_expr.uses_var("x2"):
@@ -455,8 +448,7 @@ def build_rank_r_action(n, r, p):
     membership = membership and is_polynomial_over(q1, "field")[0]
     report.add("condition_c_cosets", membership)
 
-    eps = PolyMap(table, [xvars[0] + table.one()] + xvars[1:])
-    report.add("E1_is_translation", action.evaluate(1) == eps)
+    report.add("E1_is_translation", action.evaluate(1) == eps_map(table, 1))
 
     gens = [xn * fs[i - 1] for i in range(2, r + 1)] + xvars[r:]
     inv_ok = all(action.is_invariant(g) for g in gens)

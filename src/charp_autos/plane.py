@@ -15,7 +15,7 @@ one E1 generator and the trailing H0 element.
 from .errors import (NotAutomorphism, NotInCentralizer, NotInWst,
                      WitnessNotCentralizing)
 from .poly import express_in_invariant
-from .endo import PolyMap, compose, invert_structured
+from .endo import PolyMap, compose, eps_map, invert_structured
 from .gaction import SliceData, slice_action
 
 
@@ -252,12 +252,6 @@ def normal_form(word):
 # ---------------------------------------------------------------------------
 # the centralizer C(eps) = H(t) H0
 # ---------------------------------------------------------------------------
-
-def eps_map(table, t):
-    t = table.coeff(t)
-    return PolyMap(table, [table.var(table.names[0]) + table.const(t),
-                           table.var(table.names[1])])
-
 
 class CentralizerWord:
     """H(t) generators followed by one H0 element (x1+u1, a*x2+u2).
@@ -516,9 +510,7 @@ def fpf_witness_check(f, psi_word):
     psi_inv = psi_word.inverse_map()
     lam = table.var("T").scale(f)
     action = slice_action(SliceData(psi_map, lam, psi_inv))
-    tau = PolyMap(table, [table.var(table.names[0]) + table.const(f),
-                          table.var(table.names[1])])
-    if action.evaluate(1) != tau:
+    if action.evaluate(1) != eps_map(table, f):
         raise WitnessNotCentralizing("E_1 differs from the translation")
     ok, witness = action.restricts_to()
     return {"restricts": ok, "witness": witness, "action": action}

@@ -13,35 +13,42 @@ Sums, products and substitutions all build their result through one in-place
 accumulator, _accumulate.  exact_div keeps its own merge loop, because a term
 it adds to the remainder must also be pushed onto its heap of live keys.
 
-A product whose operands both have all coefficients in F_p takes a second
-path, _fp_product: coefficient products are summed as plain ints and reduced
-mod p once per result term, so no Coeff is built per term product (as in
-sympy's galoistools gf_mul).  exact_div has no such path: on the rank3 suite
-one measured 2.59/2.26/2.16 s against 2.74/2.29/2.94 s without, within noise.
-
-Term dicts stay keyed by exponent tuples; packing every table's monomials
-into ints measured no gain on rank3.  Packing pays inside one large
-F_p product instead: once the product has _PACK_MIN_PRODUCTS = 128 term
-products and more than one term in each operand, each exponent tuple is
-packed into one int, mixed radix over the slots that vary in this product
-(packed monomials as in Monagan & Pearce, JSC 2011).  A term product is then
-one int addition, and each result term is decoded once.  Encoding both
-operands and decoding the result cost more than they save on small
-products, and a one-term operand saves nothing, since each of its term
-products is a result term of its own.  Packed/tuple time ratios by term
-products, replaying the recorded F_p products (both operands above one
-term) of the rank3, gallery-axioms and seeded-instances suites (2 cores,
+MultiPoly.__mul__ has two paths.  A product of at least
+_PACK_MIN_PRODUCTS = 32 term products, with more than one term in each
+operand and every coefficient in F_p, goes to _fp_product.  It packs each
+exponent tuple into one int, mixed radix over the slots that vary in this
+product (packed monomials as in Monagan & Pearce, JSC 2011), so a term
+product is one int addition and each result term is decoded once; the
+coefficient products are summed as plain ints and reduced mod p once per
+result term (as in sympy's galoistools gf_mul).  Every other product runs
+the _accumulate loop.  The size test comes first, so a smaller product never
+scans its coefficients, and on F_p the loop allocates no Coeff: coeffs
+hands out one shared constant per residue.  Encoding both operands and
+decoding the result cost more than they save on small products, and a
+one-term operand saves nothing, since each of its term products is a result
+term of its own.  Packed/loop time ratios by term products, replaying the
+recorded F_p products (both operands above one term) of the
+seeded-instances, rank3 and gallery-axioms workloads at seed 7 (2 cores,
 Python 3.11):
 
-    term products   <= 4  <= 16  <= 64  <= 128  <= 256  <= 1024  <= 4096  more
-    packed / tuple  3.57   2.43   1.24    0.87    0.74     0.65     0.51  0.49
+    term products   < 8  < 16  < 24  < 32  < 48  < 64  < 128  < 256  < 2048
+    packed / loop  2.54  1.83  1.36  0.93  0.69  0.66   0.55   0.43    0.30
+
+The ratio crosses 1 between 16 and 32 term products.  On the same replay a
+threshold of 32 is no slower than one of 128 on any of the three workloads:
+52, 15 and 2.5 ms in all against 57, 16 and 2.5 ms.
+
+exact_div has no prime-field path: on the rank3 suite one measured
+2.59/2.26/2.16 s against 2.74/2.29/2.94 s without, within noise.  Term dicts
+stay keyed by exponent tuples; packing every table's monomials into ints
+measured no gain on rank3.
 """
 
 import heapq
 from itertools import repeat
 from operator import add, floordiv, mod, mul, sub
 
-from .coeffs import Coeff, _canonical, check_prime, coeff_gcd_integral
+from .coeffs import Coeff, _CONSTANTS, check_prime, coeff_gcd_integral
 from .errors import (NegativeExponent, NonIntegralCoefficient, NotDivisible,
                      ZeroPolynomial)
 
@@ -151,42 +158,17 @@ def _accumulate(out, pairs):
                 out[e] = c
 
 
-# Prime-field products of at least this many term products, with more than
-# one term in each operand, pack their exponents (see the module docstring).
-_PACK_MIN_PRODUCTS = 128
-
-_RESIDUES = {}   # p -> [None, 1, .., p-1] as canonical constant Coeffs
+# Products of at least this many term products, with more than one term in
+# each operand and every coefficient in F_p, take _fp_product (see the
+# module docstring).
+_PACK_MIN_PRODUCTS = 32
 
 
 def _fp_product(p, lhs, rhs):
-    """Product of two term dicts with coefficients in F_p, lhs the shorter
-    one.  The sums of coefficient products are plain ints, reduced mod p
-    once per result term; the result shares one Coeff per nonzero
-    residue."""
-    consts = _RESIDUES.get(p)
-    if consts is None:
-        consts = _RESIDUES[p] = [None] + [_canonical(p, (k,))
-                                          for k in range(1, p)]
-    if len(lhs) > 1 and len(lhs) * len(rhs) >= _PACK_MIN_PRODUCTS:
-        return _fp_product_packed(p, lhs, rhs, consts)
-    rhs = [(e, c.num[0]) for e, c in rhs.items()]
-    acc = {}
-    get = acc.get
-    for e1, c1 in lhs.items():
-        k1 = c1.num[0]
-        for e2, k2 in rhs:
-            e = tuple(map(add, e1, e2))
-            acc[e] = get(e, 0) + k1 * k2
-    out = {}
-    for e, k in acc.items():
-        k %= p
-        if k:
-            out[e] = consts[k]
-    return out
-
-
-def _fp_product_packed(p, lhs, rhs, consts):
-    """_fp_product on exponents packed into ints.
+    """Product of two term dicts with coefficients in F_p, on exponents
+    packed into ints.  The sums of coefficient products are plain ints,
+    reduced mod p once per result term; the result shares coeffs' canonical
+    constants.
 
     Slot i of a product exponent lies between base[i] = lo1[i] + lo2[i] and
     hi1[i] + hi2[i], the sums of the operands' per-slot minimums and
@@ -232,6 +214,7 @@ def _fp_product_packed(p, lhs, rhs, consts):
             for key2 in keys:
                 key = key1 + key2
                 acc[key] = get(key, 0) + k
+    consts = _CONSTANTS[p]
     keys = []
     coeffs = []
     for key, k in acc.items():
@@ -354,15 +337,16 @@ class MultiPoly:
             return NotImplemented
         if not self.terms or not other.terms:
             return self.table.zero()
-        if len(self.terms) > len(other.terms):
-            self, other = other, self
-        if (all(map(Coeff.is_constant, self.terms.values()))
-                and all(map(Coeff.is_constant, other.terms.values()))):
-            return MultiPoly(self.table, _fp_product(self.table.p, self.terms,
-                                                     other.terms))
+        lhs, rhs = self.terms, other.terms
+        if len(lhs) > len(rhs):
+            lhs, rhs = rhs, lhs
+        if (len(lhs) > 1 and len(lhs) * len(rhs) >= _PACK_MIN_PRODUCTS
+                and all(map(Coeff.is_constant, lhs.values()))
+                and all(map(Coeff.is_constant, rhs.values()))):
+            return MultiPoly(self.table, _fp_product(self.table.p, lhs, rhs))
         out = {}
-        rhs = other.terms.items()
-        for e1, c1 in self.terms.items():
+        rhs = rhs.items()
+        for e1, c1 in lhs.items():
             _accumulate(out, ((tuple(map(add, e1, e2)), c1 * c2)
                               for e2, c2 in rhs))
         return MultiPoly(self.table, out)

@@ -14,7 +14,7 @@ from .coeffs import Coeff
 from .errors import (AxiomViolation, NotAutomorphism, NotInCentralizer,
                      UnknownSuite)
 from .poly import VarTable, content_primitive
-from .endo import PolyMap, compose, conjugate
+from .endo import PolyMap, compose, conjugate, eps_map
 from .gaction import GaAction, check_axioms
 from .gallery import Check
 from .seeds import Lcg
@@ -280,10 +280,7 @@ def _suite_maubach(params):
                 a = Coeff.from_int(p, lcg.draw_nonzero(p))
 
                 def thunk(psi=psi, a=a, table=table):
-                    translation = PolyMap(
-                        table,
-                        [table.var(table.names[0]) + table.const(a)]
-                        + [table.var(nm) for nm in table.names[1:]])
+                    translation = eps_map(table, a)
                     sigma = conjugate(translation, psi)
                     phi = expo.maubach_conjugator(sigma)
                     return conjugate(translation, phi) == sigma, ""
@@ -427,7 +424,7 @@ def _suite_centralizer(params):
         def gens_commute(p=p, table=table, tvals=tvals):
             lcg2 = Lcg(seed * 389 + p + 77)
             for t in tvals:
-                eps = plane.eps_map(table, t)
+                eps = eps_map(table, t)
                 for _ in range(10):
                     kind, g = _sample_h_gen(lcg2, table)
                     word = plane.CentralizerWord(table, t, [(kind, g)])

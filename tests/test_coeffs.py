@@ -264,3 +264,19 @@ def test_general_denominators_still_take_the_gcd_path(monkeypatch):
     w = (u(p) ** 2 + u(p)) / (u(p) ** 3 + u(p) ** 2)   # u(u+1) / u^2(u+1)
     assert calls
     assert w == u(p).inv()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_field_constants_are_shared_and_left_unchanged(p):
+    consts = [c(p, k) for k in range(p)]
+    before = [(k.num, k.den, hash(k)) for k in consts]
+    for k, const in enumerate(consts):
+        assert c(p, k) is const and c(p, k - p) is const
+        fresh = Coeff(p, (k,))
+        assert (const.num, const.den, hash(const)) == \
+            (fresh.num, fresh.den, hash(fresh))
+    for a in range(1, p):
+        for b in range(1, p):
+            assert consts[a] + consts[b] is consts[(a + b) % p]
+            assert consts[a] * consts[b] is consts[a * b % p]
+    assert [(k.num, k.den, hash(k)) for k in consts] == before

@@ -94,6 +94,10 @@ def test_exponentialize_one_variable_delegation():
     res = exponentialize_triangular_n2(sigma)
     assert res.action.images[1] == t.parse("x2 + (x1^2 + 1)*T")
     assert res.action.evaluate(1) == sigma
+    # no conjugator data on this path, so theta_of has nothing to read
+    assert (res.conjugator, res.reduced_f, res.a) == (None, None, None)
+    with pytest.raises(NonUnitTranslation):
+        theta_of(sigma, res)
 
 
 def test_exponentialize_errors():

@@ -21,7 +21,8 @@ def test_star_report_outcome_names_the_failed_checks():
     rep.add("b", 0, "residual u")
     rep.add("c", False)
     assert rep.outcome() == (False, "failed: b,c")
-    assert rep.ok("a") and not rep.ok("b") and not rep.all_ok()
+    assert [c.ok for c in rep.checks] == [True, False, False]
+    assert not rep.all_ok()
     assert rep.to_text(verdict="X") == \
         '{"a": true, "b": false, "c": false, "verdict": "X"}'
 

@@ -3,11 +3,11 @@ import pytest
 from charp_autos.coeffs import Coeff
 from charp_autos.errors import (NotAutomorphism, NotInCentralizer,
                                 NotInWst)
-from charp_autos.endo import PolyMap, compose
+from charp_autos.endo import PolyMap, compose, eps_map
 from charp_autos.plane import (AffineFactor, CentralizerWord,
                                TriangularFactor, TameWord,
                                centralizer_decompose, centralizer_membership,
-                               eps_map, fixed_point_elem_centralizer,
+                               fixed_point_elem_centralizer,
                                fpf_witness_check, jvdk_factor, normal_form,
                                recompose, w_st_split)
 from charp_autos.poly import VarTable

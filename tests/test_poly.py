@@ -3,9 +3,10 @@ import pytest
 from charp_autos.coeffs import Coeff
 from charp_autos.errors import (NegativeExponent, NonIntegralCoefficient,
                                 NotDivisible, ZeroPolynomial)
-from charp_autos.poly import (MultiPoly, VarTable, content_primitive,
-                              exact_div, express_in_invariant,
-                              is_polynomial_over, linear_span_dim)
+from charp_autos.poly import (_PACK_MIN_PRODUCTS, MultiPoly, VarTable,
+                              content_primitive, exact_div,
+                              express_in_invariant, is_polynomial_over,
+                              linear_span_dim)
 from charp_autos.seeds import Lcg
 
 
@@ -274,3 +275,26 @@ def test_pow_matches_repeated_multiplication():
     for k in range(1, 8):
         acc = acc * f
         assert f ** k == acc
+
+
+def test_only_products_that_may_pack_scan_their_coefficients(monkeypatch):
+    calls = []
+    original = Coeff.is_constant
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Coeff, "is_constant", counted)
+    t = table2(3)
+    half = _PACK_MIN_PRODUCTS // 2
+    x_plus_2 = t.parse("x + 2")
+    small = t.parse(" + ".join("y^%d" % i for i in range(half - 1)))
+    large = small + t.var("y", half - 1)
+    # below the threshold, over F_p or F_p(u), and with a one-term operand
+    assert x_plus_2 * small == t.var("x") * small + small.scale(2)
+    assert t.parse("x + u") * t.parse("y + 1") == t.parse("x*y + x + u*y + u")
+    assert len((t.var("x") * large).terms) == half
+    assert calls == []
+    packed = x_plus_2 * large
+    assert calls and packed == t.var("x") * large + large.scale(2)

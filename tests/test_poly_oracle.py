@@ -20,7 +20,8 @@ from sympy.polys.rings import ring
 
 from charp_autos.coeffs import Coeff
 from charp_autos.errors import NotDivisible
-from charp_autos.poly import MultiPoly, VarTable, content_primitive, exact_div
+from charp_autos.poly import (_PACK_MIN_PRODUCTS, MultiPoly, VarTable,
+                              content_primitive, exact_div)
 
 PRIMES = (2, 3, 5, 7)
 ORACLE = settings(max_examples=40, deadline=None)
@@ -124,19 +125,20 @@ def sympy_product(oracle, p, f, g):
 
 
 X1, XY = (1, 0, 0, 0, 0), (1, 1, 0, 0, 0)
-SUM_X64 = {(i, 0, 0, 0, 0): 1 for i in range(64)}
+HALF = _PACK_MIN_PRODUCTS // 2
+SUM_XH = {(i, 0, 0, 0, 0): 1 for i in range(HALF)}    # 1 + x + .. + x^(HALF-1)
 WIDE = {(0, 0, 1, 2 ** 31 + 1, 0): 1, (-2, 1, 0, 0, 0): 2, (1, 0, 2, 1, 0): 1}
 
 
 @given(packed_operands())
 @ORACLE
-# one side of _PACK_MIN_PRODUCTS and the other: 2 * 63 and 2 * 64 terms
-@example((3, {X1: 1, ONE: 2}, dict(list(SUM_X64.items())[:63])))
-@example((3, {X1: 1, ONE: 2}, SUM_X64))
-# cancelling mod p: (x + 1)(x^63 + .. + 1) = x^64 + 1 at p = 2, and
-# (x - 1)(x^63 + .. + 1) = x^64 - 1 at p = 5
-@example((2, {X1: 1, ONE: 1}, SUM_X64))
-@example((5, {X1: 1, ONE: 4}, SUM_X64))
+# one side of _PACK_MIN_PRODUCTS and the other: 2 * (HALF - 1) and 2 * HALF
+@example((3, {X1: 1, ONE: 2}, dict(list(SUM_XH.items())[:HALF - 1])))
+@example((3, {X1: 1, ONE: 2}, SUM_XH))
+# cancelling mod p: (x + 1) SUM_XH = x^HALF + 1 at p = 2, and
+# (x - 1) SUM_XH = x^HALF - 1 at p = 5
+@example((2, {X1: 1, ONE: 1}, SUM_XH))
+@example((5, {X1: 1, ONE: 4}, SUM_XH))
 # y and T1 the same in every term of both operands, x spanning two values
 @example((7, {XY: 3, (0, 1, 0, 0, 0): 5},
           {(0, 1, j, 0, 0): 1 + j % 6 for j in range(70)}))
@@ -145,7 +147,9 @@ WIDE = {(0, 0, 1, 2 ** 31 + 1, 0): 1, (-2, 1, 0, 0, 0): 2, (1, 0, 2, 1, 0): 1}
                     for i in range(-2, 6) for j in range(8)}))
 def test_fp_product_matches_sympy_on_both_sides_of_packing(case):
     """Prime-field products of operands with up to 16 * 40 term products,
-    so that both the tuple and the packed path of poly._fp_product run."""
+    so that both the Coeff loop of MultiPoly.__mul__ and the packed kernel
+    poly._fp_product run; the first two examples straddle the threshold
+    _PACK_MIN_PRODUCTS between them."""
     p, f, g = case
     table, oracle = rings(p, invertible=("x",))
     got = ours(table, f) * ours(table, g)
@@ -161,7 +165,7 @@ def test_pow_matches_sympy(case, e):
     table, oracle = rings(p)
     got = ours(table, f) ** e
     assert as_dict(got, p) == as_dict(theirs(oracle, f) ** e, p)
-    # the prime-field product path builds canonical constants
+    # both product paths build canonical constants
     assert all(c.den == (1,) and len(c.num) == 1 and 0 < c.num[0] < p
                for c in got.terms.values())
 

@@ -9,6 +9,9 @@
   tests call is code with no callers.
 - Every import names the standard library or the library itself, which
   keeps `dependencies = []` in pyproject.toml true.
+- No assignment to a `.num` or `.den` attribute outside coeffs.py: the
+  prime-field constants are shared objects, which is safe only while no
+  Coeff changes once built.
 """
 
 import ast
@@ -59,6 +62,25 @@ def _foreign_imports(path):
             top = name.split(".")[0]
             if top != "charp_autos" and top not in sys.stdlib_module_names:
                 yield "%s:%d: imports %s" % (path.name, node.lineno, name)
+
+
+def _coeff_writes(path):
+    """Assignments to a .num or .den attribute, also inside a tuple target
+    or as an augmented assignment."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Attribute) and sub.attr in ("num",
+                                                                   "den"):
+                    yield "%s:%d: assigns .%s" % (path.name, sub.lineno,
+                                                  sub.attr)
 
 
 def _defs(tree):
@@ -120,6 +142,20 @@ def test_import_rule_catches_planted_imports(tmp_path):
         "    import charp_autos_extra\n")
     assert [v.split(": ", 1)[1] for v in _foreign_imports(planted)] == [
         "imports numpy", "imports sympy.polys", "imports charp_autos_extra"]
+
+
+def test_only_coeffs_assigns_num_and_den():
+    assert "coeffs.py" in {p.name for p in SOURCES}
+    assert [v for path in SOURCES if path.name != "coeffs.py"
+            for v in _coeff_writes(path)] == []
+
+
+def test_coeff_write_rule_catches_planted_assignments(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text("c.num = ()\nnum, c.den = 1, (1,)\nc.num += (0,)\n"
+                       "c.numer = 1\nn = c.num\nc.den: tuple = (1,)\n")
+    assert [v.split(": ", 1)[1] for v in _coeff_writes(planted)] == [
+        "assigns .num", "assigns .den", "assigns .num", "assigns .den"]
 
 
 def test_every_public_name_has_a_caller_in_the_library():
