@@ -1,7 +1,9 @@
 """charp-autos: verification runner and construction explorer.
 
-Exit codes: 0 all checks pass, 1 some check fails, 2 usage or parse error,
-141 (128 + SIGPIPE, as a shell reports a command killed by a closed pipe)
+Exit codes: 0 all checks pass, 1 some check fails, 2 usage or parse error
+(an unsupported --p, a construction parameter out of range, or a suite
+parameter the suite does not read), 141 (128 + SIGPIPE, as a shell reports
+a command killed by a closed pipe)
 when the reader of stdout closes it early, e.g. `| head`.
 Reports are deterministic for a fixed (suite, parameters, seed); timings are
 kept out of the canonical output (--timings prints each case's time and the
@@ -12,7 +14,9 @@ import argparse
 import os
 import sys
 
-from .errors import CharpAutosError, ParseError, UnknownSuite
+from .coeffs import SUPPORTED_PRIMES
+from .errors import (BadParameters, CharpAutosError, ParseError, UnknownSuite,
+                     UnsupportedP)
 from .poly import VarTable
 from .textio import (map_to_str, parse_coeff, parse_map, parse_poly,
                      poly_to_str)
@@ -109,8 +113,8 @@ def _cmd_gallery(args):
         print(", ".join(poly_to_str(g) for g in gens))
         return 0
     if args.name == "nonexp":
-        built, _ = gallery.build_nonexp_family(args.p, args.d, args.l,
-                                               _nonexp_g(args))
+        built = gallery.build_nonexp_family(args.p, args.d, args.l,
+                                            _nonexp_g(args))
         print("a=%d b=%d c=%d" % (built.a, built.b, built.c))
         print("E(y) = %s" % poly_to_str(built.e_y()))
     elif args.name == "rank3":
@@ -175,10 +179,11 @@ def _cmd_expo(args):
 
 
 def _cmd_criteria(args):
-    fam, rep = gallery.build_nonexp_family(args.p, args.d, args.l,
-                                           _nonexp_g(args))
+    fam = gallery.build_nonexp_family(args.p, args.d, args.l,
+                                      _nonexp_g(args))
     cert = criteria.non_exponentiality_certificate(
         fam.data(), restriction=(False, fam.restriction_witness()))
+    rep = fam.report
     rep.add("stability_" + cert.stability.kind.lower(),
             cert.stability.is_stable())
     print(rep.to_text(verdict=cert.verdict))
@@ -205,6 +210,10 @@ def _cmd_parse(args):
 
 
 def _dispatch(args):
+    p = getattr(args, "p", None)
+    if p is not None and p not in SUPPORTED_PRIMES:
+        raise UnsupportedP("characteristic must be one of %s, got %d"
+                           % (SUPPORTED_PRIMES, p))
     if args.command == "suite":
         return _cmd_suite(args)
     if args.command == "gallery":
@@ -235,7 +244,7 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (ParseError, UnknownSuite) as exc:
+    except (ParseError, UnknownSuite, BadParameters, UnsupportedP) as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2
     except CharpAutosError as exc:

@@ -26,9 +26,8 @@ class PolyMap:
                 g = table.const(g)
             if g.table != table:
                 raise ValueError("image from a different table")
-            for name in ("T", "T1", "T2"):
-                if g.uses_var(name):
-                    raise ValueError("map images may not involve %s" % name)
+            if g.uses_var("T"):
+                raise ValueError("map images may not involve T")
             fixed.append(g)
         self.table = table
         self.images = tuple(fixed)

@@ -1,10 +1,15 @@
 """G_a-actions as coactions B -> B[T].
 
 A GaAction stores the generator images e_i in B[T].  Construction verifies
-(A1): substituting T = 0 gives back the generators, and (A2): for every i,
-e_i under T -> T1+T2 equals e_i(T2) with the generators replaced by their
-T1-images.  Checking (A2) on generators suffices because both sides are ring
-homomorphisms.
+(A1): substituting T = 0 gives back the generators, and (A2):
+E(x; S+T) = E(E(x; S); T) for every generator x, i.e. e_i under T -> S+T
+equals e_i with the generators replaced by their S-images.  Checking (A2) on
+generators suffices because both sides are ring homomorphisms.
+
+The second parameter S lives only here: (A2) and the additivity of a slice
+translation, lam(S+T) = lam(S) + lam(T), are checked in a lifted table, the
+caller's variables plus S (named apart from them), so that an exponent
+tuple there is the caller's with one more slot, for S, just before T.
 """
 
 from dataclasses import dataclass
@@ -12,8 +17,25 @@ from dataclasses import dataclass
 from .coeffs import Coeff
 from .errors import (AdditivityViolation, AxiomViolation,
                      NotInvariantGenerator, NotInvariantParameter)
-from .poly import MultiPoly, is_polynomial_over, linear_span_dim
+from .poly import MultiPoly, VarTable, is_polynomial_over, linear_span_dim
 from .endo import PolyMap, compose, invert_structured
+
+
+def _lifted(table):
+    """(lifted table, name of S): table's variables plus S, a name none of
+    them has, so that S's slot comes just before T's."""
+    s = "S"
+    while s in table.names:
+        s += "_"
+    return VarTable(table.p, table.names + (s,), table.invertible), s
+
+
+def _lift(lifted, f, at_s=False):
+    """f(T), from the table that lifted extends by S, as f(T) in lifted, or
+    as f(S) when at_s: the T exponent moves to the slot of T or of S, and
+    the other slot is 0."""
+    return MultiPoly(lifted, {e[:-1] + ((e[-1], 0) if at_s else (0, e[-1])): c
+                              for e, c in f.terms.items()})
 
 
 def check_axioms(table, images):
@@ -23,13 +45,13 @@ def check_axioms(table, images):
     for name, e in zip(table.names, images):
         if e.subs_T(zero) != table.var(name):
             return {"A1": False, "A2": False, "witness": name}
-    t1 = table.var("T1")
-    t2 = table.var("T2")
-    at_t1 = {n: e.substitute({"T": t1}) for n, e in zip(table.names, images)}
+    lifted, s = _lifted(table)
+    s_plus_t = {"T": lifted.var(s) + lifted.var("T")}
+    at_s = {n: _lift(lifted, e, at_s=True)
+            for n, e in zip(table.names, images)}
     for name, e in zip(table.names, images):
-        lhs = e.substitute({"T": t1 + t2})
-        rhs = e.substitute({"T": t2}).substitute(at_t1)
-        if lhs != rhs:
+        e = _lift(lifted, e)
+        if e.substitute(s_plus_t) != e.substitute(at_s):
             return {"A1": True, "A2": False, "witness": name}
     return {"A1": True, "A2": True, "witness": None}
 
@@ -44,8 +66,6 @@ class GaAction:
         for g in images:
             if isinstance(g, (int, Coeff)):
                 raise ValueError("action images must be polynomials")
-            if g.uses_var("T1") or g.uses_var("T2"):
-                raise ValueError("scratch parameters may not appear in images")
         self.table = table
         self.images = images
         if not _checked:
@@ -95,14 +115,13 @@ class GaAction:
 
 
 def additivity_check(lam):
-    """lam(T1+T2) = lam(T1) + lam(T2); in char p this means p-power
+    """lam(S+T) = lam(S) + lam(T); in char p this means p-power
     T-exponents only and no T-free part.  Coefficients from B are allowed
     (slice translations) and are treated as scalars."""
-    table = lam.table
-    t1 = table.var("T1")
-    t2 = table.var("T2")
-    return (lam.substitute({"T": t1 + t2})
-            == lam.substitute({"T": t1}) + lam.substitute({"T": t2}))
+    lifted, s = _lifted(lam.table)
+    at_t = _lift(lifted, lam)
+    return (at_t.substitute({"T": lifted.var(s) + lifted.var("T")})
+            == _lift(lifted, lam, at_s=True) + at_t)
 
 
 @dataclass

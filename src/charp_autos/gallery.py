@@ -67,9 +67,6 @@ class StarReport:
 class TriangularExample:
     p: int
     action: GaAction
-    coords: PolyMap
-    lam: MultiPoly
-    mu: MultiPoly
     report: StarReport
 
 
@@ -121,7 +118,7 @@ def build_example_triangular(p):
     report.add("E_not_restricts", carries,
                "witness %s in E(%s)" % (witness[1][1], witness[0])
                if witness else "")
-    return TriangularExample(p, action, coords, lam, mu, report)
+    return TriangularExample(p, action, report)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +158,6 @@ class NonExpFamily:
     table: VarTable
     lam: MultiPoly
     xt: MultiPoly
-    yt: MultiPoly
     g: MultiPoly
     translation: MultiPoly       # u^b (1 + u g)
     xi: MultiPoly                # E(y) - y, exact
@@ -281,7 +277,7 @@ def build_nonexp_family(p, d, l, g_expr=None):
               + g_expr.substitute({"y": table.var("y").scale(u ** ((p + 1) * d))})
               .scale(u)).scale(u ** b)
 
-    family = NonExpFamily(p, d, l, a, b, c, table, lam, xt, yt, g,
+    family = NonExpFamily(p, d, l, a, b, c, table, lam, xt, g,
                           translation, xi, coords, inv, f_expr)
 
     report = StarReport()
@@ -306,7 +302,7 @@ def build_nonexp_family(p, d, l, g_expr=None):
     report.add("E_not_restricts", not shift.is_zero(),
                "witness %s in E(x)" % witness)
     family.report = report
-    return family, report
+    return family
 
 
 def _in_u_power(f, e):
@@ -394,7 +390,6 @@ class RankRAction:
     table: VarTable
     fs: list
     action: GaAction
-    invariant_gens: list
     report: StarReport
 
 
@@ -472,7 +467,7 @@ def build_rank_r_action(n, r, p):
     report.add("rank_certificate",
                cert["rank_lower"] == r and cert["rank_upper"] == r,
                "bounds %s" % cert)
-    return RankRAction(p, n, r, table, fs, action, gens, report)
+    return RankRAction(p, n, r, table, fs, action, report)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +599,8 @@ def build_rank3_family(p, l, m):
 def epsilon_invariants(n, p):
     """Generators {x1^p - x1, x2, .., xn} of the invariant ring of
     eps = (x1+1, x2, .., xn), each verified."""
+    if n < 1:
+        raise BadParameters("need n >= 1")
     table = VarTable(p, tuple("x%d" % (i + 1) for i in range(n)))
     gens = [table.var("x1", p) - table.var("x1")]
     gens += [table.var(nm) for nm in table.names[1:]]

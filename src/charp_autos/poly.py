@@ -1,9 +1,10 @@
 """Sparse multivariate (optionally Laurent) polynomials over F_p(u).
 
-MultiPoly maps exponent tuples to nonzero Coeffs.  Every table reserves the
-action parameter T plus two scratch parameters T1, T2 (used for two-parameter
-axiom expansions); they are ordinary slots at the end of the exponent tuple
-and are never invertible.
+MultiPoly maps exponent tuples to nonzero Coeffs.  An exponent tuple holds
+one slot per variable of the VarTable, in its order, followed by one slot
+for the action parameter T, which every table reserves and which is never
+invertible.  Checks that need a second parameter (axiom (A2) in gaction)
+lift their operands into a table with one more variable.
 
 Negative exponents are permitted only on variables flagged invertible in the
 VarTable.  Powers use the base-p expansion of the exponent so that Frobenius
@@ -52,11 +53,11 @@ from .coeffs import Coeff, _CONSTANTS, check_prime, coeff_gcd_integral
 from .errors import (NegativeExponent, NonIntegralCoefficient, NotDivisible,
                      ZeroPolynomial)
 
-RESERVED = ("T", "T1", "T2")
+RESERVED = ("T",)
 
 
 class VarTable:
-    """Ordered ring variables plus the reserved action parameters."""
+    """Ordered ring variables plus the reserved action parameter T."""
 
     __slots__ = ("p", "names", "invertible", "all_names", "index", "_vcount")
 

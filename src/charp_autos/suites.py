@@ -10,9 +10,9 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .coeffs import Coeff
-from .errors import (AxiomViolation, NotAutomorphism, NotInCentralizer,
-                     UnknownSuite)
+from .coeffs import SUPPORTED_PRIMES, Coeff
+from .errors import (AxiomViolation, BadParameters, NotAutomorphism,
+                     NotInCentralizer, UnknownSuite)
 from .poly import VarTable, content_primitive
 from .endo import PolyMap, compose, conjugate, eps_map
 from .gaction import GaAction, check_axioms
@@ -197,16 +197,16 @@ def _suite_axioms(params):
     def nonexp_slice_axioms():
         # x-generator substitution is intractable here; the slice generator
         # system generates the same ring, so the axioms are checked there
-        fam, _ = gallery.build_nonexp_family(2, 3, 1)
+        fam = gallery.build_nonexp_family(2, 3, 1)
         rep = fam.slice_axioms()
-        fam3, _ = gallery.build_nonexp_family(3, 2, 1)
+        fam3 = gallery.build_nonexp_family(3, 2, 1)
         rep3 = fam3.slice_axioms()
         return (rep["A1"] and rep["A2"] and rep3["A1"] and rep3["A2"]), ""
     cases.append(("gallery-nonexp-slice-generators", nonexp_slice_axioms))
 
     def nonexp_small_e_y():
         # the tractable image: materialized E(y) equals y + xi exactly
-        fam, _ = gallery.build_nonexp_family(2, 3, 1)
+        fam = gallery.build_nonexp_family(2, 3, 1)
         action = fam.materialize_action()
         idx = list(action.table.names).index("y")
         return action.images[idx] == fam.e_y(), ""
@@ -301,11 +301,11 @@ def _suite_nonexp_family(params):
     cases = []
     for (p, d, l) in ((2, 3, 1), (3, 2, 1), (3, 4, 2)):
         def stars(p=p, d=d, l=l):
-            return gallery.build_nonexp_family(p, d, l)[1].outcome()
+            return gallery.build_nonexp_family(p, d, l).report.outcome()
         cases.append(("stars-%d-%d-%d" % (p, d, l), stars))
 
         def certificate(p=p, d=d, l=l):
-            fam, _ = gallery.build_nonexp_family(p, d, l)
+            fam = gallery.build_nonexp_family(p, d, l)
             cert = criteria.non_exponentiality_certificate(
                 fam.data(), restriction=(False, fam.restriction_witness()))
             return (cert.verdict == "NotExponentialOverR"
@@ -614,6 +614,42 @@ SUITES = {
 }
 
 
+# The parameters each suite reads besides seed, which every suite accepts
+# (the seed-free ones ignore it): the characteristics its constructions
+# accept if it reads p, None if it does not, and whether it reads count.
+_READS = {
+    "axioms": ((2, 3), False),
+    "thm15-n2": (SUPPORTED_PRIMES, True),
+    "maubach": (SUPPORTED_PRIMES, True),
+    "ex-triangular": ((2, 3, 5), False),
+    "nonexp-family": (None, False),
+    "rank3": ((2, 3), False),
+    "rank-r": ((2, 3), False),
+    "jvdk": (SUPPORTED_PRIMES, True),
+    "centralizer": (SUPPORTED_PRIMES, True),
+    "f-and-fh": (SUPPORTED_PRIMES, True),
+    "gauss": (SUPPORTED_PRIMES, True),
+    "fixed-point": (SUPPORTED_PRIMES, True),
+}
+
+
+def _check_params(name, params):
+    """BadParameters unless the suite reads every given parameter, at a p
+    its constructions accept and a count of at least 1."""
+    primes, reads_count = _READS[name]
+    reads = {"seed"} | ({"p"} if primes else set()) \
+        | ({"count"} if reads_count else set())
+    unread = sorted(set(params) - reads)
+    if unread:
+        raise BadParameters("suite %s does not read %s"
+                            % (name, ", ".join(unread)))
+    if "p" in params and params["p"] not in primes:
+        raise BadParameters("suite %s runs at p in %s, not %s"
+                            % (name, primes, params["p"]))
+    if params.get("count", 1) < 1:
+        raise BadParameters("count must be at least 1")
+
+
 def _seed(params):
     return params.get("seed", 7)
 
@@ -628,8 +664,13 @@ def run_suite(name, **params):
         raise UnknownSuite("unknown suite %r; known: %s"
                            % (name, ", ".join(sorted(SUITES))))
     params = {k: v for k, v in params.items() if v is not None}
+    _check_params(name, params)
+    cases = SUITES[name](params)
+    if not cases:
+        raise BadParameters("suite %s has no cases at %s"
+                            % (name, _param_str(params)))
     results = []
-    for cid, thunk in SUITES[name](params):
+    for cid, thunk in cases:
         start = time.monotonic()
         try:
             ok, witness = thunk()

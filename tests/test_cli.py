@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from charp_autos.cli import main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -175,3 +177,64 @@ def test_closed_stdout_exits_quietly():
         proc.kill()
         proc.stderr.close()
     assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ("parse", "coeff", "3", "--p", "11"),
+    ("expo", "(x1+1, x2+x1^2)", "--p", "11"),
+    ("plane", "factor", "(x1+x2^2, x2)", "--p", "11"),
+    ("criteria", "certify", "--p", "11"),
+    ("gallery", "eps-invariants", "--p", "11"),
+    ("suite", "run", "thm15-n2", "--p", "11"),
+])
+def test_unsupported_p_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "UnsupportedP: characteristic must be one of (2, 3, 5, 7), got 11"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("gallery", "rank3", "--p", "5"),
+     "BadParameters: need p in {2,3} and small l, m >= 0"),
+    (("gallery", "F", "--n", "2"), "BadParameters: need n >= 3"),
+    (("gallery", "eps-invariants", "--n", "0"), "BadParameters: need n >= 1"),
+    (("criteria", "certify", "--d", "4"),
+     "BadParameters: need d >= 2 prime to p and l >= 0"),
+])
+def test_construction_parameters_out_of_range_are_usage_errors(capsys, argv,
+                                                               message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("suite", "run", "nonexp-family", "--p", "5"),
+     "suite nonexp-family does not read p"),
+    (("suite", "run", "ex-triangular", "--count", "3"),
+     "suite ex-triangular does not read count"),
+    (("suite", "run", "rank3", "--p", "5"),
+     "suite rank3 runs at p in (2, 3), not 5"),
+    (("suite", "run", "thm15-n2", "--count", "0"),
+     "count must be at least 1"),
+    (("suite", "run", "maubach", "--count", "1", "--p", "2"),
+     "suite maubach has no cases at count=1 p=2"),
+])
+def test_suite_rejects_parameters_it_does_not_use(capsys, monkeypatch, argv,
+                                                   message):
+    """Before any case runs: no case thunk is even built."""
+    from charp_autos import suites
+    name = argv[2]
+    build = suites.SUITES[name]
+    built = []
+
+    def spy(params):
+        cases = build(params)
+        built.extend(cases)
+        return cases
+    monkeypatch.setitem(suites.SUITES, name, spy)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["BadParameters: " + message]
+    assert built == []

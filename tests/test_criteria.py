@@ -113,7 +113,7 @@ def test_certificate_accepts_precomputed_restriction():
     ident = PolyMap.identity(t)
     data = GenericElementaryData(ident, ident, t.var("y"), ("y",))
     cert = non_exponentiality_certificate(
-        data, restriction=(False, ("x", ((0, 0, 0, 0, 0), Coeff.u(p).inv()))))
+        data, restriction=(False, ("x", ((0, 0, 0), Coeff.u(p).inv()))))
     assert cert.verdict == "NotExponentialOverR"
 
 

@@ -158,3 +158,45 @@ def test_rank_certificate_rank3_lower_bound():
         + f ** (p2 - p) * t.var("x2", p - 1)
     cert = rank_certificate(None, [f, g], [])
     assert cert["rank_lower"] == 3
+
+
+def _axiom_cases(names):
+    """(images, verdict) pairs for check_axioms on VarTable(3, names), with
+    the witness given as a generator index."""
+    t = VarTable(3, names)
+    a, b = (t.var(n) for n in names)
+    T = t.var("T")
+    return t, [
+        ([a + T, b], (True, True, None)),
+        ([a + b * T, b], (True, True, None)),
+        ([a + T + t.var("T", 3), b + a.scale(Coeff.u(3))], (False, False, 1)),
+        ([a + a * T, b], (True, False, 0)),
+        ([a + T + t.one(), b], (False, False, 0)),
+        ([a + T, b + a * T], (True, False, 1)),
+        ([a + T + t.var("T", 3), b], (True, True, None)),
+    ]
+
+
+def _additivity_cases(t):
+    """(lam, additive?) pairs on t, coefficients from t's variables."""
+    b = t.var(t.names[1])
+    T = t.var("T")
+    return [(T, True), (b * T + b * b * t.var("T", 3), True),
+            (T * T, False), (b * T + t.one(), False), (b * T * T, False)]
+
+
+def test_axiom_verdicts_do_not_depend_on_variable_names():
+    """check_axioms and additivity_check work in a table lifted by one
+    variable S, named apart from the caller's: tables naming S, or the name
+    chosen for S on another table, give the same verdicts."""
+    from charp_autos.gaction import _lifted
+    chosen = _lifted(VarTable(3, ("x1", "x2")))[1]
+    for names in (("x1", "x2"), ("S", "x2"), ("x1", "S"), ("S", "S_"),
+                  ("x1", chosen), (chosen, chosen + "_")):
+        t, cases = _axiom_cases(names)
+        for images, (a1, a2, witness) in cases:
+            assert check_axioms(t, images) == {
+                "A1": a1, "A2": a2,
+                "witness": None if witness is None else names[witness]}
+        for lam, additive in _additivity_cases(t):
+            assert additivity_check(lam) == additive

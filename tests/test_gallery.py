@@ -66,11 +66,11 @@ def test_nonexp_wrong_inverse_raises(monkeypatch):
 
 
 def test_nonexp_constants():
-    fam, _ = build_nonexp_family(2, 3, 1)
+    fam = build_nonexp_family(2, 3, 1)
     assert (fam.a, fam.b, fam.c) == (2, 7, 8)
-    fam, _ = build_nonexp_family(3, 2, 1)
+    fam = build_nonexp_family(3, 2, 1)
     assert (fam.a, fam.b, fam.c) == (5, 5, 21)
-    fam, _ = build_nonexp_family(3, 4, 2)
+    fam = build_nonexp_family(3, 4, 2)
     assert (fam.a, fam.b, fam.c) == (13, 13, 57)
     with pytest.raises(BadParameters):
         build_nonexp_family(2, 4, 1)    # p | d
@@ -80,8 +80,8 @@ def test_nonexp_constants():
 
 @pytest.mark.parametrize("p,d,l", [(2, 3, 1), (3, 2, 1), (3, 4, 2)])
 def test_nonexp_star_reports(p, d, l):
-    fam, report = build_nonexp_family(p, d, l)
-    assert report.all_ok(), report.to_text()
+    fam = build_nonexp_family(p, d, l)
+    assert fam.report.all_ok(), fam.report.to_text()
     assert fam.slice_axioms() == {"A1": True, "A2": True, "witness": None}
 
 
@@ -100,7 +100,7 @@ def test_nonexp_suite_cases_build_their_own_member(monkeypatch):
 def test_nonexp_dual_route_small_parameters():
     # at (2,3,1) the action is materializable: the truncated-arithmetic
     # verdicts must agree with the explicit images
-    fam, report = build_nonexp_family(2, 3, 1)
+    fam = build_nonexp_family(2, 3, 1)
     action = fam.materialize_action()
     names = list(action.table.names)
     assert action.images[names.index("y")] == fam.e_y()
@@ -122,19 +122,19 @@ def test_nonexp_dual_route_small_parameters():
 
 def test_nonexp_certificate_round_trip():
     for (p, d, l) in [(2, 3, 1), (3, 2, 1)]:
-        fam, report = build_nonexp_family(p, d, l)
+        fam = build_nonexp_family(p, d, l)
         cert = non_exponentiality_certificate(
             fam.data(), restriction=(False, fam.restriction_witness()))
         assert cert.verdict == "NotExponentialOverR"
         assert cert.stability.pattern == "every-variable-monomial"
     # direct route at the small parameters agrees
-    fam, _ = build_nonexp_family(2, 3, 1)
+    fam = build_nonexp_family(2, 3, 1)
     cert = non_exponentiality_certificate(fam.data())
     assert cert.verdict == "NotExponentialOverR"
 
 
 def test_nonexp_sigma_is_order_p_structurally():
-    fam, _ = build_nonexp_family(2, 3, 1)
+    fam = build_nonexp_family(2, 3, 1)
     action = fam.materialize_action()
     sigma = action.evaluate(1)
     # sigma moves xt by the nonzero translation, so sigma != id; order
@@ -144,7 +144,7 @@ def test_nonexp_sigma_is_order_p_structurally():
 
 
 def test_refuses_materializing_large_family():
-    fam, _ = build_nonexp_family(3, 4, 2)
+    fam = build_nonexp_family(3, 4, 2)
     with pytest.raises(BadParameters):
         fam.materialize_action()
 

@@ -3,6 +3,8 @@ import pytest
 from charp_autos.coeffs import Coeff
 from charp_autos.errors import (NegativeExponent, NonIntegralCoefficient,
                                 NotDivisible, ZeroPolynomial)
+from charp_autos.endo import PolyMap
+from charp_autos.gaction import GaAction
 from charp_autos.poly import (_PACK_MIN_PRODUCTS, MultiPoly, VarTable,
                               content_primitive, exact_div,
                               express_in_invariant, is_polynomial_over,
@@ -178,9 +180,9 @@ def test_is_polynomial_over_witness_is_grlex_least():
     terms = {}
     for x1, x2, c in ((3, 1, u_inv), (0, 1, u_inv), (2, 0, one),
                       (1, 1, u_inv)):
-        terms[(x1, x2, 0, 0, 0)] = c
+        terms[(x1, x2, 0)] = c
     ok, witness = is_polynomial_over(MultiPoly(t, terms), "R")
-    assert not ok and witness == ((0, 1, 0, 0, 0), u_inv)
+    assert not ok and witness == ((0, 1, 0), u_inv)
 
 
 def test_is_polynomial_over_rejects_an_unknown_ring():
@@ -298,3 +300,27 @@ def test_only_products_that_may_pack_scan_their_coefficients(monkeypatch):
     assert calls == []
     packed = x_plus_2 * large
     assert calls and packed == t.var("x") * large + large.scale(2)
+
+
+def test_exponent_tuple_is_the_variables_then_T():
+    for names in ((), ("x",), ("x1", "x2", "x3")):
+        t = VarTable(3, names)
+        assert len(t.zero_exp()) == t.nvars + 1
+        assert t.all_names == names + ("T",)
+        assert list(t.var("T").terms) == [(0,) * t.nvars + (1,)]
+    with pytest.raises(ValueError):
+        VarTable(3, ("x", "T"))
+
+
+def test_T1_and_T2_are_ordinary_variable_names():
+    """T is the only reserved name: a table may name variables T1, T2,
+    and maps and actions may use them like any other variable."""
+    t = VarTable(3, ("T1", "T2"))
+    f = t.parse("T1*T2 + T^2")
+    assert str(f) == "T1*T2 + T^2"
+    assert f.substitute({"T1": t.var("T2")}) == t.parse("T2^2 + T^2")
+    swap = PolyMap(t, [t.var("T2"), t.var("T1")])
+    assert swap.apply(f) == f
+    action = GaAction(t, [t.parse("T1 + T2*T"), t.var("T2")])
+    assert action.evaluate(1) == PolyMap(t, [t.parse("T1 + T2"),
+                                             t.var("T2")])

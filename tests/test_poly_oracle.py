@@ -2,8 +2,9 @@
 substitute, exact_div and content_primitive against sympy's sparse
 polynomial rings over GF(p), GF(p)[u] and GF(p)(u).
 
-Operands live in x, y and the action parameter T (the packed-product test
-also uses T1); the other reserved slots stay zero.  Prime-field results are
+Operands live in a table over x, y and z, so an exponent tuple is
+(x, y, z, T).  Most tests draw over x, y and T with z at zero; the
+packed-product test lets all four slots vary.  Prime-field results are
 compared as dicts of exponent tuple -> residue in [0, p); F_p(u) results
 are mapped into sympy's ring and their difference from sympy's result must
 be zero.
@@ -26,8 +27,8 @@ from charp_autos.poly import (_PACK_MIN_PRODUCTS, MultiPoly, VarTable,
 PRIMES = (2, 3, 5, 7)
 ORACLE = settings(max_examples=40, deadline=None)
 
-_EXPS = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2),
-                  st.just(0), st.just(0))
+_EXPS = st.tuples(st.integers(0, 3), st.integers(0, 3), st.just(0),
+                  st.integers(0, 2))
 
 
 @st.composite
@@ -42,7 +43,7 @@ def operands(draw, count, max_size=5):
 
 
 def rings(p, invertible=()):
-    table = VarTable(p, ("x", "y"), invertible)
+    table = VarTable(p, ("x", "y", "z"), invertible)
     oracle = ring(",".join(table.all_names), GF(p), grlex)[0]
     return table, oracle
 
@@ -62,8 +63,8 @@ def as_dict(poly, p):
     return {e: int(c) % p for e, c in poly.terms() if int(c) % p}
 
 
-X, Y, T = (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)
-XT, ONE = (1, 0, 1, 0, 0), (0, 0, 0, 0, 0)
+X, Y, T = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)
+XT, ONE = (1, 0, 0, 1), (0, 0, 0, 0)
 
 
 @given(operands(2))
@@ -86,12 +87,12 @@ def test_mul_matches_sympy(case):
 _PROFILES = ((0,), (3,), (0, 1, 2, 3), (5, 6, 7), (2 ** 31, 2 ** 31 + 1),
              (0, 1, 2, 2 ** 31 + 1))
 _NEGATIVE = (-2, -1, 0, 1)
-_SLOTS = 4                          # x, y, T, T1; T2 stays zero
+_SLOTS = 4                          # x, y, z, T
 
 
 @st.composite
 def slot_operand(draw, p, sizes):
-    """A nonzero F_p term dict over x, y, T and T1: each slot draws its
+    """A nonzero F_p term dict over x, y, z and T: each slot draws its
     exponents from one profile, and the terms are distinct points of the
     box those profiles span, as many as one of sizes or the whole box."""
     profiles = [draw(st.sampled_from(_PROFILES + ((_NEGATIVE,) if i == 0
@@ -102,7 +103,7 @@ def slot_operand(draw, p, sizes):
     exps = draw(st.permutations(box))[:size]
     coeffs = draw(st.lists(st.integers(1, p - 1), min_size=size,
                            max_size=size))
-    return {e + (0,): c for e, c in zip(exps, coeffs)}
+    return dict(zip(exps, coeffs))
 
 
 @st.composite
@@ -124,10 +125,10 @@ def sympy_product(oracle, p, f, g):
         theirs(oracle, shifted[0]) * theirs(oracle, shifted[1]), p).items()}
 
 
-X1, XY = (1, 0, 0, 0, 0), (1, 1, 0, 0, 0)
+X1, XY = (1, 0, 0, 0), (1, 1, 0, 0)
 HALF = _PACK_MIN_PRODUCTS // 2
-SUM_XH = {(i, 0, 0, 0, 0): 1 for i in range(HALF)}    # 1 + x + .. + x^(HALF-1)
-WIDE = {(0, 0, 1, 2 ** 31 + 1, 0): 1, (-2, 1, 0, 0, 0): 2, (1, 0, 2, 1, 0): 1}
+SUM_XH = {(i, 0, 0, 0): 1 for i in range(HALF)}    # 1 + x + .. + x^(HALF-1)
+WIDE = {(0, 0, 2 ** 31 + 1, 1): 1, (-2, 1, 0, 0): 2, (1, 0, 1, 2): 1}
 
 
 @given(packed_operands())
@@ -139,11 +140,11 @@ WIDE = {(0, 0, 1, 2 ** 31 + 1, 0): 1, (-2, 1, 0, 0, 0): 2, (1, 0, 2, 1, 0): 1}
 # (x - 1) SUM_XH = x^HALF - 1 at p = 5
 @example((2, {X1: 1, ONE: 1}, SUM_XH))
 @example((5, {X1: 1, ONE: 4}, SUM_XH))
-# y and T1 the same in every term of both operands, x spanning two values
-@example((7, {XY: 3, (0, 1, 0, 0, 0): 5},
-          {(0, 1, j, 0, 0): 1 + j % 6 for j in range(70)}))
-# negative exponents of x and a span above 2^31 in T1
-@example((7, WIDE, {(i, j, 0, 0, 0): 1 + (i * j) % 6
+# y and z the same in every term of both operands, x spanning two values
+@example((7, {XY: 3, (0, 1, 0, 0): 5},
+          {(0, 1, 0, j): 1 + j % 6 for j in range(70)}))
+# negative exponents of x and a span above 2^31 in z
+@example((7, WIDE, {(i, j, 0, 0): 1 + (i * j) % 6
                     for i in range(-2, 6) for j in range(8)}))
 def test_fp_product_matches_sympy_on_both_sides_of_packing(case):
     """Prime-field products of operands with up to 16 * 40 term products,
@@ -182,7 +183,7 @@ def test_substitute_matches_sympy(case):
     table, oracle = rings(p)
     got = ours(table, f).substitute(
         {"x": ours(table, gx), "y": ours(table, gy), "T": ours(table, gt)})
-    x, y, t = oracle.gens[:3]
+    x, y, _, t = oracle.gens
     want = theirs(oracle, f).compose(
         [(x, theirs(oracle, gx)), (y, theirs(oracle, gy)),
          (t, theirs(oracle, gt))])
@@ -261,7 +262,7 @@ def frac_operands(draw, count, max_size=3, integral=False):
 
 
 def frac_rings(p):
-    table = VarTable(p, ("x", "y"))
+    table = VarTable(p, ("x", "y", "z"))
     oracle = ring(",".join(table.all_names), GF(p).frac_field(_U), grlex)[0]
     return table, oracle
 
@@ -312,7 +313,7 @@ def test_frac_substitute_matches_sympy(case):
     table, oracle = frac_rings(p)
     got = frac_ours(table, f).substitute(
         {"x": frac_ours(table, gx), "T": frac_ours(table, gt)})
-    x, _, t = oracle.gens[:3]
+    x, _, _, t = oracle.gens
     want = frac_theirs(oracle, f).compose(
         [(x, frac_theirs(oracle, gx)), (t, frac_theirs(oracle, gt))])
     assert not (frac_mirror(oracle, got) - want)
@@ -334,7 +335,7 @@ def test_content_primitive_matches_sympy(case, data):
     p, (f,) = case
     factor = data.draw(st.lists(st.integers(0, p - 1), min_size=1,
                                 max_size=3).filter(any))
-    table = VarTable(p, ("x", "y"))
+    table = VarTable(p, ("x", "y", "z"))
     domain = GF(p)[_U]
     oracle = ring(",".join(table.all_names), domain, grlex)[0]
     k = domain.ring.from_dict({(i,): c for i, c in enumerate(factor) if c})
