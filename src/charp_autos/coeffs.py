@@ -27,6 +27,11 @@ of one table, _CONSTANTS, which poly's prime-field products hand out too.
 Sharing is safe because a Coeff is never changed once built: only this
 module assigns num and den, and only to a Coeff it is creating.
 
+Elements of F_p[u, 1/u] (is_laurent) are also sums of terms a*u^k.
+poly's packed products read them as such (u_terms) and hand the u-terms
+of each result term back to from_u_terms, which builds the canonical
+Coeff directly, so that num and den stay this module's business.
+
 Dense polynomials are tuples of ints in [0, p), index = degree, with no
 trailing zeros; the zero polynomial is the empty tuple.
 """
@@ -216,6 +221,10 @@ class Coeff:
         """Membership in the prime field F_p."""
         return len(self.num) <= 1 and self.den == (1,)
 
+    def is_laurent(self):
+        """Membership in F_p[u, 1/u]: the denominator is a power of u."""
+        return not any(self.den[:-1])
+
     def is_one(self):
         return self.num == (1,) and self.den == (1,)
 
@@ -229,6 +238,13 @@ class Coeff:
         if not self.num:
             return None
         return _uval(self.num) - _uval(self.den)
+
+    def u_terms(self):
+        """(k, a) pairs with self = sum(a*u^k), for self in F_p[u, 1/u]: one
+        pair per nonzero term, a the shared constant of F_p."""
+        consts = _CONSTANTS[self.p]
+        m = len(self.den) - 1
+        return [(i - m, consts[a]) for i, a in enumerate(self.num) if a]
 
     def divisible_by_u_power(self, e):
         """Membership in u^e * F_p[u]."""
@@ -380,6 +396,42 @@ def _canonical(p, num, den=(1,)):
 # p -> (0, 1, .., p-1) as canonical constant Coeffs, shared by every caller
 _CONSTANTS = {p: tuple(_canonical(p, (k,) if k else ()) for k in range(p))
               for p in SUPPORTED_PRIMES}
+
+
+def from_u_terms(p, groups):
+    """{key: the Coeff sum(a*u^k)} for a dict of nonempty lists of (k, a)
+    pairs with distinct k, each a a shared nonzero constant (as u_terms
+    gives them).  A constant is the shared a itself, and each distinct
+    monomial c*u^k is built once and shared by every key that has it."""
+    monomials = {}
+    out = {}
+    for key, terms in groups.items():
+        if len(terms) > 1:
+            out[key] = _from_u_terms(p, terms)
+            continue
+        k, a = terms[0]
+        if not k:
+            out[key] = a
+            continue
+        mono = k * p + a.num[0]             # one int per (k, a)
+        got = monomials.get(mono)
+        if got is None:
+            got = monomials[mono] = _from_u_terms(p, terms)
+        out[key] = got
+    return out
+
+
+def _from_u_terms(p, terms):
+    """sum(a*u^k), canonical as built: over u^-lo when the least k, lo, is
+    negative (its term makes the numerator prime to u), else integral."""
+    ks = [k for k, _ in terms]
+    lo = min(ks)
+    num = [0] * (max(ks) - lo + 1)
+    for k, a in terms:
+        num[k - lo] = a.num[0]
+    if lo < 0:
+        return _canonical(p, tuple(num), (0,) * -lo + (1,))
+    return _canonical(p, (0,) * lo + tuple(num))
 
 
 def coeff_gcd_integral(values):

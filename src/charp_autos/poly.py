@@ -16,28 +16,41 @@ it adds to the remainder must also be pushed onto its heap of live keys.
 
 MultiPoly.__mul__ has two paths.  A product of at least
 _PACK_MIN_PRODUCTS = 32 term products, with more than one term in each
-operand and every coefficient in F_p, goes to _fp_product.  It packs each
-exponent tuple into one int, mixed radix over the slots that vary in this
-product (packed monomials as in Monagan & Pearce, JSC 2011), so a term
-product is one int addition and each result term is decoded once; the
-coefficient products are summed as plain ints and reduced mod p once per
-result term (as in sympy's galoistools gf_mul).  Every other product runs
-the _accumulate loop.  The size test comes first, so a smaller product never
-scans its coefficients, and on F_p the loop allocates no Coeff: coeffs
-hands out one shared constant per residue.  Encoding both operands and
-decoding the result cost more than they save on small products, and a
-one-term operand saves nothing, since each of its term products is a result
-term of its own.  Packed/loop time ratios by term products, replaying the
-recorded F_p products (both operands above one term) of the
-seeded-instances, rank3 and gallery-axioms workloads at seed 7 (2 cores,
-Python 3.11):
+operand and every coefficient in F_p[u, 1/u] (a denominator that is a
+power of u), takes the packed kernel _fp_product.  It packs each exponent
+tuple into one int, mixed radix over the slots that vary in this product
+(packed monomials as in Monagan & Pearce, JSC 2011), so a term product is
+one int addition and each result term is decoded once; the coefficient
+products are summed as plain ints and reduced mod p once per result term
+(as in sympy's galoistools gf_mul).  When every coefficient is in F_p the
+operands go to _fp_product as they are.  Otherwise _laurent_product first
+expands each term c*x^e, c = sum(a*u^k), into its F_p terms a*x^e*u^k with
+k as one more exponent slot, and coeffs regroups the product's u-terms
+under each x^e into one Coeff, with no reduction.  Every other product runs
+the _accumulate loop, which reduces a fraction per term product.  The size
+test comes first, so a smaller product never scans its coefficients, and
+on F_p the loop allocates no Coeff: coeffs hands out one shared constant
+per residue.  Encoding both operands and decoding the result cost more
+than they save on small products, and a one-term operand saves nothing,
+since each of its term products is a result term of its own.
+
+Packed/loop time ratios by term products, replaying the recorded products
+(both operands above one term) of the seeded-instances, rank3 and
+gallery-axioms workloads at seed 7 (2 cores, Python 3.11), first those
+with every coefficient in F_p, then those in F_p[u, 1/u] but not all in
+F_p, which only seeded-instances and gallery-axioms make:
 
     term products   < 8  < 16  < 24  < 32  < 48  < 64  < 128  < 256  < 2048
-    packed / loop  2.54  1.83  1.36  0.93  0.69  0.66   0.55   0.43    0.30
+    F_p            2.54  1.83  1.36  0.93  0.69  0.66   0.55   0.43    0.30
+    F_p[u, 1/u]    2.78  1.86  1.30  0.85  0.71  0.68   0.48   0.37    0.29
 
-The ratio crosses 1 between 16 and 32 term products.  On the same replay a
-threshold of 32 is no slower than one of 128 on any of the three workloads:
-52, 15 and 2.5 ms in all against 57, 16 and 2.5 ms.
+and 0.14 for the one F_p[u, 1/u] product above 2048.  Both ratios cross 1
+between 16 and 32 term products, so one threshold serves both.  On the
+same replay a threshold of 32 is no slower than one of 128 on the F_p
+products of any workload: 52, 15 and 2.5 ms in all against 57, 16 and
+2.5 ms.  On the F_p[u, 1/u] products it is no slower than leaving them all
+on the loop: 158 and 43 ms against 166 and 189 ms on seeded-instances and
+gallery-axioms, and within 3% of the best threshold, 24.
 
 exact_div has no prime-field path: on the rank3 suite one measured
 2.59/2.26/2.16 s against 2.74/2.29/2.94 s without, within noise.  Term dicts
@@ -49,7 +62,8 @@ import heapq
 from itertools import repeat
 from operator import add, floordiv, mod, mul, sub
 
-from .coeffs import Coeff, _CONSTANTS, check_prime, coeff_gcd_integral
+from .coeffs import (Coeff, _CONSTANTS, check_prime, coeff_gcd_integral,
+                     from_u_terms)
 from .errors import (NegativeExponent, NonIntegralCoefficient, NotDivisible,
                      ZeroPolynomial)
 
@@ -160,8 +174,8 @@ def _accumulate(out, pairs):
 
 
 # Products of at least this many term products, with more than one term in
-# each operand and every coefficient in F_p, take _fp_product (see the
-# module docstring).
+# each operand and every coefficient in F_p[u, 1/u], take _fp_product (see
+# the module docstring).
 _PACK_MIN_PRODUCTS = 32
 
 
@@ -229,6 +243,21 @@ def _fp_product(p, lhs, rhs):
         columns[i] = map(add, map(mod, keys, repeat(span)), repeat(base[i]))
         keys = list(map(floordiv, keys, repeat(span)))
     return dict(zip(zip(*columns), coeffs))
+
+
+def _laurent_product(p, lhs, rhs):
+    """Product of two term dicts with coefficients in F_p[u, 1/u] on
+    _fp_product.  Each term c*x^e expands into the F_p terms a*x^e*u^k of
+    c = sum(a*u^k), with k as one more exponent slot, which may be negative;
+    the product's terms are then regrouped under each x^e into one Coeff.
+    A result term that is one monomial c*u^k shares that Coeff with every
+    other such term of this product."""
+    wide = [{e + (k,): a for e, c in terms.items() for k, a in c.u_terms()}
+            for terms in (lhs, rhs)]
+    groups = {}
+    for e, a in _fp_product(p, *wide).items():
+        groups.setdefault(e[:-1], []).append((e[-1], a))
+    return from_u_terms(p, groups)
 
 
 class MultiPoly:
@@ -341,10 +370,15 @@ class MultiPoly:
         lhs, rhs = self.terms, other.terms
         if len(lhs) > len(rhs):
             lhs, rhs = rhs, lhs
-        if (len(lhs) > 1 and len(lhs) * len(rhs) >= _PACK_MIN_PRODUCTS
-                and all(map(Coeff.is_constant, lhs.values()))
-                and all(map(Coeff.is_constant, rhs.values()))):
-            return MultiPoly(self.table, _fp_product(self.table.p, lhs, rhs))
+        if len(lhs) > 1 and len(lhs) * len(rhs) >= _PACK_MIN_PRODUCTS:
+            if (all(map(Coeff.is_constant, lhs.values()))
+                    and all(map(Coeff.is_constant, rhs.values()))):
+                return MultiPoly(self.table,
+                                 _fp_product(self.table.p, lhs, rhs))
+            if (all(map(Coeff.is_laurent, lhs.values()))
+                    and all(map(Coeff.is_laurent, rhs.values()))):
+                return MultiPoly(self.table,
+                                 _laurent_product(self.table.p, lhs, rhs))
         out = {}
         rhs = rhs.items()
         for e1, c1 in lhs.items():

@@ -194,14 +194,16 @@ def _suite_axioms(params):
             return criteria.a_rigid_counter_action(table, Coeff.u(p))[0]
         action_case("criteria-counter-p%d" % p, counter_action)
 
+    # the cases below are built at one fixed p each, and run only when
+    # that p is selected
+    slice_families = [pdl for pdl in ((2, 3, 1), (3, 2, 1)) if pdl[0] in ps]
+
     def nonexp_slice_axioms():
         # x-generator substitution is intractable here; the slice generator
         # system generates the same ring, so the axioms are checked there
-        fam = gallery.build_nonexp_family(2, 3, 1)
-        rep = fam.slice_axioms()
-        fam3 = gallery.build_nonexp_family(3, 2, 1)
-        rep3 = fam3.slice_axioms()
-        return (rep["A1"] and rep["A2"] and rep3["A1"] and rep3["A2"]), ""
+        reps = [gallery.build_nonexp_family(*pdl).slice_axioms()
+                for pdl in slice_families]
+        return all(rep["A1"] and rep["A2"] for rep in reps), ""
     cases.append(("gallery-nonexp-slice-generators", nonexp_slice_axioms))
 
     def nonexp_small_e_y():
@@ -210,7 +212,6 @@ def _suite_axioms(params):
         action = fam.materialize_action()
         idx = list(action.table.names).index("y")
         return action.images[idx] == fam.e_y(), ""
-    cases.append(("gallery-nonexp-231-image", nonexp_small_e_y))
 
     def corrupted_a2():
         table = VarTable(2, ("x1", "x2"))
@@ -222,19 +223,22 @@ def _suite_axioms(params):
             constructed = False
         return (not rep["A2"]) and rep["A1"] and not constructed, \
             "witness %s" % rep["witness"]
-    cases.append(("corrupted-multiplicative", corrupted_a2))
 
     def corrupted_a1():
         table = VarTable(2, ("x1", "x2"))
         rep = check_axioms(table, [table.parse("x1+T+1"), table.var("x2")])
         return not rep["A1"], ""
-    cases.append(("corrupted-shifted", corrupted_a1))
 
     def corrupted_mixed():
         table = VarTable(3, ("x1", "x2"))
         rep = check_axioms(table, [table.parse("x1+T"), table.parse("x2+x1*T")])
         return rep["A1"] and not rep["A2"], "witness %s" % rep["witness"]
-    cases.append(("corrupted-noninvariant-slope", corrupted_mixed))
+
+    cases.extend((cid, thunk) for p, cid, thunk in (
+        (2, "gallery-nonexp-231-image", nonexp_small_e_y),
+        (2, "corrupted-multiplicative", corrupted_a2),
+        (2, "corrupted-shifted", corrupted_a1),
+        (3, "corrupted-noninvariant-slope", corrupted_mixed)) if p in ps)
     return cases
 
 
@@ -271,11 +275,12 @@ def _suite_maubach(params):
     seed = _seed(params)
     cases = []
     for p in ps:
-        for n in (2, 3):
+        # count cases per p: the odd one out goes to n = 2
+        for n, per_n in ((2, (count + 1) // 2), (3, count // 2)):
             lcg = Lcg(seed * 271 + 10 * p + n)
             table = VarTable(p, tuple("x%d" % (i + 1) for i in range(n)))
             maxdeg = 2 if p == 5 else 3
-            for k in range(count // 2):
+            for k in range(per_n):
                 psi = _sample_strict_triangular(lcg, table, maxdeg=maxdeg)
                 a = Coeff.from_int(p, lcg.draw_nonzero(p))
 
@@ -468,8 +473,11 @@ def _suite_gauss(params):
     seed = _seed(params)
     cases = []
     ps = _plist(params, (2, 3))
-    per_p = max(1, count // len(ps))
-    for p in ps:
+    for i, p in enumerate(ps):
+        # count pairs in all, the remainder one each to the first primes
+        per_p = count // len(ps) + (i < count % len(ps))
+        if not per_p:
+            continue
         table = VarTable(p, ())
         lcg = Lcg(seed * 53 + p)
 

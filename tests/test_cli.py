@@ -218,8 +218,6 @@ def test_construction_parameters_out_of_range_are_usage_errors(capsys, argv,
      "suite rank3 runs at p in (2, 3), not 5"),
     (("suite", "run", "thm15-n2", "--count", "0"),
      "count must be at least 1"),
-    (("suite", "run", "maubach", "--count", "1", "--p", "2"),
-     "suite maubach has no cases at count=1 p=2"),
 ])
 def test_suite_rejects_parameters_it_does_not_use(capsys, monkeypatch, argv,
                                                    message):
@@ -238,3 +236,30 @@ def test_suite_rejects_parameters_it_does_not_use(capsys, monkeypatch, argv,
     assert (code, out) == (2, "")
     assert err.splitlines() == ["BadParameters: " + message]
     assert built == []
+
+
+def test_suite_count_is_the_number_of_cases(capsys):
+    """maubach runs count cases per p, the odd one at n = 2; gauss runs
+    count pairs in all, the remainder one each to the first primes, and no
+    case at a prime that gets no pair."""
+    code, out, _ = run(capsys, "suite", "run", "maubach", "--count", "1",
+                       "--p", "2")
+    assert (code, out.splitlines()) == (0, [
+        "suite maubach  count=1 p=2", "p2-n2-00: pass", "1/1 passed"])
+    code, out, _ = run(capsys, "suite", "run", "maubach", "--count", "3",
+                       "--p", "5")
+    assert code == 0 and [line.split(":")[0] for line in out.splitlines()[
+        1:-1]] == ["p5-n2-00", "p5-n2-01", "p5-n3-00"]
+    code, out, _ = run(capsys, "suite", "run", "gauss", "--count", "3")
+    assert (code, out.splitlines()) == (0, [
+        "suite gauss  count=3",
+        "p2-composition: pass  [2 pairs]",
+        "p2-content-multiplicative: pass  [2 pairs]",
+        "p3-composition: pass  [1 pairs]",
+        "p3-content-multiplicative: pass  [1 pairs]",
+        "4/4 passed"])
+    code, out, _ = run(capsys, "suite", "run", "gauss", "--count", "1")
+    assert (code, out.splitlines()[1:]) == (0, [
+        "p2-composition: pass  [1 pairs]",
+        "p2-content-multiplicative: pass  [1 pairs]",
+        "2/2 passed"])

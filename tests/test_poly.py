@@ -280,14 +280,14 @@ def test_pow_matches_repeated_multiplication():
 
 
 def test_only_products_that_may_pack_scan_their_coefficients(monkeypatch):
+    """MultiPoly.__mul__ picks its path with Coeff.is_constant and
+    Coeff.is_laurent; a product too small to pack calls neither."""
     calls = []
-    original = Coeff.is_constant
-
-    def counted(self):
-        calls.append(self)
-        return original(self)
-
-    monkeypatch.setattr(Coeff, "is_constant", counted)
+    for name in ("is_constant", "is_laurent"):
+        def counted(self, original=getattr(Coeff, name)):
+            calls.append(self)
+            return original(self)
+        monkeypatch.setattr(Coeff, name, counted)
     t = table2(3)
     half = _PACK_MIN_PRODUCTS // 2
     x_plus_2 = t.parse("x + 2")
@@ -300,6 +300,10 @@ def test_only_products_that_may_pack_scan_their_coefficients(monkeypatch):
     assert calls == []
     packed = x_plus_2 * large
     assert calls and packed == t.var("x") * large + large.scale(2)
+    del calls[:]
+    inv_u = Coeff.u(3, -1)
+    packed = (t.var("x") + t.const(inv_u)) * large
+    assert calls and packed == t.var("x") * large + large.scale(inv_u)
 
 
 def test_exponent_tuple_is_the_variables_then_T():

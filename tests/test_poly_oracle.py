@@ -7,10 +7,12 @@ Operands live in a table over x, y and z, so an exponent tuple is
 packed-product test lets all four slots vary.  Prime-field results are
 compared as dicts of exponent tuple -> residue in [0, p); F_p(u) results
 are mapped into sympy's ring and their difference from sympy's result must
-be zero.
+be zero.  Products over F_p[u, 1/u] are compared over GF(p) with u as one
+more generator, once the operands' u-power denominators are cleared.
 """
 
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +21,8 @@ from sympy.polys.domains import GF
 from sympy.polys.orderings import grlex
 from sympy.polys.rings import ring
 
-from charp_autos.coeffs import Coeff
+from charp_autos import poly
+from charp_autos.coeffs import _CONSTANTS, Coeff
 from charp_autos.errors import NotDivisible
 from charp_autos.poly import (_PACK_MIN_PRODUCTS, MultiPoly, VarTable,
                               content_primitive, exact_div)
@@ -349,3 +352,110 @@ def test_content_primitive_matches_sympy(case, data):
     assert (content.num, content.den) == (_dense(want, p), (1,))
     assert primitive == MultiPoly(table, {
         e: Coeff(p, _dense(c, p)) for e, c in theirs.quo_ground(want).terms()})
+
+
+# -- F_p[u, 1/u] coefficients on the packed kernel ----------------------------
+
+@st.composite
+def laurent_operand(draw, p, sizes):
+    """A nonzero term dict over x, y and T whose coefficients are
+    (k, dense) pairs: the Coeff dense(u) * u^k with k in -4..4, where dense
+    may have several terms and may vanish at u = 0."""
+    size = draw(st.sampled_from(sizes))
+    dense = st.lists(st.integers(0, p - 1), min_size=1, max_size=3).filter(any)
+    coeff = st.tuples(st.integers(-4, 4), dense)
+    return draw(st.dictionaries(_EXPS, coeff, min_size=size, max_size=size))
+
+
+@st.composite
+def laurent_operands(draw):
+    p = draw(st.sampled_from(PRIMES))
+    return p, draw(laurent_operand(p, (1, 2, 3, 8))), draw(
+        laurent_operand(p, (4, 16)))
+
+
+def laurent_ours(table, terms):
+    def coeff(k, dense):
+        if k >= 0:
+            return Coeff(table.p, [0] * k + dense)
+        return Coeff(table.p, dense, [0] * -k + [1])
+    return MultiPoly(table, {e: coeff(k, dense)
+                             for e, (k, dense) in terms.items()})
+
+
+def laurent_cleared(terms):
+    """(shift, {exponents + (u exponent,): residue}): the operand times
+    u^shift, the least power of u that clears its denominators."""
+    shift = -min(k for k, _ in terms.values())
+    return shift, {e + (k + shift + i,): v for e, (k, dense) in terms.items()
+                   for i, v in enumerate(dense) if v}
+
+
+def u_power(c):
+    """m with c.den = u^m, or None for any other denominator."""
+    m = len(c.den) - 1
+    return m if c.den == (0,) * m + (1,) else None
+
+
+SUM_UH = {e: (1, [1]) for e in SUM_XH}                   # u * SUM_XH
+X_PLUS_1_BY_U = {X1: (-1, [1]), ONE: (-1, [1])}          # (x + 1) / u
+
+
+@given(laurent_operands())
+@ORACLE
+# u^-1 (x + 1) times u * SUM_XH is (x + 1) SUM_XH: every coefficient
+# cancels to a constant of F_p
+@example((3, X_PLUS_1_BY_U, SUM_UH))
+# at p = 2, (x + 1) SUM_XH = x^HALF + 1: the middle coefficients cancel
+# to zero, and (1 + u) stays at the ends
+@example((2, X_PLUS_1_BY_U, {e: (1, [1, 1]) for e in SUM_XH}))
+# (1 + u)/u^2 and 2/u times SUM_XH: a u-power denominator stays
+@example((5, {X1: (-2, [1, 1]), ONE: (-1, [2])},
+          {e: (0, [1]) for e in SUM_XH}))
+# one side of _PACK_MIN_PRODUCTS: 2 * (HALF - 1) term products
+@example((3, X_PLUS_1_BY_U, dict(list(SUM_UH.items())[:HALF - 1])))
+def test_laurent_product_matches_sympy(case):
+    """Products over F_p[u, 1/u] with up to 8 * 16 term products, so that
+    both the Coeff loop and the packed kernel run, against sympy with u as
+    one more generator.  Both sides clear the operands' u-power
+    denominators: sympy multiplies the cleared operands, and our product
+    times u^(shift_f + shift_g) is read as a polynomial in x, y, z, T, u.
+    Every result Coeff is canonical, and the packed kernel hands out the
+    shared constants of F_p."""
+    p, f, g = case
+    table = VarTable(p, ("x", "y", "z"))
+    oracle = ring(",".join(table.all_names + ("u",)), GF(p), grlex)[0]
+    (sf, cf), (sg, cg) = laurent_cleared(f), laurent_cleared(g)
+    packs = (min(len(f), len(g)) > 1
+             and len(f) * len(g) >= _PACK_MIN_PRODUCTS)
+    with mock.patch.object(poly, "_fp_product",
+                           wraps=poly._fp_product) as kernel:
+        got = laurent_ours(table, f) * laurent_ours(table, g)
+    assert kernel.called == packs
+    mirrored = {}
+    for e, c in got.terms.items():
+        m = u_power(c)
+        assert m is not None and c.num[-1] and (m == 0 or c.num[0])
+        if packs and c.den == (1,) and len(c.num) == 1:
+            assert c is _CONSTANTS[p][c.num[0]]
+        mirrored.update({e + (i - m + sf + sg,): v
+                         for i, v in enumerate(c.num) if v})
+    assert mirrored == as_dict(theirs(oracle, cf) * theirs(oracle, cg), p)
+
+
+def test_laurent_products_with_another_denominator_run_the_coeff_loop():
+    """One coefficient 1/(u + 1) among u-powers: the product skips the
+    packed kernel and equals the sum of its one-term products, each of
+    which runs the Coeff loop."""
+    table = VarTable(3, ("x", "y", "z"))
+    f = laurent_ours(table, X_PLUS_1_BY_U) + MultiPoly(
+        table, {(0, 1, 0, 0): Coeff(3, [1], [1, 1])})
+    g = laurent_ours(table, SUM_UH)
+    with mock.patch.object(poly, "_fp_product",
+                           wraps=poly._fp_product) as kernel:
+        got = f * g
+        rows = sum((MultiPoly(table, {e: c}) * g for e, c in f.terms.items()),
+                   table.zero())
+    assert not kernel.called
+    assert len(f.terms) * len(g.terms) >= _PACK_MIN_PRODUCTS
+    assert got == rows and got.terms[(0, 1, 0, 0)] == Coeff(3, [0, 1], [1, 1])

@@ -12,6 +12,9 @@
 - No assignment to a `.num` or `.den` attribute outside coeffs.py: the
   prime-field constants are shared objects, which is safe only while no
   Coeff changes once built.
+- No call of `_canonical` or `object.__new__(Coeff)` outside coeffs.py:
+  both build a Coeff without reducing it, so only the module that owns the
+  num/den representation may vouch that a fraction is canonical.
 """
 
 import ast
@@ -81,6 +84,27 @@ def _coeff_writes(path):
                                                                    "den"):
                     yield "%s:%d: assigns .%s" % (path.name, sub.lineno,
                                                   sub.attr)
+
+
+def _unreduced_coeffs(path):
+    """Calls of _canonical (a bare name or an attribute) and of any
+    __new__ whose first argument is Coeff."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if name == "_canonical":
+            yield "%s:%d: calls _canonical" % (path.name, node.lineno)
+        elif name == "__new__" and node.args:
+            cls = node.args[0]
+            cls = (cls.id if isinstance(cls, ast.Name)
+                   else cls.attr if isinstance(cls, ast.Attribute) else None)
+            if cls == "Coeff":
+                yield "%s:%d: calls __new__(Coeff)" % (path.name,
+                                                       node.lineno)
 
 
 def _defs(tree):
@@ -156,6 +180,25 @@ def test_coeff_write_rule_catches_planted_assignments(tmp_path):
                        "c.numer = 1\nn = c.num\nc.den: tuple = (1,)\n")
     assert [v.split(": ", 1)[1] for v in _coeff_writes(planted)] == [
         "assigns .num", "assigns .den", "assigns .num", "assigns .den"]
+
+
+def test_only_coeffs_builds_unreduced_coeffs():
+    assert [v for path in SOURCES if path.name != "coeffs.py"
+            for v in _unreduced_coeffs(path)] == []
+    coeffs_py = next(p for p in SOURCES if p.name == "coeffs.py")
+    assert list(_unreduced_coeffs(coeffs_py))
+
+
+def test_unreduced_coeff_rule_catches_planted_calls(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "c = _canonical(3, (1,))\nd = coeffs._canonical(3, (1,), (0, 1))\n"
+        "e = object.__new__(Coeff)\nf = object.__new__(coeffs.Coeff)\n"
+        "g = Coeff.__new__(Coeff)\nh = object.__new__(MultiPoly)\n"
+        "i = _canonical\nj = Coeff(3, (1,))\n")
+    assert [v.split(": ", 1)[1] for v in _unreduced_coeffs(planted)] == [
+        "calls _canonical", "calls _canonical", "calls __new__(Coeff)",
+        "calls __new__(Coeff)", "calls __new__(Coeff)"]
 
 
 def test_every_public_name_has_a_caller_in_the_library():

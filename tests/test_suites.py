@@ -4,6 +4,7 @@ constructions accept, count where it reads one, and seed everywhere."""
 import pytest
 
 from charp_autos.errors import BadParameters
+from charp_autos.poly import VarTable
 from charp_autos.suites import _READS, SUITES, run_suite
 
 
@@ -50,3 +51,19 @@ def test_every_accepted_p_runs(name, p):
 def test_run_suite_rejects_parameters_it_would_not_use(name, params):
     with pytest.raises(BadParameters):
         run_suite(name, **params)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_axioms_runs_only_cases_at_the_selected_p(monkeypatch, p):
+    """Under --p, every table an axioms case builds is over that F_p: a
+    case built at another fixed p does not run."""
+    seen = set()
+    init = VarTable.__init__
+
+    def spy(self, q, *args, **kwargs):
+        seen.add(q)
+        init(self, q, *args, **kwargs)
+    monkeypatch.setattr(VarTable, "__init__", spy)
+    result = run_suite("axioms", p=p, seed=7)
+    assert result.all_passed, result.to_text()
+    assert seen == {p}
