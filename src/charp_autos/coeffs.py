@@ -22,8 +22,8 @@ inversion and frob_power map canonical fractions to canonical fractions, so
 they build their results without a reduction.
 
 The constants 0, 1, .., p-1 of each supported F_p exist once: from_int,
-and sums and products of two nonzero constants, return the shared objects
-of one table, _CONSTANTS, which poly's prime-field products hand out too.
+and every operation whose result lies in F_p, return the shared objects of
+one table, _CONSTANTS, which poly's prime-field products hand out too.
 Sharing is safe because a Coeff is never changed once built: only this
 module assigns num and den, and only to a Coeff it is creating.
 
@@ -194,16 +194,16 @@ class Coeff:
     def from_int(p, n):
         return _CONSTANTS[p][n % p]
 
-    @classmethod
-    def u(cls, p, power=1):
+    @staticmethod
+    def u(p, power=1):
         if power >= 0:
-            return cls(p, (0,) * power + (1,))
-        return cls(p, (1,), (0,) * (-power) + (1,))
+            return _reduced(p, (0,) * power + (1,))
+        return _reduced(p, (1,), (0,) * (-power) + (1,))
 
-    @classmethod
-    def from_u_coeffs(cls, p, coeffs):
+    @staticmethod
+    def from_u_coeffs(p, coeffs):
         """coeffs[i] is the coefficient of u^i in the numerator."""
-        return cls(p, tuple(c % p for c in coeffs))
+        return _reduced(p, tuple(c % p for c in coeffs))
 
     # -- predicates ----------------------------------------------------------
 
@@ -279,9 +279,9 @@ class Coeff:
             k = max(len(sd), len(od)) - 1
             num = _uadd((0,) * (k + 1 - len(sd)) + self.num,
                         (0,) * (k + 1 - len(od)) + other.num, p)
-            return Coeff(p, num, (0,) * k + (1,))
+            return _reduced(p, num, (0,) * k + (1,))
         num = _uadd(_umul(self.num, od, p), _umul(other.num, sd, p), p)
-        return Coeff(p, num, _umul(sd, od, p))
+        return _reduced(p, num, _umul(sd, od, p))
 
     __radd__ = __add__
 
@@ -308,7 +308,8 @@ class Coeff:
             if len(a) == 1 and len(b) == 1:
                 return _CONSTANTS[p][a[0] * b[0] % p]
             return _canonical(p, _umul(a, b, p))
-        return Coeff(p, _umul(self.num, other.num, p), _umul(self.den, other.den, p))
+        return _reduced(p, _umul(self.num, other.num, p),
+                        _umul(self.den, other.den, p))
 
     __rmul__ = __mul__
 
@@ -387,14 +388,25 @@ class Coeff:
 def _canonical(p, num, den=(1,)):
     """The Coeff num/den for trimmed num, den with entries in [0, p) that
     are already canonical: den monic and coprime to num, and (1,) when num
-    is zero.  The reduction in Coeff.__init__ is skipped."""
+    is zero.  The reduction in Coeff.__init__ is skipped, and a constant of
+    F_p is the shared entry of _CONSTANTS."""
+    if len(num) < 2 and len(den) == 1:
+        return _CONSTANTS[p][num[0] if num else 0]
     out = object.__new__(Coeff)
     out.p, out.num, out.den = p, num, den
     return out
 
 
+def _reduced(p, num, den=(1,)):
+    """Coeff(p, num, den), or the shared constant of F_p it equals."""
+    out = Coeff(p, num, den)
+    if len(out.num) < 2 and len(out.den) == 1:
+        return _CONSTANTS[p][out.num[0] if out.num else 0]
+    return out
+
+
 # p -> (0, 1, .., p-1) as canonical constant Coeffs, shared by every caller
-_CONSTANTS = {p: tuple(_canonical(p, (k,) if k else ()) for k in range(p))
+_CONSTANTS = {p: tuple(Coeff(p, (k,)) for k in range(p))
               for p in SUPPORTED_PRIMES}
 
 
@@ -445,4 +457,4 @@ def coeff_gcd_integral(values):
         g = _ugcd(g, v.num, p)
         if g == (1,):
             break
-    return Coeff(p, g)
+    return _reduced(p, g)

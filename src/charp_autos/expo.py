@@ -27,10 +27,6 @@ The identities are asserted here, by raising InternalIntegralityFailure:
   another map is rejected;
 - sigma_from_theta: theta lies in sum_{p∤i} R x1^i (else BadThetaSupport)
   and the images it builds lie over R.
-The thm15-n2 suite therefore checks none of these again: a case builds
-sigma from (a, theta), exponentializes it once and reports whether theta_of
-gives back (a, theta); an identity that fails above makes the case fail,
-with the exception as its witness.
 """
 
 from dataclasses import dataclass

@@ -463,7 +463,7 @@ def build_rank_r_action(n, r, p):
     monic = all(z.leading_term()[1].is_one() for z in zero_images)
     report.add("xn_zero_images", expected_ok and distinct and monic)
 
-    cert = rank_certificate(action, gens, xvars[r:])
+    cert = rank_certificate(gens, xvars[r:])
     report.add("rank_certificate",
                cert["rank_lower"] == r and cert["rank_upper"] == r,
                "bounds %s" % cert)

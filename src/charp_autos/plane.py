@@ -10,6 +10,14 @@ it repeatedly strips a leading H(t) generator determined by the first factor
 of the amalgam normal form (three cases: affine with a != 0, affine with
 a = 0, triangular) and terminates on an affine remainder, which splits into
 one E1 generator and the trailing H0 element.
+
+The identities are asserted here by raising, and callers check none of
+them again:
+- jvdk_factor: recompose(word) = phi (NotAutomorphism);
+- centralizer_decompose: phi centralizes eps = (x1 + t, x2), and
+  recompose(word) = phi (NotInCentralizer);
+- fpf_witness_check: E_1 of the slice action is the translation
+  (WitnessNotCentralizing).
 """
 
 from .errors import (NotAutomorphism, NotInCentralizer, NotInWst,
@@ -94,6 +102,10 @@ class TameWord:
         self.table = table
         self.factors = list(factors)
 
+    def __iter__(self):
+        """The factors as maps, left to right."""
+        return (f.to_map() for f in self.factors)
+
     def to_text(self):
         if not self.factors:
             return "[id]"
@@ -101,13 +113,10 @@ class TameWord:
 
 
 def recompose(word):
-    """Left-to-right product of the word's factors."""
-    table = word.table
-    out = PolyMap.identity(table)
-    for f in word.factors:
-        out = compose(out, f.to_map())
-    if isinstance(word, CentralizerWord):
-        out = compose(out, word.h0_map())
+    """Left-to-right product of the maps of a TameWord or CentralizerWord."""
+    out = PolyMap.identity(word.table)
+    for f in word:
+        out = compose(out, f)
     return out
 
 
@@ -281,21 +290,17 @@ class CentralizerWord:
                                    table.var(x2) + g.substitute({x1: w})])
         raise ValueError("unknown generator kind %r" % kind)
 
-    def gen_inverse_map(self, kind, g):
-        return self.gen_map(kind, -g)
-
     def h0_map(self):
         table = self.table
         a, u1, u2 = self.h0
         return PolyMap(table, [table.var(table.names[0]) + table.const(u1),
                                table.var(table.names[1]).scale(a) + table.const(u2)])
 
-    @property
-    def factors(self):
-        return [_GenFactor(self, kind, g) for kind, g in self.gens]
-
-    def to_map(self):
-        return recompose(self)
+    def __iter__(self):
+        """The generators as maps, left to right, then the H0 element."""
+        for kind, g in self.gens:
+            yield self.gen_map(kind, g)
+        yield self.h0_map()
 
     def inverse_map(self):
         table = self.table
@@ -303,7 +308,7 @@ class CentralizerWord:
         out = PolyMap(table, [table.var(table.names[0]) - table.const(u1),
                               (table.var(table.names[1]) - table.const(u2)).scale(a.inv())])
         for kind, g in reversed(self.gens):
-            out = compose(out, self.gen_inverse_map(kind, g))
+            out = compose(out, self.gen_map(kind, -g))
         return out
 
     def to_text(self):
@@ -315,16 +320,6 @@ class CentralizerWord:
         a, u1, u2 = self.h0
         parts.append("[H0: a=%s,u1=%s,u2=%s]" % (a, u1, u2))
         return "".join(parts)
-
-
-class _GenFactor:
-    def __init__(self, word, kind, g):
-        self.word = word
-        self.kind = kind
-        self.g = g
-
-    def to_map(self):
-        return self.word.gen_map(self.kind, self.g)
 
 
 def centralizer_membership(phi, t):
@@ -365,6 +360,7 @@ def centralizer_decompose(phi, t):
     if not centralizer_membership(phi, t):
         raise NotInCentralizer("%s does not centralize eps" % phi)
 
+    generators = CentralizerWord(table, t, [])   # used for gen_map only
     gens = []
     cur = phi
     prev_len = None
@@ -386,8 +382,7 @@ def centralizer_decompose(phi, t):
             else:
                 g = _strip_swap_case(table, aff, nf, t)
                 kind = "E1"
-        word_so_far = CentralizerWord(table, t, [(kind, g)])
-        cur = compose(word_so_far.gen_inverse_map(kind, g), cur)
+        cur = compose(generators.gen_map(kind, -g), cur)
         gens.append((kind, g))
 
     # affine remainder (x1 + s x2 + u1, a x2 + u2)
@@ -506,7 +501,7 @@ def fpf_witness_check(f, psi_word):
     f = table.coeff(f)
     if f.is_zero():
         raise ValueError("f must be a nonzero field constant")
-    psi_map = psi_word.to_map()
+    psi_map = recompose(psi_word)
     psi_inv = psi_word.inverse_map()
     lam = table.var("T").scale(f)
     action = slice_action(SliceData(psi_map, lam, psi_inv))

@@ -4,6 +4,15 @@ Each suite builds a deterministic list of (case id, thunk) pairs from its
 parameters and the seed; thunks return (ok, witness text).  Cases run one
 at a time and the report lists them in case-id order, so the output is
 byte-identical for a given (suite, parameters, seed).
+
+A thunk that raises is a failing case with the exception as its witness,
+so no case recomputes an identity that its library call asserts by raising
+(the docstrings of plane and expo list them): a thm15-n2 case checks only
+that theta_of gives back (a, theta), a jvdk case only factors its word, a
+centralizer case only decomposes its word's product, or expects
+NotInCentralizer from a non-member, and a maubach case only builds the
+conjugator.  The axioms suite does run check_axioms, on actions that
+slice_action(check=False) may have built unchecked.
 """
 
 import json
@@ -257,8 +266,6 @@ def _suite_thm15_n2(params):
             a = a_pool[lcg.draw(3)]
 
             def thunk(theta=theta, a=a):
-                # E_1 = sigma and the action's restriction to R are asserted
-                # by the library, which raises (a failing case) otherwise
                 sigma = expo.sigma_from_theta(a, theta)
                 res = expo.exponentialize_triangular_n2(sigma)
                 a2, theta2 = expo.theta_of(sigma, res)
@@ -285,10 +292,8 @@ def _suite_maubach(params):
                 a = Coeff.from_int(p, lcg.draw_nonzero(p))
 
                 def thunk(psi=psi, a=a, table=table):
-                    translation = eps_map(table, a)
-                    sigma = conjugate(translation, psi)
-                    phi = expo.maubach_conjugator(sigma)
-                    return conjugate(translation, phi) == sigma, ""
+                    expo.maubach_conjugator(conjugate(eps_map(table, a), psi))
+                    return True, ""
                 cases.append(("p%d-n%d-%02d" % (p, n, k), thunk))
     return cases
 
@@ -363,8 +368,8 @@ def _suite_jvdk(params):
             phi = _sample_tame_word(lcg, table)
 
             def thunk(phi=phi):
-                word = plane.jvdk_factor(phi)
-                return plane.recompose(word) == phi, ""
+                plane.jvdk_factor(phi)
+                return True, ""
             cases.append(("p%d-%03d" % (p, k), thunk))
 
         def rejects(table=table):
@@ -399,11 +404,8 @@ def _suite_centralizer(params):
             word = plane.CentralizerWord(table, t, gens, h0)
 
             def thunk(word=word, t=t):
-                phi = plane.recompose(word)
-                if not plane.centralizer_membership(phi, t):
-                    return False, "membership rejected a product"
-                back = plane.centralizer_decompose(phi, t)
-                return plane.recompose(back) == phi, ""
+                plane.centralizer_decompose(plane.recompose(word), t)
+                return True, ""
             cases.append(("p%d-word%02d" % (p, k), thunk))
 
         gathered = 0
@@ -416,8 +418,6 @@ def _suite_centralizer(params):
                 continue
 
             def thunk(phi_bad=phi_bad, t=t):
-                if plane.centralizer_membership(phi_bad, t):
-                    return False, "membership flipped"
                 try:
                     plane.centralizer_decompose(phi_bad, t)
                     return False, "decomposed a non-member"

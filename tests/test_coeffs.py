@@ -280,3 +280,20 @@ def test_prime_field_constants_are_shared_and_left_unchanged(p):
             assert consts[a] + consts[b] is consts[(a + b) % p]
             assert consts[a] * consts[b] is consts[a * b % p]
     assert [(k.num, k.den, hash(k)) for k in consts] == before
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_constant_results_are_the_shared_constants(p):
+    consts = [c(p, k) for k in range(p)]
+    x, w = u(p), u(p) + 1                   # a u-power and another factor
+    results = [
+        (x.inv() * x, 1), ((x + 1) / x + (-x.inv()), 1),     # u-power path
+        (w.inv() * w, 1), (w.inv() + x * w.inv(), 1),        # gcd path
+        (w + (-x), 1), (x * 0, 0),                           # F_p[u] path
+        (-consts[1], p - 1), (-consts[0], 0), (consts[p - 1].inv(), p - 1),
+        (consts[p - 1].frob_power(1), p - 1),
+        (Coeff.from_u_coeffs(p, [p - 1, 0, p]), p - 1),
+        (Coeff.u(p, 0), 1), (coeff_gcd_integral([x, w]), 1),
+        (coeff_gcd_integral([x * 0]), 0)]
+    for got, k in results:
+        assert got is consts[k]

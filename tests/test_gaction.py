@@ -135,16 +135,16 @@ def test_lambda_of_slice_is_additive():
 
 
 def test_rank_certificate():
+    # the invariants of (x1 + T, x2, x3)
     p = 2
     t = VarTable(p, ("x1", "x2", "x3"))
-    E = GaAction(t, [t.parse("x1+T"), t.var("x2"), t.var("x3")])
-    cert = rank_certificate(E, [t.var("x2"), t.var("x3")],
+    cert = rank_certificate([t.var("x2"), t.var("x3")],
                             [t.var("x2"), t.var("x3")])
     assert cert == {"rank_lower": 1, "rank_upper": 1}
     with pytest.raises(NotInvariantGenerator):
-        rank_certificate(E, [t.var("x1")], [])
+        rank_certificate([t.var("x2")], [t.parse("x2 + x3")])
     # interval when bounds disagree
-    cert = rank_certificate(E, [t.var("x2"), t.var("x3")], [t.var("x3")])
+    cert = rank_certificate([t.var("x2"), t.var("x3")], [t.var("x3")])
     assert cert == {"rank_lower": 1, "rank_upper": 2}
 
 
@@ -156,7 +156,7 @@ def test_rank_certificate_rank3_lower_bound():
     f = t.var("x1", p2) - t.var("x1", p) + t.var("x2") * t.var("x3")
     g = f ** p2 * t.var("x3") - t.var("x2", p2 - 1) \
         + f ** (p2 - p) * t.var("x2", p - 1)
-    cert = rank_certificate(None, [f, g], [])
+    cert = rank_certificate([f, g], [])
     assert cert["rank_lower"] == 3
 
 

@@ -162,6 +162,23 @@ def test_rank_r_reports(n, r, p):
     assert img == expected
 
 
+def test_rank_r_reports_a_non_invariant_generator(monkeypatch):
+    # x3 -> x3 + T keeps an action, since no other image involves x3, but
+    # moves x3, one of the claimed invariant generators; rank_certificate
+    # does not test invariance, so the reported check alone catches it
+    real = gallery.GaAction
+
+    def moved(table, images):
+        images = list(images)
+        images[2] = images[2] + table.var("T")
+        return real(table, images)
+
+    monkeypatch.setattr(gallery, "GaAction", moved)
+    checks = {c.name: c.ok for c in build_rank_r_action(4, 2, 2).report.checks}
+    assert not checks["invariant_generators"]
+    assert checks["rank_certificate"]
+
+
 def test_rank_r_bad_parameters():
     with pytest.raises(BadParameters):
         build_rank_r_action(3, 3, 2)

@@ -301,7 +301,7 @@ def test_fpf_witness_verdicts_cross_checked():
         if not expected:
             assert res["witness"] is not None
         # independent route: conjugate the translation action by the word
-        psi = word.to_map()
+        psi = recompose(word)
         psi_inv = word.inverse_map()
         translated = [g.substitute({"x1": t.var("x1")
                                     + t.var("T").scale(fval)})

@@ -5,6 +5,7 @@ import pytest
 
 from charp_autos.errors import BadParameters
 from charp_autos.poly import VarTable
+from charp_autos import expo, plane
 from charp_autos.suites import _READS, SUITES, run_suite
 
 
@@ -67,3 +68,39 @@ def test_axioms_runs_only_cases_at_the_selected_p(monkeypatch, p):
     result = run_suite("axioms", p=p, seed=7)
     assert result.all_passed, result.to_text()
     assert seen == {p}
+
+
+def _broken_merge(real):
+    # drops the word's last factor, which is never the identity
+    return lambda table, factors: real(table, factors)[:-1]
+
+
+def _broken_h0(real):
+    # every centralizer word gets its H0 shift u2 moved by 1
+    return lambda table, t, gens, h0=(1, 0, 0): real(
+        table, t, gens, h0[:2] + (table.coeff(h0[2]) + 1,))
+
+
+def _broken_eps(real):
+    return lambda table, a: real(table, a + 1)
+
+
+# jvdk, centralizer and maubach cases check no identity themselves: each
+# one's library call asserts it by raising, and a broken library step shows
+# as a failing case with that exception as its witness
+@pytest.mark.parametrize("name,module,attr,corrupt,prefix,witness", [
+    ("jvdk", plane, "_merge_affines", _broken_merge, "p3-0",
+     "NotAutomorphism: recomposition check failed"),
+    ("centralizer", plane, "CentralizerWord", _broken_h0, "p3-word",
+     "NotInCentralizer: recomposition check failed"),
+    ("maubach", expo, "eps_map", _broken_eps, "p3-n",
+     "InternalIntegralityFailure: averaging produced a bad conjugator")],
+    ids=["jvdk", "centralizer", "maubach"])
+def test_a_broken_library_step_fails_the_case(monkeypatch, name, module,
+                                              attr, corrupt, prefix, witness):
+    assert run_suite(name, p=3, count=4, seed=7).all_passed
+    monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
+    cases = [c for c in run_suite(name, p=3, count=4, seed=7).cases
+             if c.name.startswith(prefix)]
+    assert len(cases) == 4
+    assert [(c.ok, c.detail) for c in cases] == [(False, witness)] * 4
