@@ -194,7 +194,10 @@ def _cmd_parse(args):
     if args.entity == "coeff":
         print(parse_coeff(args.p, args.text))
         return 0
-    table = VarTable(args.p, tuple(v for v in args.vars.split(",") if v))
+    try:
+        table = VarTable(args.p, tuple(v for v in args.vars.split(",") if v))
+    except ValueError as exc:
+        raise ParseError("--vars: %s" % exc)
     if args.entity == "poly":
         print(poly_to_str(parse_poly(table, args.text)))
     elif args.entity == "map":

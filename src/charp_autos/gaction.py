@@ -4,7 +4,8 @@ A GaAction stores the generator images e_i in B[T].  Construction verifies
 (A1): substituting T = 0 gives back the generators, and (A2):
 E(x; S+T) = E(E(x; S); T) for every generator x, i.e. e_i under T -> S+T
 equals e_i with the generators replaced by their S-images.  Checking (A2) on
-generators suffices because both sides are ring homomorphisms.
+generators suffices because both sides are ring homomorphisms; slice_action
+proves both on its slice generators instead, and skips this check.
 
 The second parameter S lives only here: (A2) and the additivity of a slice
 translation, lam(S+T) = lam(S) + lam(T), are checked in a lifted table, the
@@ -133,13 +134,14 @@ class SliceData:
     coords_inverse: PolyMap = None
 
 
-def slice_action(data, check=True):
+def slice_action(data):
     """The action fixing p2,..,pn and translating p1 by lam, written on the
     x-generators through the inverse coordinates.
 
-    check=False skips re-verifying (A1)/(A2) on the x-generators; callers may
-    do so only when the axioms were established on the slice generator system
-    (see slice_axioms_report), which generates the same ring.
+    (A1)/(A2) are proved on the slice generators p1,..,pn, which generate B
+    as the inverse is verified both ways: there they reduce to additivity of
+    lam, which gives lam(0) = 0, and to lam, written in the p-coordinates,
+    not involving p1.  The x-images are not checked again.
     """
     lam = data.lam
     table = data.coords.table
@@ -148,37 +150,34 @@ def slice_action(data, check=True):
     inverse = data.coords_inverse
     if inverse is None:
         inverse = invert_structured(data.coords)
-    else:
-        if (not compose(data.coords, inverse).is_identity()
-                or not compose(inverse, data.coords).is_identity()):
-            raise ValueError("supplied inverse does not invert the coordinates")
+    elif (not compose(data.coords, inverse).is_identity()
+          or not compose(inverse, data.coords).is_identity()):
+        raise ValueError("supplied inverse does not invert the coordinates")
     first = table.names[0]
+    if inverse.apply(lam).uses_var(first):
+        raise AxiomViolation("A2 fails: %s has a coefficient outside "
+                             "k[p2,..,pn]" % lam)
     target = {name: img for name, img in zip(table.names, data.coords.images)}
     target[first] = target[first] + lam
     images = [q.substitute(target) for q in inverse.images]
-    return GaAction(table, images, _checked=not check)
+    return GaAction(table, images, _checked=True)
 
 
 def slice_axioms_report(data, invariant_exprs):
-    """(A1)/(A2) verified on the slice generator system (p1,..,pn).
-
-    The axioms are properties of the coaction homomorphism, so any generating
-    set works.  On the p-generators they reduce to lam(0) = 0, additivity of
-    lam, and invariance of its coefficients; the latter holds whenever each
-    coefficient is rebuilt from p2,..,pn, which the caller exhibits by
-    passing expressions (slot i stands for p_{i+1}) whose substitution gives
-    back the coefficients of lam.
+    """(A1)/(A2) on the slice generators (p1,..,pn) by slice_action's
+    argument, for slice data whose inverse substitution does not fit in
+    memory: the caller exhibits the coefficients of lam as expressions in
+    p2,..,pn (slot i stands for p_{i+1}), which are substituted back.
     """
     table = data.coords.table
     lam = data.lam
     a1 = lam.subs_T(table.const(0)).is_zero()
     a2 = additivity_check(lam)
     rebuilt = table.zero()
-    images = dict(zip(table.names, data.coords.images))
     for k, expr in invariant_exprs.items():
         if expr.uses_var(table.names[0]):
             return {"A1": a1, "A2": False, "witness": "coefficient uses p1"}
-        rebuilt = rebuilt + expr.substitute(images) * table.var("T") ** k
+        rebuilt = rebuilt + data.coords.apply(expr) * table.var("T") ** k
     if rebuilt != lam:
         return {"A1": a1, "A2": False,
                 "witness": "coefficients not generated by p2,..,pn"}

@@ -194,8 +194,8 @@ class NonExpFamily:
         return shift.truncate_u(0)
 
     def slice_axioms(self):
-        """(A1)/(A2) on the slice generators (xt, yt, z): equivalent to the
-        x-generator axioms, and the only tractable form at large parameters."""
+        """(A1)/(A2) on the slice generators (xt, yt, z) through
+        slice_axioms_report: slice_action's proof needs too much memory."""
         from .gaction import slice_axioms_report
         lam_t = self.translation * self.table.var("T")
         return slice_axioms_report(

@@ -20,8 +20,8 @@ them again:
   (WitnessNotCentralizing).
 """
 
-from .errors import (NotAutomorphism, NotInCentralizer, NotInWst,
-                     WitnessNotCentralizing)
+from .errors import (BadParameters, NotAutomorphism, NotInCentralizer,
+                     NotInWst, WitnessNotCentralizing)
 from .poly import express_in_invariant
 from .endo import PolyMap, compose, eps_map, invert_structured
 from .gaction import SliceData, slice_action
@@ -131,6 +131,14 @@ def _is_affine(pmap):
 def jvdk_factor(phi):
     """TameWord of alternating affine/triangular factors with
     recompose(word) = phi exactly; raises NotAutomorphism otherwise."""
+    word = _jvdk_word(phi)
+    if recompose(word) != phi:
+        raise NotAutomorphism("recomposition check failed")
+    return word
+
+
+def _jvdk_word(phi):
+    """The factors of jvdk_factor, without its recomposition check."""
     table = phi.table
     if table.nvars != 2:
         raise ValueError("plane factorization needs two variables")
@@ -206,11 +214,7 @@ def jvdk_factor(phi):
                 factors.append(AffineFactor.from_map(
                     compose(swap.to_map(), lin_aff.to_map())))
 
-    factors = _merge_affines(table, factors)
-    word = TameWord(table, factors)
-    if recompose(word) != phi:
-        raise NotAutomorphism("recomposition check failed")
-    return word
+    return TameWord(table, _merge_affines(table, factors))
 
 
 def _merge_affines(table, factors):
@@ -273,6 +277,8 @@ class CentralizerWord:
     def __init__(self, table, t, gens, h0=(1, 0, 0)):
         self.table = table
         self.t = table.coeff(t)
+        if self.t.is_zero():
+            raise BadParameters("t must lie in k*, got 0")
         self.gens = list(gens)
         a, u1, u2 = h0
         self.h0 = (table.coeff(a), table.coeff(u1), table.coeff(u2))
@@ -339,8 +345,6 @@ def w_st_split(q, s, t):
     var = table.names[0]
     s = table.coeff(s)
     t = table.coeff(t)
-    if t.is_zero():
-        raise NotInWst("t must be a unit")
     diff = q.substitute({var: table.var(var) + table.const(t)}) - q
     if diff != table.const(s):
         raise NotInWst("q(x+t) - q(x) = %s differs from s" % diff)
@@ -355,17 +359,16 @@ def centralizer_decompose(phi, t):
     """Write phi in C(eps) as an H(t) word followed by an H0 element."""
     table = phi.table
     x1, x2 = table.names
-    t = table.coeff(t)
-    p = table.p
+    generators = CentralizerWord(table, t, [])   # rejects t = 0; gen_map
+    t = generators.t
     if not centralizer_membership(phi, t):
         raise NotInCentralizer("%s does not centralize eps" % phi)
 
-    generators = CentralizerWord(table, t, [])   # used for gen_map only
     gens = []
     cur = phi
     prev_len = None
     while not _is_affine(cur):
-        nf = normal_form(jvdk_factor(cur))
+        nf = normal_form(_jvdk_word(cur))
         if prev_len is not None and len(nf) >= prev_len:
             raise NotInCentralizer("no progress stripping H(t) generators")
         prev_len = len(nf)

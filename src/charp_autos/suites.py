@@ -12,7 +12,7 @@ that theta_of gives back (a, theta), a jvdk case only factors its word, a
 centralizer case only decomposes its word's product, or expects
 NotInCentralizer from a non-member, and a maubach case only builds the
 conjugator.  The axioms suite does run check_axioms, on actions that
-slice_action(check=False) may have built unchecked.
+slice_action proved only on the slice generators.
 """
 
 import json

@@ -250,10 +250,8 @@ def parse_word(table, text, t=1):
         x1, x2 = table.names
         for tag, payload in blocks:
             if tag == "H0":
-                fields = dict(part.split("=", 1)
-                              for part in payload.split(",") if part)
-                h0 = tuple(parse_coeff(table.p, fields.get(k, "0"))
-                           for k in ("a", "u1", "u2"))
+                h0 = tuple(parse_coeff(table.p, v) for v in _block_fields(
+                    tag, payload, {"a": "0", "u1": "0", "u2": "0"}))
             else:
                 g = parse_poly(table, payload)
                 if tag == "E1":
@@ -270,15 +268,27 @@ def parse_word(table, text, t=1):
                 raise ParseError("affine factor needs 6 entries")
             factors.append(AffineFactor(table, vals[:4], vals[4:]))
         elif tag == "tri":
-            fields = dict(part.split("=", 1) for part in payload.split(",", 3))
+            a, b, c, q = _block_fields(tag, payload, dict.fromkeys("abcq"), 3)
             factors.append(TriangularFactor(
-                table, parse_coeff(table.p, fields["a"]),
-                parse_coeff(table.p, fields["b"]),
-                parse_coeff(table.p, fields["c"]),
-                parse_poly(table, fields["q"])))
+                table, parse_coeff(table.p, a), parse_coeff(table.p, b),
+                parse_coeff(table.p, c), parse_poly(table, q)))
         else:
             raise ParseError("cannot mix word kinds in %r" % text)
     return TameWord(table, factors)
+
+
+def _block_fields(tag, payload, defaults, maxsplit=-1):
+    """The values of a block's key=value fields in the order of defaults; an
+    omitted key takes its default, and a default of None makes it needed."""
+    fields = dict(defaults)
+    for part in filter(None, payload.split(",", maxsplit)):
+        key, eq, value = part.partition("=")
+        if not eq or key.strip() not in fields:
+            raise ParseError("bad field %r in a [%s] block" % (part, tag))
+        fields[key.strip()] = value
+    if None in fields.values():
+        raise ParseError("a [%s] block needs %s" % (tag, ", ".join(fields)))
+    return fields.values()
 
 
 def report_to_str(entries):

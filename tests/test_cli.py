@@ -201,6 +201,19 @@ def test_unsupported_p_is_usage_error(capsys, argv):
     (("gallery", "eps-invariants", "--n", "0"), "BadParameters: need n >= 1"),
     (("criteria", "certify", "--d", "4"),
      "BadParameters: need d >= 2 prime to p and l >= 0"),
+    (("parse", "word", "[H0: a]"), "ParseError: bad field 'a' in a [H0] block"),
+    (("parse", "word", "[tri: a=1]"),
+     "ParseError: a [tri] block needs a, b, c, q"),
+    (("parse", "word", "[H0: b=1]"),
+     "ParseError: bad field 'b=1' in a [H0] block"),
+    (("parse", "poly", "x1", "--vars", "x1,x1"),
+     "ParseError: --vars: duplicate variable names"),
+    (("parse", "poly", "x1", "--vars", "T"),
+     "ParseError: --vars: 'T' is reserved for the action parameter"),
+    (("plane", "centralize", "(x1+x2^2, x2)", "--t", "0"),
+     "BadParameters: t must lie in k*, got 0"),
+    (("parse", "word", "[E1: x2^2]", "--t", "0"),
+     "BadParameters: t must lie in k*, got 0"),
 ])
 def test_construction_parameters_out_of_range_are_usage_errors(capsys, argv,
                                                                message):

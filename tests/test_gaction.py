@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charp_autos.coeffs import Coeff
 from charp_autos.errors import (AdditivityViolation, AxiomViolation,
                                 NotInvariantGenerator, NotInvariantParameter)
-from charp_autos.endo import PolyMap, compose
+from charp_autos.endo import PolyMap, compose, invert_structured
 from charp_autos.gaction import (GaAction, SliceData, additivity_check,
                                  check_axioms, rank_certificate, slice_action)
 from charp_autos.poly import VarTable
@@ -113,6 +114,84 @@ def test_slice_rejects_non_additive():
         slice_action(SliceData(PolyMap.identity(t), t.parse("T^2")))
     # T + T^p is additive
     slice_action(SliceData(PolyMap.identity(t), t.parse("T + T^3")))
+
+
+def _verdicts(coords, lam):
+    """(slice_action accepts, check_axioms reports A1 and A2) for the slice
+    data (coords, lam); the images for check_axioms are built here, as the
+    inverse coordinates at p1 + lam, p2, .., pn."""
+    try:
+        slice_action(SliceData(coords, lam))
+        accepted = True
+    except AxiomViolation:
+        accepted = False
+    t = coords.table
+    target = coords.assignment()
+    target[t.names[0]] = target[t.names[0]] + lam
+    images = [q.substitute(target) for q in invert_structured(coords).images]
+    report = check_axioms(t, images)
+    return accepted, report["A1"] and report["A2"]
+
+
+@st.composite
+def _slice_data(draw):
+    """Strict triangular coordinates and lam = sum of c_k T^(p^k), k = 0, 1,
+    each c_k a constant of F_p(u), a polynomial in p2 (invariant) or a
+    polynomial in x1 (not invariant)."""
+    p = draw(st.sampled_from((2, 3)))
+    t = VarTable(p, ("x1", "x2", "x3")[:draw(st.sampled_from((2, 3)))])
+    xs = [t.var(name) for name in t.names]
+    u = Coeff.u(p)
+
+    def poly_in(gens, lowest):
+        """A combination of g^e, g in gens, lowest <= e <= 2, in which the
+        last of them occurs."""
+        terms = [g ** e for g in gens for e in range(lowest, 3)]
+        out = terms.pop().scale(draw(st.integers(1, p - 1)))
+        for term in terms:
+            out = out + term.scale(draw(st.integers(0, p - 1)))
+        return out
+
+    coords = PolyMap(t, [xs[0] + t.const(draw(st.integers(0, p - 1)))]
+                     + [x + poly_in(xs[:i], 1) for i, x in enumerate(xs)
+                        if i])
+    lam = t.zero()
+    for k in range(2):
+        kind = draw(st.sampled_from(("constant", "invariant", "moving")))
+        if kind == "constant":
+            c = t.const(draw(st.sampled_from((Coeff.from_int(p, 1), u,
+                                              u.inv(), u + 1))))
+        elif kind == "invariant":
+            c = poly_in([coords.images[1]], 0)
+        else:
+            c = poly_in([xs[0]], 1)
+        lam = lam + c * t.var("T", p ** k)
+    return coords, lam
+
+
+def test_slice_action_proof_agrees_with_check_axioms():
+    """slice_action proves (A1)/(A2) on the slice generators; check_axioms
+    on the x-generators must give the same verdict, and both occur."""
+    seen = set()
+
+    @given(_slice_data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def agree(data):
+        accepted, axioms = _verdicts(*data)
+        assert accepted == axioms
+        seen.add(accepted)
+
+    agree()
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("lam,accepted", [
+    ("x1*T", False), ("x2*T", False), ("x1*T^3", False),
+    ("(x2 + x1^2)*T", True), ("(x2 + x1^2)*T^3 + u*T", True)])
+def test_slice_action_proof_examples(lam, accepted):
+    t = t2(3)
+    coords = PolyMap(t, [t.var("x1"), t.parse("x2 + x1^2")])
+    assert _verdicts(coords, t.parse(lam)) == (accepted, accepted)
 
 
 def test_additivity_check():

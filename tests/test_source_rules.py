@@ -15,6 +15,9 @@
 - No call of `_canonical` or `object.__new__(Coeff)` outside coeffs.py:
   both build a Coeff without reducing it, so only the module that owns the
   num/den representation may vouch that a fraction is canonical.
+- No call passes `_checked=` outside `gaction.slice_action`: that keyword
+  skips the axiom check of a GaAction, and slice_action is the one place
+  that has just proved the axioms of the action it builds.
 """
 
 import ast
@@ -105,6 +108,20 @@ def _unreduced_coeffs(path):
             if cls == "Coeff":
                 yield "%s:%d: calls __new__(Coeff)" % (path.name,
                                                        node.lineno)
+
+
+def _unchecked_actions(path):
+    """Calls with a `_checked` keyword outside the module-level function
+    slice_action of gaction.py."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for top in tree.body:
+        if (path.name == "gaction.py" and isinstance(top, ast.FunctionDef)
+                and top.name == "slice_action"):
+            continue
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call)
+                    and any(k.arg == "_checked" for k in node.keywords)):
+                yield "%s:%d: passes _checked" % (path.name, node.lineno)
 
 
 def _defs(tree):
@@ -199,6 +216,32 @@ def test_unreduced_coeff_rule_catches_planted_calls(tmp_path):
     assert [v.split(": ", 1)[1] for v in _unreduced_coeffs(planted)] == [
         "calls _canonical", "calls _canonical", "calls __new__(Coeff)",
         "calls __new__(Coeff)", "calls __new__(Coeff)"]
+
+
+def test_only_slice_action_builds_unchecked_actions():
+    gaction_py = next(p for p in SOURCES if p.name == "gaction.py")
+    assert "_checked=True" in gaction_py.read_text()
+    assert [v for path in SOURCES for v in _unchecked_actions(path)] == []
+
+
+def test_unchecked_action_rule_catches_planted_calls(tmp_path):
+    source = ("def slice_action(data):\n"
+              "    return GaAction(t, images, _checked=True)\n\n"
+              "def other(data):\n"
+              "    return GaAction(t, images, _checked=True)\n\n"
+              "class Builder:\n"
+              "    def slice_action(self):\n"
+              "        return GaAction(t, images, _checked=True)\n\n"
+              "action = GaAction(t, images, _checked=False)\n"
+              "action = GaAction(t, images, checked=True)\n")
+    (tmp_path / "gaction.py").write_text(source)
+    (tmp_path / "planted.py").write_text(source)
+    assert [v.split(": ", 1)[1] for v in _unchecked_actions(
+        tmp_path / "gaction.py")] == ["passes _checked"] * 3
+    assert [v.split(":")[1] for v in _unchecked_actions(
+        tmp_path / "gaction.py")] == ["5", "9", "11"]
+    assert [v.split(":")[1] for v in _unchecked_actions(
+        tmp_path / "planted.py")] == ["2", "5", "9", "11"]
 
 
 def test_every_public_name_has_a_caller_in_the_library():
