@@ -83,6 +83,9 @@ class TriangularFactor:
         self.table = table
         self.a = table.coeff(a)
         self.b = table.coeff(b)
+        if self.a.is_zero() or self.b.is_zero():
+            raise BadParameters("a and b must lie in k*, got a=%s, b=%s"
+                                % (self.a, self.b))
         self.c = table.coeff(c)
         self.q = q
 
@@ -267,7 +270,7 @@ def normal_form(word):
 # ---------------------------------------------------------------------------
 
 class CentralizerWord:
-    """H(t) generators followed by one H0 element (x1+u1, a*x2+u2).
+    """H(t) generators followed by one H0 element (x1+u1, a*x2+u2), a != 0.
 
     Each generator is ("E1", g) for (x1 + g(x2), x2) or ("E2", g) for
     (x1, x2 + g(x1^p - t^(p-1) x1)); g is stored as a univariate polynomial
@@ -282,6 +285,8 @@ class CentralizerWord:
         self.gens = list(gens)
         a, u1, u2 = h0
         self.h0 = (table.coeff(a), table.coeff(u1), table.coeff(u2))
+        if self.h0[0].is_zero():
+            raise BadParameters("the H0 factor a must lie in k*, got 0")
 
     def gen_map(self, kind, g):
         table = self.table

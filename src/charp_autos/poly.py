@@ -71,7 +71,8 @@ RESERVED = ("T",)
 
 
 class VarTable:
-    """Ordered ring variables plus the reserved action parameter T."""
+    """Ordered ring variables plus the reserved action parameter T; no
+    variable may be named u, which text reads as the coefficient parameter."""
 
     __slots__ = ("p", "names", "invertible", "all_names", "index", "_vcount")
 
@@ -83,6 +84,8 @@ class VarTable:
         for r in RESERVED:
             if r in names:
                 raise ValueError("%r is reserved for the action parameter" % r)
+        if "u" in names:
+            raise ValueError("'u' is reserved for the coefficient parameter")
         bad = set(invertible) - set(names)
         if bad:
             raise ValueError("unknown invertible variables %s" % sorted(bad))

@@ -251,7 +251,7 @@ def parse_word(table, text, t=1):
         for tag, payload in blocks:
             if tag == "H0":
                 h0 = tuple(parse_coeff(table.p, v) for v in _block_fields(
-                    tag, payload, {"a": "0", "u1": "0", "u2": "0"}))
+                    tag, payload, {"a": "1", "u1": "0", "u2": "0"}))
             else:
                 g = parse_poly(table, payload)
                 if tag == "E1":

@@ -214,6 +214,12 @@ def test_unsupported_p_is_usage_error(capsys, argv):
      "BadParameters: t must lie in k*, got 0"),
     (("parse", "word", "[E1: x2^2]", "--t", "0"),
      "BadParameters: t must lie in k*, got 0"),
+    (("parse", "word", "[H0: a=0]"),
+     "BadParameters: the H0 factor a must lie in k*, got 0"),
+    (("parse", "word", "[tri: a=0,b=1,c=0,q=x1]"),
+     "BadParameters: a and b must lie in k*, got a=0, b=1"),
+    (("parse", "poly", "u*x1", "--vars", "u,x1"),
+     "ParseError: --vars: 'u' is reserved for the coefficient parameter"),
 ])
 def test_construction_parameters_out_of_range_are_usage_errors(capsys, argv,
                                                                message):

@@ -186,21 +186,103 @@ def test_rank_r_bad_parameters():
         build_rank_r_action(4, 2, 5)
 
 
+def _ring_map(poly, images, table):
+    """The image of a polynomial over the generic symbols under the ring map
+    sending each named symbol to images[name] in table, and T to T."""
+    names = poly.table.names
+    powers = {}
+    out = table.zero()
+    for exp, c in poly.terms.items():
+        term = table.var("T", exp[-1]).scale(c)
+        for nm, e in zip(names, exp):
+            if e:
+                if (nm, e) not in powers:
+                    powers[nm, e] = images[nm] ** e
+                term = term * powers[nm, e]
+        out = out + term
+    return out
+
+
+def _rank3_closed_forms(fam):
+    """The images (e1, e2) of x1, x2 at (l, m) >= (1, 1): the closed forms
+    for (1, 1) with T rescaled to f^(l-1) g^(m-1) T."""
+    t, f, g, p2 = fam.table, fam.f, fam.g, fam.p ** 2
+    scale = f ** (fam.l - 1) * g ** (fam.m - 1)
+    block = (g ** (p2 - 1) * scale ** p2 * t.var("T", p2)
+             - g ** (fam.p - 1) * scale ** fam.p * t.var("T", fam.p))
+    e1 = t.var("x1") + g * scale * t.var("T") + f ** (p2 - 1) * block
+    e2 = t.var("x2") - f ** p2 * block
+    return e1, e2
+
+
 def test_rank3_certified_identities_char2():
-    p = 2
-    fam = build_rank3_family(p, 1, 1)
-    t = fam.table
-    # xi = g x2 exactly
-    assert fam.xi == fam.g * t.var("x2")
-    # slice relation on the computable images
-    lam = fam.f * fam.g * t.var("T")
-    assert fam.f * fam.e1 + fam.e2 == fam.r_elt + lam
-    # rescale consistency: (l,m) images are the (1,1) images at scaled T
-    fam22 = build_rank3_family(p, 2, 2)
-    scale = fam.f * fam.g
-    scaled_T = {"T": scale * t.var("T")}
-    assert fam22.e2 == fam.e2.substitute(scaled_T)
-    assert fam22.e1 == fam.e1.substitute(scaled_T)
+    """The generic e1, e2 map to the closed forms of every member, at p = 2
+    for (l, m) in {1, 2}^2 and at p = 3 for (1, 1): the ring map F -> f,
+    Xi -> xi, S -> f^(l-1) g^(m-1) carries the generic identities to the
+    concrete images."""
+    for p, l, m in ((2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 1, 1)):
+        fam = build_rank3_family(p, l, m)
+        t = fam.table
+        # xi = g x2 exactly
+        assert fam.xi == fam.g * t.var("x2")
+        e1, e2 = _rank3_closed_forms(fam)
+        gen_e1, gen_e2, slice_ok, x3_ok = gallery._rank3_generic(p)
+        assert slice_ok and x3_ok
+        images = gallery._rank3_ring_map(fam.f, fam.g, l, m)
+        assert _ring_map(gen_e1, images, t) == e1
+        assert _ring_map(gen_e2, images, t) == e2
+        # slice relation on the concrete images
+        lam = fam.f ** l * fam.g ** m * t.var("T")
+        assert fam.f * e1 + e2 == fam.r_elt + lam
+        # rescale consistency: (l,m) images are the (1,1) images at scaled T
+        base = build_rank3_family(p, 1, 1)
+        scaled_T = {"T": fam.f ** (l - 1) * fam.g ** (m - 1) * t.var("T")}
+        assert [e.substitute(scaled_T) for e in _rank3_closed_forms(base)] \
+            == [e1, e2]
+
+
+def _drop_g_term(symbols):
+    # G without its term F^(p^2-p) X2^(p-1)
+    def patched(p):
+        table, g, block = symbols(p)
+        return (table, g - table.var("F", p * p - p) * table.var("X2", p - 1),
+                block)
+    return patched
+
+
+def _scale_block_term(symbols):
+    # B with its second term G^(p-1) (ST)^p multiplied by X1
+    def patched(p):
+        table, g, block = symbols(p)
+        second = g ** (p - 1) * (table.var("S") * table.var("T")).frob()
+        return table, g, block + second - table.var("X1") * second
+    return patched
+
+
+def _wrong_scale(ring_map):
+    # S sent to x1 f^(l-1) g^(m-1)
+    def patched(f, g, l, m):
+        images = ring_map(f, g, l, m)
+        images["S"] = images["S"] * images["X1"]
+        return images
+    return patched
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("attr,corrupt,check", [
+    ("_rank3_symbols", _drop_g_term, "x3_image_polynomial"),
+    ("_rank3_symbols", _scale_block_term, "x3_image_polynomial"),
+    ("_rank3_ring_map", _wrong_scale, "slice_consistency")],
+    ids=["G", "B", "scale"])
+def test_rank3_corruption_fails_only_its_check(monkeypatch, p, attr, corrupt,
+                                               check):
+    """Each check of an l, m >= 1 member computes something that can fail:
+    a corrupted input makes that check, and only that one, report false."""
+    names = ["xi_equals_g_x2", "slice_consistency", "x3_image_polynomial"]
+    assert [c.name for c in build_rank3_family(p, 2, 1).report.checks] == names
+    monkeypatch.setattr(gallery, attr, corrupt(getattr(gallery, attr)))
+    report = build_rank3_family(p, 2, 1).report
+    assert [c.name for c in report.checks if not c.ok] == [check]
 
 
 def test_rank3_xi_cases_check_xi_without_building_a_member(monkeypatch):

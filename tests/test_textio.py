@@ -92,6 +92,13 @@ def test_word_serialization():
     assert recompose(back) == recompose(word)
 
 
+def test_omitted_h0_fields_take_the_identity_values():
+    from charp_autos.textio import parse_word
+    t = VarTable(3, ("x1", "x2"))
+    assert parse_word(t, "[H0]").to_text() == "[H0: a=1,u1=0,u2=0]"
+    assert parse_word(t, "[H0: u2=2]").to_text() == "[H0: a=1,u1=0,u2=2]"
+
+
 def test_tame_word_round_trip():
     from charp_autos.plane import jvdk_factor, recompose
     from charp_autos.textio import parse_word
