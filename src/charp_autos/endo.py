@@ -76,7 +76,7 @@ def compose(phi, psi):
 
 
 def order_up_to(sigma, bound=None):
-    """Least m <= bound with sigma^m = id, else None (ExceedsBound)."""
+    """Least m <= bound with sigma^m = id, else None; bound defaults to p^2."""
     if bound is None:
         bound = sigma.table.p ** 2
     acc = sigma
@@ -129,7 +129,14 @@ def classify(sigma):
 
 
 def invert_structured(sigma):
-    """Inverse of an affine or triangular map; both compositions verified."""
+    """Inverse of an affine or triangular map, verified on one side only.
+
+    sigma*inv = id suffices.  A triangular map with nonzero diagonal is an
+    automorphism, so a right inverse of it is its inverse.  For an affine
+    map, the chain rule turns sigma*inv = id into M*L = I, L the constant
+    Jacobian of sigma and M that of inv taken at sigma; so L is invertible,
+    sigma is an automorphism, and again a right inverse is its inverse.
+    """
     flags = classify(sigma)
     if "affine" in flags:
         inv = _invert_affine(sigma)
@@ -137,7 +144,7 @@ def invert_structured(sigma):
         inv = _invert_triangular(sigma)
     else:
         raise NotStructured("map is neither affine nor triangular: %s" % sigma)
-    if not compose(sigma, inv).is_identity() or not compose(inv, sigma).is_identity():
+    if not compose(sigma, inv).is_identity():
         raise NotStructured("structured inversion failed for %s" % sigma)
     return inv
 

@@ -5,8 +5,10 @@ w := a^-1 x1, the images f_i := -sum_{j=0}^{p-1} (w+j)^{p-1} sigma^j(x_i)
 are sigma-invariant (reindex the residue sum) and congruent to x_i modulo
 lower variables (sum_{c in F_p} (w+c)^{p-1} = -1), so (x1, f2,..,fn) is a
 strict triangular coordinate change conjugating the translation to sigma.
-Correctness is verified by composition afterwards, so the construction is
-safe even if it differs from the original one.
+The sums are formed over R with the weights (x1 + j*a)^(p-1), then scaled
+once by -a^-(p-1).  Correctness is verified afterwards as phi*eps = sigma*phi
+on a triangular phi, so the construction is safe even if it differs from
+the original one.
 
 Each entry point runs one shape guard, then at most one order test per map:
 the powers sigma^0..sigma^p that the averaging also uses, or, for n = 2 and
@@ -16,8 +18,9 @@ is strict triangular whenever sigma is, so sigma's shape is classified once
 on that path too.
 
 The identities are asserted here, by raising InternalIntegralityFailure:
-- the averaging core, so every entry point: conjugating x1 -> x1 + a by the
-  conjugator gives back sigma;
+- the averaging core, so every entry point: the conjugator phi is
+  triangular and phi*eps = sigma*phi for eps = (x1 + a, x2, ..), which for
+  an automorphism phi is conjugating eps by phi giving back sigma;
 - exponentialize_triangular_n2: E_1 = sigma, and the action restricts to R,
   so a*c lies in F_p[u] for each coefficient c of the reduced f (the
   x1^(i-1)*T coefficient of E(x2) is -i*a*c, and p does not divide i);
@@ -35,7 +38,7 @@ from .coeffs import Coeff
 from .errors import (BadThetaSupport, InternalIntegralityFailure, NotOrderP,
                      NotTriangular, NonUnitTranslation, UnsupportedField)
 from .poly import MultiPoly, VarTable, _accumulate, express_in_invariant
-from .endo import PolyMap, classify, compose, conjugate, eps_map
+from .endo import PolyMap, classify, compose, eps_map
 from .gaction import GaAction, SliceData, slice_action
 
 
@@ -81,23 +84,36 @@ def _order_p_powers(sigma):
 def _averaged_conjugator(sigma, a, powers):
     """Maubach's conjugator by Artin-Schreier averaging over the powers
     [sigma^0, .., sigma^(p-1)] of an order-p strict triangular sigma with
-    sigma(x1) = x1 + a, a != 0; the conjugation is verified before return."""
+    sigma(x1) = x1 + a, a != 0.
+
+    The sums are formed over R: (w+j)^(p-1) = (x1 + j*a)^(p-1) / a^(p-1), so
+    F_i := sum_j (x1 + j*a)^(p-1) sigma^j(x_i) has coefficients in R and
+    f_i = -a^-(p-1) F_i is one scaling of it.  The conjugation is verified
+    as the intertwining phi*eps = sigma*phi on a triangular phi, which is an
+    automorphism over F_p(u), so this is phi*eps*phi^-1 = sigma.  The shape
+    test carries weight: phi = (x1, 0) intertwines every such sigma.
+    """
+    phi = _average(sigma, a, powers)
+    if ("triangular" not in classify(phi)
+            or compose(phi, eps_map(sigma.table, a)) != compose(sigma, phi)):
+        raise InternalIntegralityFailure("averaging produced a bad conjugator")
+    return phi
+
+
+def _average(sigma, a, powers):
+    """(x1, f2,..,fn), the averaged images of _averaged_conjugator, unchecked."""
     table = sigma.table
     p = table.p
     x1 = table.var(table.names[0])
-    w = x1.scale(a.inv())
-    weights = [(w + table.const(j)) ** (p - 1) for j in range(p)]
+    weights = [(x1 + table.const(a * j)) ** (p - 1) for j in range(p)]
+    scale = -(a ** (p - 1)).inv()
     images = [x1]
     for i in range(1, table.nvars):
         acc = table.zero()
         for weight, sj in zip(weights, powers):
             acc = acc + weight * sj.images[i]
-        images.append(-acc)
-    phi = PolyMap(table, images)
-
-    if conjugate(eps_map(table, a), phi) != sigma:
-        raise InternalIntegralityFailure("averaging produced a bad conjugator")
-    return phi
+        images.append(acc.scale(scale))
+    return PolyMap(table, images)
 
 
 def maubach_conjugator(sigma):

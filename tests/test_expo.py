@@ -1,13 +1,14 @@
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charp_autos import endo, expo
 from charp_autos.coeffs import Coeff
 from charp_autos.errors import (BadThetaSupport, InternalIntegralityFailure,
-                                NonUnitTranslation, NotOrderP, NotTriangular,
-                                UnsupportedField)
-from charp_autos.endo import PolyMap, conjugate, order_up_to
+                                NonUnitTranslation, NotOrderP, NotStructured,
+                                NotTriangular, UnsupportedField)
+from charp_autos.endo import PolyMap, compose, conjugate, eps_map, order_up_to
 from charp_autos.expo import (exponentialize_field_n3,
                               exponentialize_triangular_n2,
                               maubach_conjugator, sigma_from_theta, theta_of)
@@ -230,8 +231,9 @@ def test_thm15_case_establishes_each_fact_once(monkeypatch, p):
     sigma, = expos[0]
     assert sum(args[0] == sigma for args in orders) <= 1
     assert sum(args[0] == sigma for args in shapes) == 1
-    # one list of powers: sigma^2, .., sigma^p, each composed once
-    assert sum(args[0] == sigma for args in composes) == p - 1
+    # one list of powers: sigma^2, .., sigma^p, each composed once, and
+    # sigma*phi for the intertwining check of the conjugator
+    assert sum(args[0] == sigma for args in composes) == p
     assert len(evaluations) == 1 and len(restrictions) == 1
     # the suite builds sigma once and theta_of rebuilds it for its check
     assert len(built) == 2
@@ -254,7 +256,8 @@ def test_fixed_x1_paths_make_no_compositions(monkeypatch, p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_field_n3_delegated_path_tests_order_once(monkeypatch, p):
     """The order test runs once, on the renamed map inside n = 2: p - 1
-    compositions in all, none of them on sigma itself."""
+    compositions for the powers and one for the intertwining check, none of
+    them on sigma itself."""
     t = VarTable(p, ("x1", "x2", "x3"))
     sigma = parse_map(t, "(x1, x2+x1, x3+x2^%d-x1^%d*x2)" % (p, p - 1))
     orders = _count_calls(monkeypatch, expo, "_order_p_powers")
@@ -262,13 +265,14 @@ def test_field_n3_delegated_path_tests_order_once(monkeypatch, p):
     exponentialize_field_n3(sigma)
     (renamed,), = orders
     assert sum(args[0] == sigma for args in composes) == 0
-    assert sum(args[0] == renamed for args in composes) == p - 1
+    assert sum(args[0] == renamed for args in composes) == p
 
 
 def test_field_n3_delegated_path_classifies_sigma_once(monkeypatch):
     """The shape guard runs on sigma only: the renamed map goes to the n = 2
-    construction past its guard.  The other two classifications are
-    invert_structured's, on the conjugator and on the slice coordinates."""
+    construction past its guard.  The other two classifications are the
+    conjugator's triangularity check and invert_structured's, on the slice
+    coordinates only."""
     t = VarTable(5, ("x1", "x2", "x3"))
     sigma = parse_map(t, "(x1, x2+x1, x3+x2^5-x1^4*x2)")
     orders = _count_calls(monkeypatch, expo, "_order_p_powers")
@@ -278,7 +282,9 @@ def test_field_n3_delegated_path_classifies_sigma_once(monkeypatch):
     (renamed,), = orders
     assert [args[0] == sigma for args in shapes] == [True, False, False]
     assert not any(args[0] == renamed for args in shapes)
-    assert [args[0] for args in shapes[1:]] == [args[0] for args in inversions]
+    (coords,), = inversions
+    assert [args[0] for args in shapes[2:]] == [coords]
+    assert shapes[1][0].table == renamed.table
 
 
 def test_thm15_case_fails_when_a_library_check_fails(monkeypatch):
@@ -289,6 +295,105 @@ def test_thm15_case_fails_when_a_library_check_fails(monkeypatch):
     assert all(c.detail.startswith("InternalIntegralityFailure")
                for c in result.cases)
     assert "p2-00: FAIL" in result.to_text()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_conjugator_with_one_coefficient_changed_is_rejected(monkeypatch, p):
+    """Raising the coefficient of the top x1-power of f2 by one breaks
+    phi*eps = sigma*phi: a nonconstant polynomial in x1 alone is never fixed
+    by x1 -> x1 + a as a single monomial."""
+    t = t2(p)
+    theta = t.parse("x1^%d + x1" % (p + 1))
+    original = expo._average
+
+    def changed(*args):
+        phi = original(*args)
+        k = max(e[0] for e in phi.images[1].terms)
+        return PolyMap(t, [phi.images[0], phi.images[1] + t.var("x1", k)])
+
+    monkeypatch.setattr(expo, "_average", changed)
+    with pytest.raises(InternalIntegralityFailure, match="bad conjugator"):
+        maubach_conjugator(sigma_from_theta(Coeff.from_int(p, 1), theta))
+    with pytest.raises(InternalIntegralityFailure, match="bad conjugator"):
+        exponentialize_triangular_n2(sigma_from_theta(Coeff.u(p) + 1, theta))
+
+
+def test_degenerate_conjugator_fails_only_the_shape_check(monkeypatch):
+    """phi = (x1, 0) meets phi*eps = sigma*phi for every sigma with
+    sigma(x1) = x1 + a; only the triangularity check stops it."""
+    t = t2(3)
+    sigma = sigma_from_theta(Coeff.from_int(3, 1), t.parse("x1^4 + x1^2"))
+    degenerate = PolyMap(t, [t.var("x1"), t.zero()])
+    assert compose(degenerate, eps_map(t, 1)) == compose(sigma, degenerate)
+    monkeypatch.setattr(expo, "_average", lambda *args: degenerate)
+    with pytest.raises(InternalIntegralityFailure, match="bad conjugator"):
+        maubach_conjugator(sigma)
+    with pytest.raises(InternalIntegralityFailure, match="bad conjugator"):
+        exponentialize_triangular_n2(sigma)
+    monkeypatch.setattr(expo, "classify",
+                        lambda m: endo.classify(m) | {"triangular"})
+    assert maubach_conjugator(sigma) == degenerate
+
+
+@pytest.mark.parametrize("theta, inverter", [
+    ("x1^4 + x1", "_invert_triangular"),
+    ("x1", "_invert_affine")])
+def test_wrong_structured_inverse_is_rejected(monkeypatch, theta, inverter):
+    """The one-sided check sigma*inv = id of invert_structured still catches
+    a wrong inverse of the slice coordinates, on either branch."""
+    t = t2(3)
+    sigma = sigma_from_theta(Coeff.u(3), t.parse(theta))
+    original = getattr(endo, inverter)
+    calls = []
+
+    def wrong(m):
+        calls.append(m)
+        inv = original(m)
+        return PolyMap(m.table, [inv.images[0], inv.images[1] + t.var("x1")])
+
+    monkeypatch.setattr(endo, inverter, wrong)
+    with pytest.raises(NotStructured):
+        exponentialize_triangular_n2(sigma)
+    assert len(calls) == 1
+
+
+@st.composite
+def _conjugated_translations(draw, p, n):
+    """(sigma, a) with sigma = psi*eps*psi^-1, eps = (x1 + a, x2, ..) and
+    psi strict triangular over R = F_p[u]: a in F_p*, or in {u, u^2, u+1}
+    when n = 2."""
+    t = VarTable(p, ("x1", "x2", "x3")[:n])
+    u = Coeff.u(p)
+    a = draw(st.sampled_from([Coeff.from_int(p, c) for c in range(1, p)]
+                             + ([u, u * u, u + 1] if n == 2 else [])))
+    residues = st.integers(0, p - 1)
+
+    def element():
+        return Coeff.from_u_coeffs(p, [draw(residues), draw(residues)])
+
+    images = [t.var("x1") + t.const(element())]
+    for i in range(1, n):
+        extra = t.zero()
+        for _ in range(draw(st.integers(1, 2))):
+            powers = {name: draw(st.integers(0, 2)) for name in t.names[:i]}
+            extra = extra + t.monomial(element(), **powers)
+        images.append(t.var(t.names[i]) + extra)
+    return conjugate(eps_map(t, a), PolyMap(t, images)), a
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_intertwining_check_agrees_with_conjugation(p, n, data):
+    """The conjugator accepted by phi*eps = sigma*phi also passes the
+    inverse-based check phi*eps*phi^-1 = sigma."""
+    sigma, a = data.draw(_conjugated_translations(p, n))
+    if a.is_constant():
+        phi = maubach_conjugator(sigma)
+    else:
+        phi = expo._averaged_conjugator(sigma, a, expo._order_p_powers(sigma))
+    assert conjugate(eps_map(sigma.table, a), phi) == sigma
 
 
 def test_proof_step_coefficient_integrality():
