@@ -11,7 +11,7 @@ with invariant y + x^p - f^(p-1) x exists.  Everything else is Unknown.
 
 from dataclasses import dataclass
 
-from .coeffs import Coeff, coeff_gcd_integral
+from .coeffs import Coeff
 from .errors import (InconsistentSlice, NotInvariantParameter,
                      PreconditionViolated)
 from .poly import MultiPoly, content_primitive
@@ -156,26 +156,9 @@ def non_exponentiality_certificate(data, restriction=None):
                              witness=witness)
 
 
-def _fractional_primitive(lam):
-    """Primitive part of lam over F_p[u], allowing fractional coefficients:
-    denominators are cleared before taking the content."""
-    dens = []
-    p = lam.table.p
-    for c in lam.terms.values():
-        dens.append(Coeff(p, c.den))
-    d = dens[0]
-    for extra in dens[1:]:
-        g = coeff_gcd_integral([d, extra])
-        d = d * extra / g
-    cleared = lam.scale(d)
-    content, primitive = content_primitive(cleared)
-    return content / d, primitive
-
-
-def modify_action(action, slice_data, alpha, primitive=False):
+def modify_action(action, slice_data, alpha):
     """Replace the slice translation lam(T) by the constant translation
-    lam(alpha)*T (primitive=False) or lam0(alpha)*T where lam0 is the
-    primitive part of lam (primitive=True)."""
+    lam(alpha)*T."""
     table = action.table
     lam = slice_data.lam
     r = slice_data.coords.images[0]
@@ -185,12 +168,7 @@ def modify_action(action, slice_data, alpha, primitive=False):
         alpha = table.const(alpha)
     if not action.is_invariant(alpha):
         raise NotInvariantParameter("alpha is not invariant")
-    if primitive:
-        _, lam0 = _fractional_primitive(lam)
-        translation = lam0.subs_T(alpha)
-    else:
-        translation = lam.subs_T(alpha)
-    new_lam = translation * table.var("T")
+    new_lam = lam.subs_T(alpha) * table.var("T")
     return slice_action(
         SliceData(slice_data.coords, new_lam, slice_data.coords_inverse))
 

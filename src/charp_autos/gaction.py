@@ -28,7 +28,7 @@ def _lifted(table):
     s = "S"
     while s in table.names:
         s += "_"
-    return VarTable(table.p, table.names + (s,), table.invertible), s
+    return VarTable(table.p, table.names + (s,)), s
 
 
 def _lift(lifted, f, at_s=False):
@@ -98,7 +98,7 @@ class GaAction:
     def restricts_to(self):
         """(bool, witness): do all images lie in R[x1..xn, T], R = F_p[u]?"""
         for name, e in zip(self.table.names, self.images):
-            ok, bad = is_polynomial_over(e, "R")
+            ok, bad = is_polynomial_over(e)
             if not ok:
                 return False, (name, bad)
         return True, None

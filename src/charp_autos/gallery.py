@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .coeffs import Coeff
 from .errors import (BadH, BadParameters, InternalIntegralityFailure,
-                     UnsupportedP)
+                     NotDivisible, NotInvariantGenerator, UnsupportedP)
 from .poly import MultiPoly, VarTable, exact_div, is_polynomial_over
 from .endo import PolyMap, compose, eps_map, order_up_to
 from .gaction import GaAction, SliceData, slice_action, rank_certificate
@@ -99,17 +99,17 @@ def build_example_triangular(p):
     good = all(e[table.index["x1"]] % p for e in nu.terms)
     report.add("mu_good_form", good, "exponents of x1 in f2-coordinates")
 
-    ok2, _ = is_polynomial_over(action.images[1], "R")
+    ok2, _ = is_polynomial_over(action.images[1])
     report.add("E_x2_integral", ok2)
 
     residual = action.images[2] - table.monomial(
         a.inv(), x1=1 + p + p * p) * (table.var("T", p) - table.var("T"))
-    ok3, bad3 = is_polynomial_over(residual, "R")
+    ok3, bad3 = is_polynomial_over(residual)
     report.add("E_x3_residual_integral", ok3,
                "" if ok3 else "offending term %s" % (bad3,))
 
     sigma = action.evaluate(1)
-    okr = all(is_polynomial_over(g, "R")[0] for g in sigma.images)
+    okr = all(is_polynomial_over(g)[0] for g in sigma.images)
     report.add("E1_restricts", okr)
     report.add("E1_order_p", order_up_to(sigma, p) == p)
 
@@ -254,7 +254,7 @@ def build_nonexp_family(p, d, l, g_expr=None):
     if g_expr.uses_var("x") or g_expr.uses_var("T"):
         raise BadParameters("g must be expressed in u^((p+1)d) yt and z")
     g = g_expr.substitute({"y": wt})
-    ok_g, _ = is_polynomial_over(g, "R")
+    ok_g, _ = is_polynomial_over(g)
     if not ok_g:
         raise BadParameters("g escapes R[x,y,z]")
 
@@ -285,9 +285,9 @@ def build_nonexp_family(p, d, l, g_expr=None):
     report.add("star1_u_xt", _in_u_power(res1a, 1), str(res1a))
     res1b = (xt ** (d - 1)).scale(u ** b) - table.monomial(u, y=p * (p - 1) * (d - 1))
     report.add("star1_u_xt_power", _in_u_power(res1b, 2), str(res1b))
-    ok2 = is_polynomial_over(wt, "R")[0] and not any(wt.uses_var(z) for z in zs)
+    ok2 = is_polynomial_over(wt)[0] and not any(wt.uses_var(z) for z in zs)
     report.add("star2_wt_in_Rxy", ok2)
-    ok3, bad3 = is_polynomial_over(xi, "R")
+    ok3, bad3 = is_polynomial_over(xi)
     report.add("star3_E_y_integral", ok3, "" if ok3 else str(bad3))
 
     shift = family.nonintegral_shift()
@@ -388,32 +388,47 @@ class RankRAction:
     n: int
     r: int
     table: VarTable
-    fs: list
+    gs: list
     action: GaAction
     report: StarReport
 
 
 def build_rank_r_action(n, r, p):
-    """The rank-r action on k[x1..xn] with E_1 = (x1+1, x2, .., xn), built
-    from f1 = x1 + xn^-1 xr^p and the chain f_i over k[xn^(+-1)]."""
+    """The rank-r action on k[x1..xn] with E_1 = (x1+1, x2, .., xn).
+
+    The paper writes it over k[xn^(+-1)] through f1 = x1 + xn^-1 xr^p and
+    the chain f_i = x_i + xn^-1 sum_{2<=j<i} x_j^p + xn^(p-1)(f1^p - f1),
+    2 <= i <= r.  Everything it reports lies in k[x1..xn], so the builder
+    works there, on g_i = xn f_i:
+
+        g1 = xn x1 + xr^p,
+        g_i = xn x_i + sum_{2<=j<i} x_j^p + g1^p - xn^(p-1) g1,
+
+    since g1^p - xn^(p-1) g1 = xn^p (f1^p - f1); for r < i < n, g_i = x_i.
+    The action fixes xn, and k[x1..xn, T] is a domain, so E(f1) = f1 + T
+    and E(f_i) = f_i exactly when E(g1) = g1 + xn T and E(g_i) = g_i.  The
+    invariant generators xn f_i are the g_i themselves, and the deltas
+    E(x_i) - x_i of the proof's recursion carry xn^-1 only in front of
+    p-th powers of earlier deltas, each a multiple of xn^(p-1), so those
+    divisions are exact.
+    """
     if not (2 <= r < n <= 5) or p not in (2, 3):
         raise BadParameters("need 2 <= r < n <= 5 and p in {2, 3}")
     names = tuple("x%d" % (i + 1) for i in range(n))
-    table = VarTable(p, names, invertible=(names[-1],))
-    xn_inv = table.var(names[-1], -1)
-    xn = table.var(names[-1])
+    table = VarTable(p, names)
     xvars = [table.var(nm) for nm in names]
+    xn = xvars[-1]
+    xn_low = table.var(names[-1], p - 1)
 
-    f1 = xvars[0] + xn_inv * table.var(names[r - 1], p)
-    fs = [f1]
+    g1 = xn * xvars[0] + table.var(names[r - 1], p)
+    chain = g1 ** p - xn_low * g1
+    gs = [g1]
     for i in range(2, r + 1):
-        acc = table.zero()
+        acc = xn * xvars[i - 1] + chain
         for j in range(2, i):
             acc = acc + table.var(names[j - 1], p)
-        fs.append(xvars[i - 1] + xn_inv * acc
-                  + table.monomial(1, **{names[-1]: p - 1}) * (f1 ** p - f1))
-    for i in range(r + 1, n):
-        fs.append(xvars[i - 1])
+        gs.append(acc)
+    gs += xvars[r:-1]
 
     # images from the proof's recursion on deltas
     tpow = table.var("T", p) - table.var("T")
@@ -422,38 +437,37 @@ def build_rank_r_action(n, r, p):
         acc = table.zero()
         for j in range(2, i):
             acc = acc + deltas[j] ** p
-        deltas[i] = -(xn_inv * acc) - table.monomial(1, **{names[-1]: p - 1}) * tpow
-    delta1 = table.var("T") - xn_inv * deltas[r] ** p
+        deltas[i] = -exact_div(acc, xn) - xn_low * tpow
+    delta1 = table.var("T") - exact_div(deltas[r] ** p, xn)
     images = [xvars[0] + delta1]
     images += [xvars[i - 1] + deltas[i] for i in range(2, r + 1)]
-    images += [xvars[i - 1] for i in range(r + 1, n + 1)]
+    images += xvars[r:]
     action = GaAction(table, images)
 
     report = StarReport()
     report.add("fixes_chain",
-               action.apply(f1) == f1 + table.var("T")
-               and all(action.apply(fi) == fi for fi in fs[1:]))
+               action.apply(g1) == g1 + xn * table.var("T")
+               and all(action.apply(g) == g for g in gs[1:]))
 
-    membership = True
     ideal = xn * tpow
-    for i in range(2, r + 1):
-        q = exact_div(deltas[i], ideal)
-        membership = membership and is_polynomial_over(q, "field")[0]
-    q1 = exact_div(delta1 - table.var("T"), ideal)
-    membership = membership and is_polynomial_over(q1, "field")[0]
+    try:
+        for delta in list(deltas.values()) + [delta1 - table.var("T")]:
+            exact_div(delta, ideal)
+        membership = True
+    except NotDivisible:
+        membership = False
     report.add("condition_c_cosets", membership)
 
     report.add("E1_is_translation", action.evaluate(1) == eps_map(table, 1))
 
-    gens = [xn * fs[i - 1] for i in range(2, r + 1)] + xvars[r:]
-    inv_ok = all(action.is_invariant(g) for g in gens)
-    poly_ok = all(is_polynomial_over(g, "field")[0] for g in gens)
-    report.add("invariant_generators", inv_ok and poly_ok)
+    gens = gs[1:] + [xn]
+    report.add("invariant_generators",
+               all(action.is_invariant(g) for g in gens))
 
     zero_images = []
     expected_ok = True
     for i in range(2, r + 1):
-        img = (xn * fs[i - 1]).substitute({names[-1]: table.const(0)})
+        img = gs[i - 1].substitute({names[-1]: table.const(0)})
         expected = table.var(names[r - 1], p * p)
         for j in range(2, i):
             expected = expected + table.var(names[j - 1], p)
@@ -467,7 +481,7 @@ def build_rank_r_action(n, r, p):
     report.add("rank_certificate",
                cert["rank_lower"] == r and cert["rank_upper"] == r,
                "bounds %s" % cert)
-    return RankRAction(p, n, r, table, fs, action, report)
+    return RankRAction(p, n, r, table, gs, action, report)
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +665,7 @@ def epsilon_invariants(n, p):
     shift = {"x1": table.var("x1") + table.one()}
     for gpoly in gens:
         if gpoly.substitute(shift) != gpoly:
-            raise AssertionError("generator %s is not invariant" % gpoly)
+            raise NotInvariantGenerator("generator %s is not invariant"
+                                        % gpoly)
     return table, gens
 

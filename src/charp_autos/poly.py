@@ -1,14 +1,16 @@
-"""Sparse multivariate (optionally Laurent) polynomials over F_p(u).
+"""Sparse multivariate polynomials over F_p(u).
 
 MultiPoly maps exponent tuples to nonzero Coeffs.  An exponent tuple holds
 one slot per variable of the VarTable, in its order, followed by one slot
-for the action parameter T, which every table reserves and which is never
-invertible.  Checks that need a second parameter (axiom (A2) in gaction)
-lift their operands into a table with one more variable.
+for the action parameter T, which every table reserves.  Checks that need a
+second parameter (axiom (A2) in gaction) lift their operands into a table
+with one more variable.
 
-Negative exponents are permitted only on variables flagged invertible in the
-VarTable.  Powers use the base-p expansion of the exponent so that Frobenius
-powers f^(p^k) cost one pass over the terms.
+No exponent is ever negative: var, monomial and ** raise NegativeExponent
+for one, and sums, products, substitutions and exact quotients of
+polynomials stay polynomials.  Only coefficients are inverted.  Powers use
+the base-p expansion of the exponent so that Frobenius powers f^(p^k) cost
+one pass over the terms.
 
 Sums, products and substitutions all build their result through one in-place
 accumulator, _accumulate.  exact_div keeps its own merge loop, because a term
@@ -74,9 +76,9 @@ class VarTable:
     """Ordered ring variables plus the reserved action parameter T; no
     variable may be named u, which text reads as the coefficient parameter."""
 
-    __slots__ = ("p", "names", "invertible", "all_names", "index", "_vcount")
+    __slots__ = ("p", "names", "all_names", "index", "_vcount")
 
-    def __init__(self, p, names, invertible=()):
+    def __init__(self, p, names):
         self.p = check_prime(p)
         names = tuple(names)
         if len(set(names)) != len(names):
@@ -86,11 +88,7 @@ class VarTable:
                 raise ValueError("%r is reserved for the action parameter" % r)
         if "u" in names:
             raise ValueError("'u' is reserved for the coefficient parameter")
-        bad = set(invertible) - set(names)
-        if bad:
-            raise ValueError("unknown invertible variables %s" % sorted(bad))
         self.names = names
-        self.invertible = frozenset(invertible)
         self.all_names = names + RESERVED
         self.index = {n: i for i, n in enumerate(self.all_names)}
         self._vcount = len(self.all_names)
@@ -117,8 +115,8 @@ class VarTable:
 
     def var(self, name, exponent=1):
         i = self.index[name]
-        if exponent < 0 and name not in self.invertible:
-            raise NegativeExponent("variable %s is not invertible" % name)
+        if exponent < 0:
+            raise NegativeExponent("negative power of %s" % name)
         exp = [0] * self._vcount
         exp[i] = exponent
         return MultiPoly(self, {tuple(exp): Coeff.from_int(self.p, 1)})
@@ -128,8 +126,8 @@ class VarTable:
             coeff = Coeff.from_int(self.p, coeff)
         exp = [0] * self._vcount
         for name, e in powers.items():
-            if e < 0 and name not in self.invertible:
-                raise NegativeExponent("variable %s is not invertible" % name)
+            if e < 0:
+                raise NegativeExponent("negative power of %s" % name)
             exp[self.index[name]] = e
         if coeff.is_zero():
             return self.zero()
@@ -146,11 +144,10 @@ class VarTable:
 
     def __eq__(self, other):
         return (isinstance(other, VarTable) and self.p == other.p
-                and self.names == other.names
-                and self.invertible == other.invertible)
+                and self.names == other.names)
 
     def __hash__(self):
-        return hash((self.p, self.names, self.invertible))
+        return hash((self.p, self.names))
 
     def __repr__(self):
         return "VarTable(p=%d, %s)" % (self.p, ",".join(self.names))
@@ -408,9 +405,7 @@ class MultiPoly:
 
     def __pow__(self, e):
         if e < 0:
-            if len(self.terms) == 1:
-                return self.monomial_inverse() ** (-e)
-            raise NegativeExponent("negative power of a non-monomial")
+            raise NegativeExponent("negative power of a polynomial")
         if e == 0:
             return self.table.one()
         p = self.table.p
@@ -428,16 +423,6 @@ class MultiPoly:
                 out = acc if out is None else out * acc
             k += 1
         return out
-
-    def monomial_inverse(self):
-        if len(self.terms) != 1:
-            raise NegativeExponent("only monomials are invertible")
-        (e, c), = self.terms.items()
-        for i, x in enumerate(e):
-            name = self.table.all_names[i]
-            if x and name not in self.table.invertible:
-                raise NegativeExponent("variable %s is not invertible" % name)
-        return MultiPoly(self.table, {tuple(-x for x in e): c.inv()})
 
     # -- substitution --------------------------------------------------------
 
@@ -522,17 +507,16 @@ class MultiPoly:
 # ---------------------------------------------------------------------------
 
 def exact_div(f, g):
-    """Exact quotient f/g, or NotDivisible.
-
-    Monomial units of invertible variables are cleared first, then ordinary
-    leading-term division runs over the polynomial parts.
+    """Exact quotient f/g, or NotDivisible: leading-term division.
 
     The remainder is one mutable dict keyed by negated exponents, so that the
     key (sum, exponents) of a min-heap pops terms in descending graded-lex
     order (the order of leading_term).  A term cancelled to zero leaves its
     key in the heap; such stale keys are skipped when popped.  Each step
     subtracts q*g in place, without the leading monomial, which cancels by
-    construction (Johnson 1974; Monagan & Pearce, JSC 2011).
+    construction (Johnson 1974; Monagan & Pearce, JSC 2011).  A leading
+    remainder term that the leading term of g does not divide has no
+    quotient term, so f is then not a multiple of g.
     """
     if g.is_zero():
         raise ZeroPolynomial("division by the zero polynomial")
@@ -541,29 +525,13 @@ def exact_div(f, g):
     table = f.table
     if table != g.table:
         raise ValueError("mixed variable tables")
-
-    def clear_units(h):
-        shift = [0] * len(table.all_names)
-        for name in table.invertible:
-            i = table.index[name]
-            m = min(e[i] for e in h.terms)
-            if m:
-                shift[i] = m
-        if not any(shift):
-            return h, tuple(shift)
-        terms = {tuple(a - s for a, s in zip(e, shift)): c
-                 for e, c in h.terms.items()}
-        return MultiPoly(table, terms), tuple(shift)
-
-    fc, fshift = clear_units(f)
-    gc, gshift = clear_units(g)
-    lg_exp, lg_coeff = gc.leading_term()
+    lg_exp, lg_coeff = g.leading_term()
     lg_inv = lg_coeff.inv()
     neg_lg = tuple(-x for x in lg_exp)
     # -g without its leading term, exponents negated like the remainder's
-    neg_tail = [(tuple(-x for x in e), -c) for e, c in gc.terms.items()
+    neg_tail = [(tuple(-x for x in e), -c) for e, c in g.terms.items()
                 if e != lg_exp]
-    rem = {tuple(-x for x in e): c for e, c in fc.terms.items()}
+    rem = {tuple(-x for x in e): c for e, c in f.terms.items()}
     heap = [(sum(e), e) for e in rem]
     heapq.heapify(heap)
     qterms = {}
@@ -590,14 +558,7 @@ def exact_div(f, g):
                     del rem[m]
                 else:
                     rem[m] = s
-    shift = tuple(a - b for a, b in zip(fshift, gshift))
-    for i, s in enumerate(shift):
-        if s < 0 and table.all_names[i] not in table.invertible:
-            raise NotDivisible("quotient needs a negative exponent")
-    q = MultiPoly(table, qterms)
-    if any(shift):
-        q = q * MultiPoly(table, {shift: Coeff.from_int(table.p, 1)})
-    return q
+    return MultiPoly(table, qterms)
 
 
 def content_primitive(f):
@@ -615,18 +576,13 @@ def content_primitive(f):
     return content, primitive
 
 
-def is_polynomial_over(f, ring="R"):
-    """Membership in ring[x1..xn, T]: no negative exponent, and for "R" every
-    coefficient in F_p[u] ("field" allows all of F_p(u)).
+def is_polynomial_over(f):
+    """Membership in R[x1..xn, T], R = F_p[u]: every coefficient in F_p[u].
 
     Returns (ok, witness) where witness is the graded-lex least offending
-    (exponents, coeff) pair, or None.  An unknown ring raises before any
-    term is looked at.
+    (exponents, coeff) pair, or None.
     """
-    if ring not in ("R", "field"):
-        raise ValueError("unknown ring %r; expected 'R' or 'field'" % (ring,))
-    offenders = [(e, c) for e, c in f.terms.items()
-                 if min(e) < 0 or (ring == "R" and not c.is_integral())]
+    offenders = [(e, c) for e, c in f.terms.items() if not c.is_integral()]
     if not offenders:
         return True, None
     return False, min(offenders, key=lambda kv: _grlex_key(kv[0]))
@@ -647,7 +603,7 @@ def express_in_invariant(q, var, a):
     p = table.p
     idx = table.index[var]
     for e in q.terms:
-        if any(x and i != idx for i, x in enumerate(e)) or e[idx] < 0:
+        if any(x and i != idx for i, x in enumerate(e)):
             raise ValueError("polynomial is not univariate in %s" % var)
     w = table.var(var, p) - table.var(var).scale(a ** (p - 1))
     zero = table.zero_exp()
@@ -689,9 +645,6 @@ def linear_span_dim(gens):
     for g in gens:
         if g.table != table:
             raise ValueError("mixed variable tables")
-        for e in g.terms:
-            if any(x < 0 for x in e):
-                raise ValueError("Laurent generators are not supported here")
         lin = g.linear_part()
         row = [lin.coeff_of(**{name: 1}) for name in table.names]
         rows.append(row)

@@ -7,8 +7,8 @@ Polynomial grammar (accepted input is free-form, printing is canonical):
     factor := atom ["^" ["-"] int]
     atom   := int | name | "(" poly ")"
 
-"u" names the coefficient parameter; division and negative powers are only
-defined for coefficients and unit monomials of invertible variables.
+"u" names the coefficient parameter; division and negative powers apply to
+coefficients only, so every parsed polynomial has nonnegative exponents.
 Canonical printing orders terms by graded lex, descending, and writes every
 coefficient outside the prime field in parentheses: "(u^2+u)*x1^2*x2 + 1".
 """
@@ -133,15 +133,14 @@ class _Parser:
 
 
 def _invert(f, pos):
-    if f.is_constant():
-        c = f.constant_term()
-        if c.is_zero():
-            raise ParseError("division by zero", pos)
-        return f.table.const(c.inv())
-    try:
-        return f.monomial_inverse()
-    except Exception:
+    """The inverse of a nonzero coefficient; ring variables are never
+    inverted."""
+    if not f.is_constant():
         raise ParseError("cannot invert a non-unit polynomial", pos)
+    c = f.constant_term()
+    if c.is_zero():
+        raise ParseError("division by zero", pos)
+    return f.table.const(c.inv())
 
 
 def parse_poly(table, text):

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from charp_autos.cli import main
+from charp_autos.poly import MultiPoly
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -282,3 +283,30 @@ def test_suite_count_is_the_number_of_cases(capsys):
         "p2-composition: pass  [1 pairs]",
         "p2-content-multiplicative: pass  [1 pairs]",
         "2/2 passed"])
+
+
+@pytest.mark.parametrize("text,position", [
+    ("x1^-1", 4), ("1/x1", 1), ("x2*(x1+1)^-2", 11)])
+def test_ring_variables_are_not_inverted(capsys, text, position):
+    code, out, err = run(capsys, "parse", "poly", text)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "ParseError: cannot invert a non-unit polynomial (at position %d)"
+        % position]
+
+
+def test_coefficients_are_inverted(capsys):
+    code, out, _ = run(capsys, "parse", "poly", "x1*u^-2 + x2/(u+1)")
+    assert (code, out) == (0, "(1/u^2)*x1 + (1/(u+1))*x2\n")
+
+
+def test_a_moved_invariant_generator_is_one_line(capsys, monkeypatch):
+    # a substitution that adds 1 to its result moves every generator
+    real = MultiPoly.substitute
+    monkeypatch.setattr(MultiPoly, "substitute",
+                        lambda f, assignment: real(f, assignment) + 1)
+    code, out, err = run(capsys, "gallery", "eps-invariants", "--n", "2")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "NotInvariantGenerator: generator x1^2 + x1 is not invariant"]
+

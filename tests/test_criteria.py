@@ -128,16 +128,6 @@ def test_modify_action_alpha_one():
     assert modified.images[0] == t.parse("x1 + u*T")
 
 
-def test_modify_action_primitive_strips_content():
-    p = 2
-    t = VarTable(p, ("x1", "x2"))
-    u = Coeff.u(p)
-    sd = SliceData(PolyMap.identity(t), t.var("T").scale(u))
-    E = slice_action(sd)
-    modified = modify_action(E, sd, 1, primitive=True)
-    assert modified.images[0] == t.parse("x1 + T")
-
-
 def test_modify_action_rank_one_extension_restricts():
     # translation lengths evaluated at invariants stay in R[x]
     p = 3
@@ -150,8 +140,6 @@ def test_modify_action_rank_one_extension_restricts():
         modified = modify_action(E, sd, alpha)
         assert modified.restricts_to()[0]
         assert modified.evaluate(1) == E.evaluate(alpha)
-        primitive = modify_action(E, sd, alpha, primitive=True)
-        assert primitive.restricts_to()[0]
     with pytest.raises(NotInvariantParameter):
         modify_action(E, sd, t.var("x1"))
 

@@ -430,7 +430,7 @@ def test_field_n3_delegated_case():
     assert action.evaluate(1) == sigma
     assert action.restricts_to()[0]
     for img in action.images:
-        assert is_polynomial_over(img, "R")[0]
+        assert is_polynomial_over(img)[0]
 
 
 @pytest.mark.parametrize("p, text", [

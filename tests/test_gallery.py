@@ -3,7 +3,8 @@ import pytest
 from charp_autos.coeffs import Coeff
 from charp_autos import gallery
 from charp_autos.errors import (BadH, BadParameters,
-                                InternalIntegralityFailure, UnsupportedP)
+                                InternalIntegralityFailure, NotDivisible,
+                                UnsupportedP)
 from charp_autos.criteria import non_exponentiality_certificate
 from charp_autos.endo import PolyMap, compose, order_up_to
 from charp_autos.gallery import (StarReport, build_example_triangular,
@@ -117,7 +118,7 @@ def test_nonexp_dual_route_small_parameters():
     assert not ok and witness[0] == "x"
     # sigma restricts: evaluate at 1 and check every image
     sigma = action.evaluate(1)
-    assert all(is_polynomial_over(g, "R")[0] for g in sigma.images)
+    assert all(is_polynomial_over(g)[0] for g in sigma.images)
 
 
 def test_nonexp_certificate_round_trip():
@@ -156,8 +157,7 @@ def test_rank_r_reports(n, r, p):
     assert built.report.all_ok(), built.report.to_text()
     # generator at xn = 0: sum of x_j^p plus x_r^(p^2)
     t = built.table
-    img = (t.var(t.names[-1]) * built.fs[1]).substitute(
-        {t.names[-1]: t.const(0)})
+    img = built.gs[1].substitute({t.names[-1]: t.const(0)})
     expected = t.var(t.names[r - 1], p * p)
     assert img == expected
 
@@ -177,6 +177,25 @@ def test_rank_r_reports_a_non_invariant_generator(monkeypatch):
     checks = {c.name: c.ok for c in build_rank_r_action(4, 2, 2).report.checks}
     assert not checks["invariant_generators"]
     assert checks["rank_certificate"]
+
+
+def test_rank_r_reports_a_delta_outside_the_coset(monkeypatch):
+    # exact_div finds no quotient by xn (T^p - T): the builder still returns,
+    # and only condition_c_cosets reports false; the divisions by xn in the
+    # recursion on deltas run as before
+    real = gallery.exact_div
+
+    def no_coset(f, g):
+        t = g.table
+        tpow = t.var("T", t.p) - t.var("T")
+        if g == t.var(t.names[-1]) * tpow:
+            raise NotDivisible("planted")
+        return real(f, g)
+
+    monkeypatch.setattr(gallery, "exact_div", no_coset)
+    checks = {c.name: c.ok for c in build_rank_r_action(4, 3, 2).report.checks}
+    assert not checks.pop("condition_c_cosets")
+    assert all(checks.values()), checks
 
 
 def test_rank_r_bad_parameters():

@@ -45,8 +45,8 @@ def operands(draw, count, max_size=5):
     return p, polys
 
 
-def rings(p, invertible=()):
-    table = VarTable(p, ("x", "y", "z"), invertible)
+def rings(p):
+    table = VarTable(p, ("x", "y", "z"))
     oracle = ring(",".join(table.all_names), GF(p), grlex)[0]
     return table, oracle
 
@@ -86,7 +86,7 @@ def test_mul_matches_sympy(case):
 # Exponent sets an operand draws per slot for the packed-product test:
 # fixed; small; a nonzero minimum; above 2^31 with a small span; a span
 # above 2^31, so that packed keys span several int digits; negative (x
-# only, which is invertible).
+# only), as the u-slot of _laurent_product packs them.
 _PROFILES = ((0,), (3,), (0, 1, 2, 3), (5, 6, 7), (2 ** 31, 2 ** 31 + 1),
              (0, 1, 2, 2 ** 31 + 1))
 _NEGATIVE = (-2, -1, 0, 1)
@@ -150,16 +150,24 @@ WIDE = {(0, 0, 2 ** 31 + 1, 1): 1, (-2, 1, 0, 0): 2, (1, 0, 1, 2): 1}
 @example((7, WIDE, {(i, j, 0, 0): 1 + (i * j) % 6
                     for i in range(-2, 6) for j in range(8)}))
 def test_fp_product_matches_sympy_on_both_sides_of_packing(case):
-    """Prime-field products of operands with up to 16 * 40 term products,
-    so that both the Coeff loop of MultiPoly.__mul__ and the packed kernel
-    poly._fp_product run; the first two examples straddle the threshold
-    _PACK_MIN_PRODUCTS between them."""
+    """Prime-field products of operands with up to 16 * 40 term products.
+    The packed kernel poly._fp_product runs on the term dicts themselves,
+    negative x exponents included.  Where no exponent is negative the
+    operands are polynomials and MultiPoly.__mul__ runs too, so that both
+    its Coeff loop and the packed kernel run; the first two examples
+    straddle the threshold _PACK_MIN_PRODUCTS between them."""
     p, f, g = case
-    table, oracle = rings(p, invertible=("x",))
-    got = ours(table, f) * ours(table, g)
-    assert as_dict(got, p) == sympy_product(oracle, p, f, g)
-    assert all(c.den == (1,) and len(c.num) == 1 and 0 < c.num[0] < p
-               for c in got.terms.values())
+    table, oracle = rings(p)
+    want = sympy_product(oracle, p, f, g)
+    lhs, rhs = ({e: Coeff.from_int(p, c) for e, c in h.items()}
+                for h in (f, g))
+    products = [poly._fp_product(p, lhs, rhs)]
+    if min(min(e) for h in (f, g) for e in h) >= 0:
+        products.append((ours(table, f) * ours(table, g)).terms)
+    for got in products:
+        assert {e: c.const_value() for e, c in got.items()} == want
+        assert all(c.den == (1,) and len(c.num) == 1 and 0 < c.num[0] < p
+                   for c in got.values())
 
 
 @given(operands(1, max_size=3), st.integers(0, 15))
@@ -221,20 +229,6 @@ def test_exact_div_agrees_on_divisibility(case):
     else:
         assert as_dict(exact_div(dividend, ours(table, g)), p) \
             == as_dict(want_q, p)
-
-
-@given(operands(2), st.integers(-3, 3), st.integers(-3, 3))
-@ORACLE
-def test_exact_div_laurent_shift(case, s_f, s_g):
-    """x invertible: x^s_f * f*g divided by x^s_g * g is x^(s_f - s_g) * f,
-    whatever the signs and whatever powers of x f and g carry."""
-    p, (g, f) = case
-    table, oracle = rings(p, invertible=("x",))
-    product = theirs(oracle, f) * theirs(oracle, g)
-    dividend = ours(table, as_dict(product, p)) * table.var("x", s_f)
-    divisor = ours(table, g) * table.var("x", s_g)
-    want = ours(table, f) * table.var("x", s_f - s_g)
-    assert exact_div(dividend, divisor) == want
 
 
 # -- F_p[u] and F_p(u) coefficients ------------------------------------------

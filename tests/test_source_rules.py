@@ -18,6 +18,8 @@
 - No call passes `_checked=` outside `gaction.slice_action`: that keyword
   skips the axiom check of a GaAction, and slice_action is the one place
   that has just proved the axioms of the action it builds.
+- No `raise AssertionError`: every failure the library raises is a
+  CharpAutosError, which the CLI reports as one line with exit code 1.
 """
 
 import ast
@@ -122,6 +124,20 @@ def _unchecked_actions(path):
             if (isinstance(node, ast.Call)
                     and any(k.arg == "_checked" for k in node.keywords)):
                 yield "%s:%d: passes _checked" % (path.name, node.lineno)
+
+
+def _assertion_raises(path):
+    """raise statements whose exception is AssertionError, called or not,
+    as a bare name or an attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        name = (exc.id if isinstance(exc, ast.Name)
+                else exc.attr if isinstance(exc, ast.Attribute) else None)
+        if name == "AssertionError":
+            yield "%s:%d: raises AssertionError" % (path.name, node.lineno)
 
 
 def _defs(tree):
@@ -242,6 +258,23 @@ def test_unchecked_action_rule_catches_planted_calls(tmp_path):
         tmp_path / "gaction.py")] == ["5", "9", "11"]
     assert [v.split(":")[1] for v in _unchecked_actions(
         tmp_path / "planted.py")] == ["2", "5", "9", "11"]
+
+
+def test_library_raises_no_assertion_error():
+    assert [v for path in SOURCES for v in _assertion_raises(path)] == []
+
+
+def test_assertion_error_rule_catches_planted_raises(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "raise AssertionError\nraise AssertionError('not invariant')\n"
+        "raise builtins.AssertionError() from exc\n"
+        "raise NotInvariantGenerator('x')\nraise\n"
+        "error = AssertionError('kept, not raised')\n")
+    assert [v.split(": ", 1)[1] for v in _assertion_raises(planted)] == [
+        "raises AssertionError"] * 3
+    assert [v.split(":")[1] for v in _assertion_raises(planted)] == [
+        "1", "2", "3"]
 
 
 def test_every_public_name_has_a_caller_in_the_library():
