@@ -28,9 +28,11 @@ Sharing is safe because a Coeff is never changed once built: only this
 module assigns num and den, and only to a Coeff it is creating.
 
 Elements of F_p[u, 1/u] (is_laurent) are also sums of terms a*u^k.
-poly's packed products read them as such (u_terms) and hand the u-terms
-of each result term back to from_u_terms, which builds the canonical
-Coeff directly, so that num and den stay this module's business.
+poly's packed products and substitutions read them as such (u_terms, with
+each a as its residue, or num[0] for a constant of F_p) and hand the
+u-terms of each result term back to from_u_terms, which builds the
+canonical Coeff directly, so that building num and den stays this
+module's business.
 
 Dense polynomials are tuples of ints in [0, p), index = degree, with no
 trailing zeros; the zero polynomial is the empty tuple.
@@ -222,8 +224,10 @@ class Coeff:
         return len(self.num) <= 1 and self.den == (1,)
 
     def is_laurent(self):
-        """Membership in F_p[u, 1/u]: the denominator is a power of u."""
-        return not any(self.den[:-1])
+        """Membership in F_p[u, 1/u]: the denominator is a power of u, all
+        zeros below its leading 1."""
+        den = self.den
+        return len(den) == 1 or den.count(0) == len(den) - 1
 
     def is_one(self):
         return self.num == (1,) and self.den == (1,)
@@ -241,10 +245,9 @@ class Coeff:
 
     def u_terms(self):
         """(k, a) pairs with self = sum(a*u^k), for self in F_p[u, 1/u]: one
-        pair per nonzero term, a the shared constant of F_p."""
-        consts = _CONSTANTS[self.p]
+        pair per nonzero term, a its residue in 1..p-1."""
         m = len(self.den) - 1
-        return [(i - m, consts[a]) for i, a in enumerate(self.num) if a]
+        return [(i - m, a) for i, a in enumerate(self.num) if a]
 
     def divisible_by_u_power(self, e):
         """Membership in u^e * F_p[u]."""
@@ -412,9 +415,10 @@ _CONSTANTS = {p: tuple(Coeff(p, (k,)) for k in range(p))
 
 def from_u_terms(p, groups):
     """{key: the Coeff sum(a*u^k)} for a dict of nonempty lists of (k, a)
-    pairs with distinct k, each a a shared nonzero constant (as u_terms
-    gives them).  A constant is the shared a itself, and each distinct
-    monomial c*u^k is built once and shared by every key that has it."""
+    pairs with distinct k, each a a residue in 1..p-1 (as u_terms gives
+    them).  A constant is the shared constant of F_p, and each distinct
+    monomial a*u^k is built once and shared by every key that has it."""
+    consts = _CONSTANTS[p]
     monomials = {}
     out = {}
     for key, terms in groups.items():
@@ -423,9 +427,9 @@ def from_u_terms(p, groups):
             continue
         k, a = terms[0]
         if not k:
-            out[key] = a
+            out[key] = consts[a]
             continue
-        mono = k * p + a.num[0]             # one int per (k, a)
+        mono = k * p + a                    # one int per (k, a)
         got = monomials.get(mono)
         if got is None:
             got = monomials[mono] = _from_u_terms(p, terms)
@@ -440,7 +444,7 @@ def _from_u_terms(p, terms):
     lo = min(ks)
     num = [0] * (max(ks) - lo + 1)
     for k, a in terms:
-        num[k - lo] = a.num[0]
+        num[k - lo] = a
     if lo < 0:
         return _canonical(p, tuple(num), (0,) * -lo + (1,))
     return _canonical(p, (0,) * lo + tuple(num))

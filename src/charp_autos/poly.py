@@ -12,47 +12,82 @@ polynomials stay polynomials.  Only coefficients are inverted.  Powers use
 the base-p expansion of the exponent so that Frobenius powers f^(p^k) cost
 one pass over the terms.
 
-Sums, products and substitutions all build their result through one in-place
-accumulator, _accumulate.  exact_div keeps its own merge loop, because a term
-it adds to the remainder must also be pushed onto its heap of live keys.
+Sums, and the products and substitutions that do not pack, build their
+result through one in-place accumulator, _accumulate.  exact_div keeps its
+own merge loop, because a term it adds to the remainder must also be pushed
+onto its heap of live keys.
+
+Products and substitutions whose coefficients all lie in F_p[u, 1/u] (a
+denominator that is a power of u; F_p included) may run on packed
+monomials (Monagan & Pearce, JSC 2011).  _layout makes each exponent slot
+that varies a mixed-radix digit, and the exponent k of u in an F_p term
+a*x^e*u^k the most significant digit, which may take either sign, so that
+x^e*u^k packs into one int and a product of two such terms is one int
+addition, with no carry between digits.  _pack encodes a term dict once,
+as its keys grouped by residue a.  _products is the one product loop: it
+sums the coefficient products of each key as plain ints (as in sympy's
+galoistools gf_mul).  _unpack reduces each sum mod p and decodes each
+result key once, and coeffs.from_u_terms builds every Coeff from the
+u-terms under one exponent tuple.
 
 MultiPoly.__mul__ has two paths.  A product of at least
 _PACK_MIN_PRODUCTS = 32 term products, with more than one term in each
-operand and every coefficient in F_p[u, 1/u] (a denominator that is a
-power of u), takes the packed kernel _fp_product.  It packs each exponent
-tuple into one int, mixed radix over the slots that vary in this product
-(packed monomials as in Monagan & Pearce, JSC 2011), so a term product is
-one int addition and each result term is decoded once; the coefficient
-products are summed as plain ints and reduced mod p once per result term
-(as in sympy's galoistools gf_mul).  When every coefficient is in F_p the
-operands go to _fp_product as they are.  Otherwise _laurent_product first
-expands each term c*x^e, c = sum(a*u^k), into its F_p terms a*x^e*u^k with
-k as one more exponent slot, and coeffs regroups the product's u-terms
-under each x^e into one Coeff, with no reduction.  Every other product runs
-the _accumulate loop, which reduces a fraction per term product.  The size
-test comes first, so a smaller product never scans its coefficients, and
-on F_p the loop allocates no Coeff: coeffs hands out one shared constant
-per residue.  Encoding both operands and decoding the result cost more
-than they save on small products, and a one-term operand saves nothing,
-since each of its term products is a result term of its own.
+operand and every coefficient in F_p[u, 1/u], runs _packed_product, where
+each operand packs its exponents less its own per-slot minimums.  Every
+other product runs the _accumulate loop, which reduces a fraction per term
+product.  The size test comes first, so a smaller product never scans its
+coefficients, and on F_p the loop allocates no Coeff: coeffs hands out one
+shared constant per residue.  Encoding both operands and decoding the
+result cost more than they save on small products, and a one-term operand
+saves nothing, since each of its term products is a result term of its
+own.
 
 Packed/loop time ratios by term products, replaying the recorded products
-(both operands above one term) of the seeded-instances, rank3 and
-gallery-axioms workloads at seed 7 (2 cores, Python 3.11), first those
-with every coefficient in F_p, then those in F_p[u, 1/u] but not all in
-F_p, which only seeded-instances and gallery-axioms make:
+(both operands above one term, every coefficient in F_p[u, 1/u]) of the
+seeded-instances, rank3 and gallery-axioms workloads at seed 7 (2 cores,
+Python 3.11), first those with every coefficient in F_p, then the others:
 
     term products   < 8  < 16  < 24  < 32  < 48  < 64  < 128  < 256  < 2048
-    F_p            2.54  1.83  1.36  0.93  0.69  0.66   0.55   0.43    0.30
-    F_p[u, 1/u]    2.78  1.86  1.30  0.85  0.71  0.68   0.48   0.37    0.29
+    F_p            2.83  1.95  1.39  1.10  0.83  0.75   0.56   0.45    0.20
+    F_p[u, 1/u]    2.64  1.86  1.24  0.95  0.81  0.82   0.34   0.47       -
 
-and 0.14 for the one F_p[u, 1/u] product above 2048.  Both ratios cross 1
-between 16 and 32 term products, so one threshold serves both.  On the
-same replay a threshold of 32 is no slower than one of 128 on the F_p
-products of any workload: 52, 15 and 2.5 ms in all against 57, 16 and
-2.5 ms.  On the F_p[u, 1/u] products it is no slower than leaving them all
-on the loop: 158 and 43 ms against 166 and 189 ms on seeded-instances and
-gallery-axioms, and within 3% of the best threshold, 24.
+and 0.14 for the 12 F_p products above 2048.  Both ratios cross 1 between
+24 and 32 term products, so one threshold serves both.  On the same replay
+the threshold 32 is within 1 ms of the best of 16, 24, 32, 48, 64 and 128
+on every workload: 31.1 and 129.2 ms for the F_p and the other products of
+seeded-instances (45.5 and 134.1 ms with none packed), 38.5 ms on rank3
+(238.6) and 7.0 ms on gallery-axioms (12.5).  F_p products used to run a
+kernel of their own, and the others packed u as one more exponent slot
+before it; on the packed products of this replay the shared kernel takes
+0.71 and 0.89 of the time of the latter on seeded-instances and
+gallery-axioms, and 1.01 and 1.10 of the time of the former on rank3 and
+seeded-instances (57.2 against 56.7 ms, 10.0 against 9.0 ms).
+
+MultiPoly.substitute has two paths too.  A call where len(f.terms) times
+the total term count of the images of the variables that f uses (an image
+equal to its variable left out) is at least _PACK_MIN_SUBSTITUTION = 64,
+and every coefficient of f and of those images lies in F_p[u, 1/u], runs
+_packed_substitute.  It packs f and each image once, on one layout for the
+whole call, whose digit for slot i runs from 0 to the largest degree in
+slot i that a term of the result can reach, so that every image power and
+partial product of the call shares the layout; a Frobenius power g^(p^k)
+of a packed g is its keys times p^k, as a^p = a on F_p.  Every other call
+multiplies out each term's product of cached image powers with __mul__ and
+accumulates it Coeff by Coeff.  Packed/loop time ratios by those term
+pairs, replaying the recorded calls of the same workloads at seed 7 that
+have every coefficient in F_p[u, 1/u]:
+
+    term pairs   < 8  < 16  < 24  < 32  < 48  < 64  < 96  < 128  < 256  < 4096
+    packed/loop 2.43  1.44  1.28  1.11  1.06  0.92  0.60   0.62   0.18    0.43
+
+The ratio crosses 1 between 48 and 64 term pairs.  By threshold 32, 48,
+64, 128 or none, the calls took 377, 376, 378, 395 and 410 ms on
+seeded-instances and 68, 68, 69, 88 and 233 ms on gallery-axioms; rank3's
+5.7 ms do not move.  At 64 no suite of the three workloads is more than
+0.1 ms slower than with none packed, at seed 7 and at seed 4242 alike.
+Counting the images of variables that f does not use as well would pack
+the axiom checks of the rank-r action, which substitute every generator
+into images that each use one of them, at 5 to 7 times the loop's time.
 
 exact_div has no prime-field path: on the rank3 suite one measured
 2.59/2.26/2.16 s against 2.74/2.29/2.94 s without, within noise.  Term dicts
@@ -61,8 +96,8 @@ measured no gain on rank3.
 """
 
 import heapq
-from itertools import repeat
-from operator import add, floordiv, mod, mul, sub
+from itertools import compress, repeat
+from operator import add, eq, floordiv, mod, mul, sub
 
 from .coeffs import (Coeff, _CONSTANTS, check_prime, coeff_gcd_integral,
                      from_u_terms)
@@ -101,8 +136,7 @@ class VarTable:
         return (0,) * self._vcount
 
     def const(self, c):
-        if isinstance(c, int):
-            c = Coeff.from_int(self.p, c)
+        c = self.coeff(c)
         if c.is_zero():
             return MultiPoly(self, {})
         return MultiPoly(self, {self.zero_exp(): c})
@@ -122,8 +156,7 @@ class VarTable:
         return MultiPoly(self, {tuple(exp): Coeff.from_int(self.p, 1)})
 
     def monomial(self, coeff, **powers):
-        if isinstance(coeff, int):
-            coeff = Coeff.from_int(self.p, coeff)
+        coeff = self.coeff(coeff)
         exp = [0] * self._vcount
         for name, e in powers.items():
             if e < 0:
@@ -134,8 +167,13 @@ class VarTable:
         return MultiPoly(self, {tuple(exp): coeff})
 
     def coeff(self, c):
+        """c as a Coeff of this table's F_p(u); a Coeff of another
+        characteristic raises ValueError."""
         if isinstance(c, int):
             return Coeff.from_int(self.p, c)
+        if c.p != self.p:
+            raise ValueError("mixed characteristics %d and %d"
+                             % (self.p, c.p))
         return c
 
     def parse(self, text):
@@ -174,90 +212,218 @@ def _accumulate(out, pairs):
 
 
 # Products of at least this many term products, with more than one term in
-# each operand and every coefficient in F_p[u, 1/u], take _fp_product (see
-# the module docstring).
+# each operand and every coefficient in F_p[u, 1/u], take _packed_product;
+# substitutions of at least this many term pairs, len(f.terms) times the
+# term count of the images of the variables f uses, take _packed_substitute
+# (see the module docstring).
 _PACK_MIN_PRODUCTS = 32
+_PACK_MIN_SUBSTITUTION = 64
 
 
-def _fp_product(p, lhs, rhs):
-    """Product of two term dicts with coefficients in F_p, on exponents
-    packed into ints.  The sums of coefficient products are plain ints,
-    reduced mod p once per result term; the result shares coeffs' canonical
-    constants.
-
-    Slot i of a product exponent lies between base[i] = lo1[i] + lo2[i] and
-    hi1[i] + hi2[i], the sums of the operands' per-slot minimums and
-    maximums: span[i] values.  An operand's tuple e packs to
-    sum((e[i] - lo[i]) * weight[i]), with mixed-radix weights over the slots
-    whose span exceeds 1 and weight 0 on the others, which are fixed at
-    base[i].  The key of a term product is then the sum of its factors'
-    keys, without carries between slots, and each result key is decoded
-    once.
-    """
-    cols1 = list(zip(*lhs))
-    cols2 = list(zip(*rhs))
-    lo1 = list(map(min, cols1))
-    lo2 = list(map(min, cols2))
-    base = list(map(add, lo1, lo2))
+def _layout(lo, hi):
+    """(weights, radices, top): packed keys for exponent tuples whose slot i
+    lies in lo[i]..hi[i].  A slot that varies is a mixed-radix digit of
+    span hi[i] - lo[i] + 1; weights holds each slot's weight (0 on a fixed
+    slot) and radices the (slot, span) of the digits, low digit first.  top
+    is the weight of the u exponent, the most significant digit, which may
+    take either sign."""
     weights = []
-    radices = []        # (slot, span) of the varying slots, low digit first
+    radices = []
     w = 1
-    for i, (b, h1, h2) in enumerate(zip(base, map(max, cols1),
-                                        map(max, cols2))):
-        span = h1 + h2 - b + 1
+    for i, (l, h) in enumerate(zip(lo, hi)):
+        span = h - l + 1
         if span > 1:
             radices.append((i, span))
             weights.append(w)
             w *= span
         else:
             weights.append(0)
-    off1 = sum(map(mul, lo1, weights))
-    off2 = sum(map(mul, lo2, weights))
-    # rhs keys grouped by coefficient: the inner loop multiplies nothing
-    groups = {}
-    for e, c in rhs.items():
-        groups.setdefault(c.num[0], []).append(sum(map(mul, e, weights))
-                                               - off2)
-    groups = list(groups.items())
-    acc = {}
+    return weights, radices, w
+
+
+def _pack(p, terms, weights, top, offset=0):
+    """A term dict over F_p[u, 1/u] as packed keys grouped by residue: a
+    list whose entry a holds the key sum(e[i] * weights[i]) - offset +
+    k * top of each F_p term a*x^e*u^k (entry 0 stays empty)."""
+    out = [[] for _ in range(p)]
+    for e, c in terms.items():
+        key = sum(map(mul, e, weights)) - offset
+        # a constant of F_p is read as its one residue: a call of u_terms
+        # per term left the rank3 workload ~4% slower than a kernel for
+        # F_p alone
+        num = c.num
+        if len(num) == 1 and len(c.den) == 1:
+            out[num[0]].append(key)
+        else:
+            for k, a in c.u_terms():
+                out[a].append(key + k * top)
+    return out
+
+
+def _products(acc, lhs, rhs):
+    """Add every term product of the packed operands lhs and rhs into acc,
+    {key: int}, as plain ints with no reduction: a term product is one int
+    addition of keys, as no digit carries, and the keys of one residue
+    pair share one coefficient product."""
+    if sum(map(len, lhs)) > sum(map(len, rhs)):
+        lhs, rhs = rhs, lhs
+    rhs = [(b, keys) for b, keys in enumerate(rhs) if keys]
     get = acc.get
-    for e, c in lhs.items():
-        k1 = c.num[0]
-        key1 = sum(map(mul, e, weights)) - off1
-        for k2, keys in groups:
-            k = k1 * k2
-            for key2 in keys:
-                key = key1 + key2
-                acc[key] = get(key, 0) + k
-    consts = _CONSTANTS[p]
+    for a, keys1 in enumerate(lhs):
+        for key1 in keys1:
+            for b, keys2 in rhs:
+                k = a * b
+                for key2 in keys2:
+                    key = key1 + key2
+                    acc[key] = get(key, 0) + k
+    return acc
+
+
+def _reduce(p, acc):
+    """acc, {key: int}, as a packed operand: its sums mod p, grouped by
+    residue."""
+    residues = list(map(mod, acc.values(), repeat(p)))
+    return [[]] + [list(compress(acc, map(eq, residues, repeat(a))))
+                   for a in range(1, p)]
+
+
+def _unpack(p, acc, top, radices, base):
+    """The term dict of acc, {key: int}, packed by _layout's weights with
+    base[i] subtracted from slot i: sums reduced mod p once per key, and
+    every Coeff built by coeffs.from_u_terms from the u-terms under one
+    exponent tuple.  When no key leaves 0..top - 1, no u exponent is
+    nonzero and the coefficients are the shared constants of F_p."""
     keys = []
-    coeffs = []
+    residues = []
     for key, k in acc.items():
         k %= p
         if k:
             keys.append(key)
-            coeffs.append(consts[k])
+            residues.append(k)
+    if not keys:
+        return {}
+    if min(keys) >= 0 and max(keys) < top:
+        coeffs = map(_CONSTANTS[p].__getitem__, residues)
+    else:
+        groups = {}
+        for key, term in zip(map(mod, keys, repeat(top)),
+                             zip(map(floordiv, keys, repeat(top)), residues)):
+            got = groups.get(key)
+            if got is None:
+                groups[key] = [term]
+            else:
+                got.append(term)
+        groups = from_u_terms(p, groups)
+        keys = list(groups)
+        coeffs = groups.values()
     # the result's exponent columns: digit by digit, low digit first
     columns = [repeat(b) for b in base]
     for i, span in radices:
-        columns[i] = map(add, map(mod, keys, repeat(span)), repeat(base[i]))
+        digits = map(mod, keys, repeat(span))
+        columns[i] = map(add, digits, repeat(base[i])) if base[i] else digits
         keys = list(map(floordiv, keys, repeat(span)))
     return dict(zip(zip(*columns), coeffs))
 
 
-def _laurent_product(p, lhs, rhs):
-    """Product of two term dicts with coefficients in F_p[u, 1/u] on
-    _fp_product.  Each term c*x^e expands into the F_p terms a*x^e*u^k of
-    c = sum(a*u^k), with k as one more exponent slot, which may be negative;
-    the product's terms are then regrouped under each x^e into one Coeff.
-    A result term that is one monomial c*u^k shares that Coeff with every
-    other such term of this product."""
-    wide = [{e + (k,): a for e, c in terms.items() for k, a in c.u_terms()}
-            for terms in (lhs, rhs)]
+def _packed_product(p, lhs, rhs):
+    """Product of two term dicts over F_p[u, 1/u] on packed keys.
+
+    Slot i of a product exponent lies between base[i] = lo1[i] + lo2[i]
+    and hi1[i] + hi2[i], the sums of the operands' per-slot minimums and
+    maximums.  Each operand packs its exponents less its own minimums, so
+    that the key of a term product is the sum of its factors' keys, and
+    each result key is decoded once.
+    """
+    cols1 = list(zip(*lhs))
+    cols2 = list(zip(*rhs))
+    lo1 = list(map(min, cols1))
+    lo2 = list(map(min, cols2))
+    base = list(map(add, lo1, lo2))
+    hi = list(map(add, map(max, cols1), map(max, cols2)))
+    weights, radices, top = _layout(base, hi)
+    acc = _products({},
+                    _pack(p, lhs, weights, top, sum(map(mul, lo1, weights))),
+                    _pack(p, rhs, weights, top, sum(map(mul, lo2, weights))))
+    return _unpack(p, acc, top, radices, base)
+
+
+def _packed_substitute(p, terms, images):
+    """The term dict of sum(c * x^e) under x_j -> images[j] (a term dict
+    each), every coefficient in F_p[u, 1/u], on packed keys.
+
+    Slot i of the result is at most the largest, over the terms of f, of
+    its own exponent there (0 when it is substituted) plus sum(e[j] *
+    deg_i(images[j])), so slot i is a digit of span that bound plus one and
+    every partial product fits the layout.  f and each image are packed
+    once.  An image's power is the product of Frobenius powers of its
+    powers below p, one per base-p digit of the exponent, and the Frobenius
+    power (g^d)^(p^k) multiplies each key of g^d by p^k with its residue
+    unchanged.  Terms of f that share their substituted exponents are
+    multiplied by their product of image powers together.
+    """
+    n = len(next(iter(terms)))
+    cols = list(zip(*terms))
+    degrees = {j: [max(col) for col in zip(*img)] or [0] * n
+               for j, img in images.items()}
+    bounds = []
+    for i in range(n):
+        vals = repeat(0, len(terms)) if i in images else cols[i]
+        for j, deg in degrees.items():
+            if deg[i]:
+                vals = map(add, vals, map(mul, cols[j], repeat(deg[i])))
+        bounds.append(max(vals))
+    weights, radices, top = _layout([0] * n, bounds)
+    slots = list(images)
+    packed = {j: _pack(p, img, weights, top) for j, img in images.items()}
+    powers = {j: {} for j in slots}
+
+    def power(j, e):
+        """images[j]^e, packed, cached."""
+        cache = powers[j]
+        got = cache.get(e)
+        if got is None:
+            if e < p:
+                got = (packed[j] if e == 1 else
+                       _reduce(p, _products({}, power(j, e - 1), packed[j])))
+            else:
+                q = 1
+                rest = e
+                while rest:
+                    rest, d = divmod(rest, p)
+                    if d:
+                        piece = [list(map(mul, keys, repeat(q)))
+                                 for keys in power(j, d)]
+                        got = (piece if got is None else
+                               _reduce(p, _products({}, got, piece)))
+                    q *= p
+            cache[e] = got
+        return got
+
+    # the terms of f grouped by their substituted exponents, each group
+    # packed with those exponents set to 0
+    kept = list(weights)
+    for j in slots:
+        kept[j] = 0
     groups = {}
-    for e, a in _fp_product(p, *wide).items():
-        groups.setdefault(e[:-1], []).append((e[-1], a))
-    return from_u_terms(p, groups)
+    for e, c in terms.items():
+        sub = tuple(map(e.__getitem__, slots))
+        got = groups.get(sub)
+        if got is None:
+            groups[sub] = {e: c}
+        else:
+            got[e] = c
+    one = [[], [0]]                         # the packed 1
+    acc = {}
+    for sub, g in groups.items():
+        g = _pack(p, g, kept, top)
+        prod = one
+        for j, e in zip(slots, sub):
+            if e:
+                piece = power(j, e)
+                prod = (piece if prod is one else
+                        _reduce(p, _products({}, prod, piece)))
+        _products(acc, g, prod)
+    return _unpack(p, acc, top, radices, [0] * n)
 
 
 class MultiPoly:
@@ -370,15 +536,11 @@ class MultiPoly:
         lhs, rhs = self.terms, other.terms
         if len(lhs) > len(rhs):
             lhs, rhs = rhs, lhs
-        if len(lhs) > 1 and len(lhs) * len(rhs) >= _PACK_MIN_PRODUCTS:
-            if (all(map(Coeff.is_constant, lhs.values()))
-                    and all(map(Coeff.is_constant, rhs.values()))):
-                return MultiPoly(self.table,
-                                 _fp_product(self.table.p, lhs, rhs))
-            if (all(map(Coeff.is_laurent, lhs.values()))
-                    and all(map(Coeff.is_laurent, rhs.values()))):
-                return MultiPoly(self.table,
-                                 _laurent_product(self.table.p, lhs, rhs))
+        if (len(lhs) > 1 and len(lhs) * len(rhs) >= _PACK_MIN_PRODUCTS
+                and all(map(Coeff.is_laurent, lhs.values()))
+                and all(map(Coeff.is_laurent, rhs.values()))):
+            return MultiPoly(self.table,
+                             _packed_product(self.table.p, lhs, rhs))
         out = {}
         rhs = rhs.items()
         for e1, c1 in lhs.items():
@@ -430,6 +592,13 @@ class MultiPoly:
         """Image under the ring homomorphism sending each named variable to
         its assigned polynomial (simultaneously); unassigned variables map to
         themselves.  Values may be MultiPoly, Coeff or int.
+
+        Two paths.  When len(self.terms) times the total term count of the
+        images of variables that occur in self (and differ from their
+        variable) is at least _PACK_MIN_SUBSTITUTION, and every coefficient
+        of self and of those images is in F_p[u, 1/u], _packed_substitute
+        packs the whole call once.  Otherwise each term's product of cached
+        image powers is multiplied out and accumulated Coeff by Coeff.
         """
         table = self.table
         images = {}
@@ -443,6 +612,19 @@ class MultiPoly:
                 images[idx] = val
         if not images or not self.terms:
             return self
+        n = len(self.terms)
+        if (n * sum(len(g.terms) for g in images.values())
+                >= _PACK_MIN_SUBSTITUTION):
+            # only the images of variables that occur in self count
+            cols = list(zip(*self.terms))
+            used = {idx: g.terms for idx, g in images.items()
+                    if any(cols[idx])}
+            if (n * sum(map(len, used.values())) >= _PACK_MIN_SUBSTITUTION
+                    and all(map(Coeff.is_laurent, self.terms.values()))
+                    and all(all(map(Coeff.is_laurent, g.values()))
+                            for g in used.values())):
+                return MultiPoly(table,
+                                 _packed_substitute(table.p, self.terms, used))
         power_cache = {idx: {} for idx in images}
 
         def image_power(idx, e):

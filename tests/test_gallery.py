@@ -1,11 +1,14 @@
+from unittest import mock
+
 import pytest
 
 from charp_autos.coeffs import Coeff
-from charp_autos import gallery
+from charp_autos import gallery, poly
 from charp_autos.errors import (BadH, BadParameters,
                                 InternalIntegralityFailure, NotDivisible,
                                 UnsupportedP)
-from charp_autos.criteria import non_exponentiality_certificate
+from charp_autos.criteria import (canonical_action,
+                                  non_exponentiality_certificate)
 from charp_autos.endo import PolyMap, compose, order_up_to
 from charp_autos.gallery import (StarReport, build_example_triangular,
                                  build_F_and_Fh, build_nonexp_family,
@@ -98,22 +101,26 @@ def test_nonexp_suite_cases_build_their_own_member(monkeypatch):
     assert sorted(built) == sorted(((2, 3, 1), (3, 2, 1), (3, 4, 2)) * 2)
 
 
-def test_nonexp_dual_route_small_parameters():
-    # at (2,3,1) the action is materializable: the truncated-arithmetic
-    # verdicts must agree with the explicit images
-    fam = build_nonexp_family(2, 3, 1)
-    action = fam.materialize_action()
-    names = list(action.table.names)
+@pytest.mark.parametrize("p,d,l", [(2, 3, 1), (2, 3, 0), (3, 2, 0)])
+def test_nonexp_dual_route_small_parameters(p, d, l):
+    """The canonical action with explicit images agrees with the truncated
+    arithmetic of nonintegral_shift modulo R[x, y, z, T], R = F_p[u]:
+    E(x) - x - shift has every coefficient in R.  The non-integral terms of
+    E(x) need not sum to the shift itself: at (2,3,0) E(x) has the term
+    ((u^30 + 1)/u) y^8 T^2, whose integral part u^29 y^8 T^2 the shift
+    leaves out.  canonical_action, not materialize_action, builds the
+    images, as the latter refuses (3,2,0) for its exponent 16."""
+    fam = build_nonexp_family(p, d, l)
+    action = canonical_action(fam.data())
+    table = action.table
+    names = list(table.names)
     assert action.images[names.index("y")] == fam.e_y()
-    assert action.images[names.index("z1")] == action.table.var("z1")
-    e_x = action.images[names.index("x")]
-    nonintegral = action.table.zero()
-    for exps, coeff in e_x.terms.items():
-        if not coeff.is_integral():
-            from charp_autos.poly import MultiPoly
-            nonintegral = nonintegral + MultiPoly(action.table, {exps: coeff})
+    assert all(action.images[names.index(z)] == table.var(z)
+               for z in fam.zs())
     shift = fam.nonintegral_shift()
-    assert nonintegral == shift
+    assert not shift.is_zero()
+    e_x = action.images[names.index("x")]
+    assert is_polynomial_over(e_x - table.var("x") - shift) == (True, None)
     ok, witness = action.restricts_to()
     assert not ok and witness[0] == "x"
     # sigma restricts: evaluate at 1 and check every image
@@ -132,6 +139,45 @@ def test_nonexp_certificate_round_trip():
     fam = build_nonexp_family(2, 3, 1)
     cert = non_exponentiality_certificate(fam.data())
     assert cert.verdict == "NotExponentialOverR"
+
+
+@pytest.mark.parametrize("p,d", [(2, 3), (3, 2)])
+def test_nonexp_materialized_certificate_at_l_zero(p, d):
+    """At l = 0 the certificate, given no precomputed restriction,
+    materializes the canonical action: NotExponentialOverR with the
+    univariate pattern, and its witness term of E(x) is the shift's term
+    there modulo R, which cross-checks restriction_witness's source."""
+    fam = build_nonexp_family(p, d, 0)
+    cert = non_exponentiality_certificate(fam.data())
+    assert cert.verdict == "NotExponentialOverR"
+    assert cert.stability.pattern == "univariate"
+    name, (exps, coeff) = cert.witness
+    shift = fam.nonintegral_shift()
+    assert name == "x" and not coeff.is_integral()
+    assert (coeff - shift.terms.get(exps, Coeff.from_int(p, 0))).is_integral()
+
+
+def test_nonexp_materialization_takes_the_packed_substitution():
+    """At (2,3,1) the substitution that builds E(x), 6,006 terms over
+    F_2[u, 1/u], takes poly._packed_substitute, and all three images equal
+    those of the Coeff loop, run with the size test forced shut."""
+    fam = build_nonexp_family(2, 3, 1)
+    real = poly._packed_substitute
+    sizes = []
+
+    def spy(p, terms, images):
+        out = real(p, terms, images)
+        sizes.append(len(out))
+        return out
+    with mock.patch.object(poly, "_packed_substitute", spy):
+        packed = fam.materialize_action()
+    with mock.patch.object(poly, "_PACK_MIN_SUBSTITUTION", float("inf")), \
+            mock.patch.object(poly, "_packed_substitute") as kernel:
+        looped = fam.materialize_action()
+    assert not kernel.called
+    assert 6006 in sizes
+    assert [len(g.terms) for g in packed.images] == [6006, 98, 1]
+    assert packed.images == looped.images
 
 
 def test_nonexp_sigma_is_order_p_structurally():

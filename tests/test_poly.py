@@ -255,6 +255,29 @@ def test_negative_exponent_discipline():
             f ** -1
 
 
+def test_coefficients_of_another_characteristic_are_rejected():
+    """A Coeff of another p enters a table only through VarTable's const,
+    monomial and coeff, which every product, sum, scale and substitution
+    value goes through; each raises instead of reading the foreign residue
+    mod p (4 would read as 1 in F_3)."""
+    t = table2(3)
+    four = Coeff.from_int(5, 4)
+    f = sum((t.monomial(1, x=i, y=j) for i in range(4) for j in range(4)),
+            t.zero())
+    assert len(f.terms) == 16
+    for make in (lambda: t.const(four), lambda: t.coeff(four),
+                 lambda: t.monomial(four, x=1), lambda: f * four,
+                 lambda: four * f, lambda: f + four, lambda: f.scale(four),
+                 lambda: f.substitute({"x": four}),
+                 lambda: f.substitute({"x": t.var("y"), "T": four})):
+        with pytest.raises(ValueError, match="mixed characteristics 3 and 5"):
+            make()
+    # the same residue in F_3 is accepted everywhere
+    one = Coeff.from_int(3, 4)
+    assert f * one == f.scale(one) == f and t.coeff(one) is one
+    assert f.substitute({"x": one}) == f.substitute({"x": t.one()})
+
+
 def test_pow_matches_repeated_multiplication():
     t = table2(3)
     f = t.parse("x + 2*y + 1")

@@ -7,8 +7,9 @@ Operands live in a table over x, y and z, so an exponent tuple is
 packed-product test lets all four slots vary.  Prime-field results are
 compared as dicts of exponent tuple -> residue in [0, p); F_p(u) results
 are mapped into sympy's ring and their difference from sympy's result must
-be zero.  Products over F_p[u, 1/u] are compared over GF(p) with u as one
-more generator, once the operands' u-power denominators are cleared.
+be zero.  Products and substitutions over F_p[u, 1/u] are compared over
+GF(p) with u as one more generator, once the operands' u-power
+denominators are cleared.
 """
 
 from itertools import product
@@ -24,8 +25,9 @@ from sympy.polys.rings import ring
 from charp_autos import poly
 from charp_autos.coeffs import _CONSTANTS, Coeff
 from charp_autos.errors import NotDivisible
-from charp_autos.poly import (_PACK_MIN_PRODUCTS, MultiPoly, VarTable,
-                              content_primitive, exact_div)
+from charp_autos.poly import (_PACK_MIN_PRODUCTS, _PACK_MIN_SUBSTITUTION,
+                              MultiPoly, VarTable, content_primitive,
+                              exact_div)
 
 PRIMES = (2, 3, 5, 7)
 ORACLE = settings(max_examples=40, deadline=None)
@@ -86,7 +88,7 @@ def test_mul_matches_sympy(case):
 # Exponent sets an operand draws per slot for the packed-product test:
 # fixed; small; a nonzero minimum; above 2^31 with a small span; a span
 # above 2^31, so that packed keys span several int digits; negative (x
-# only), as the u-slot of _laurent_product packs them.
+# only), as the packed kernel's u digit takes either sign.
 _PROFILES = ((0,), (3,), (0, 1, 2, 3), (5, 6, 7), (2 ** 31, 2 ** 31 + 1),
              (0, 1, 2, 2 ** 31 + 1))
 _NEGATIVE = (-2, -1, 0, 1)
@@ -151,17 +153,17 @@ WIDE = {(0, 0, 2 ** 31 + 1, 1): 1, (-2, 1, 0, 0): 2, (1, 0, 1, 2): 1}
                     for i in range(-2, 6) for j in range(8)}))
 def test_fp_product_matches_sympy_on_both_sides_of_packing(case):
     """Prime-field products of operands with up to 16 * 40 term products.
-    The packed kernel poly._fp_product runs on the term dicts themselves,
-    negative x exponents included.  Where no exponent is negative the
-    operands are polynomials and MultiPoly.__mul__ runs too, so that both
-    its Coeff loop and the packed kernel run; the first two examples
-    straddle the threshold _PACK_MIN_PRODUCTS between them."""
+    The packed kernel poly._packed_product runs on the term dicts
+    themselves, negative x exponents included.  Where no exponent is
+    negative the operands are polynomials and MultiPoly.__mul__ runs too,
+    so that both its Coeff loop and the packed kernel run; the first two
+    examples straddle the threshold _PACK_MIN_PRODUCTS between them."""
     p, f, g = case
     table, oracle = rings(p)
     want = sympy_product(oracle, p, f, g)
     lhs, rhs = ({e: Coeff.from_int(p, c) for e, c in h.items()}
                 for h in (f, g))
-    products = [poly._fp_product(p, lhs, rhs)]
+    products = [poly._packed_product(p, lhs, rhs)]
     if min(min(e) for h in (f, g) for e in h) >= 0:
         products.append((ours(table, f) * ours(table, g)).terms)
     for got in products:
@@ -422,8 +424,8 @@ def test_laurent_product_matches_sympy(case):
     (sf, cf), (sg, cg) = laurent_cleared(f), laurent_cleared(g)
     packs = (min(len(f), len(g)) > 1
              and len(f) * len(g) >= _PACK_MIN_PRODUCTS)
-    with mock.patch.object(poly, "_fp_product",
-                           wraps=poly._fp_product) as kernel:
+    with mock.patch.object(poly, "_packed_product",
+                           wraps=poly._packed_product) as kernel:
         got = laurent_ours(table, f) * laurent_ours(table, g)
     assert kernel.called == packs
     mirrored = {}
@@ -445,11 +447,147 @@ def test_laurent_products_with_another_denominator_run_the_coeff_loop():
     f = laurent_ours(table, X_PLUS_1_BY_U) + MultiPoly(
         table, {(0, 1, 0, 0): Coeff(3, [1], [1, 1])})
     g = laurent_ours(table, SUM_UH)
-    with mock.patch.object(poly, "_fp_product",
-                           wraps=poly._fp_product) as kernel:
+    with mock.patch.object(poly, "_packed_product",
+                           wraps=poly._packed_product) as kernel:
         got = f * g
         rows = sum((MultiPoly(table, {e: c}) * g for e, c in f.terms.items()),
                    table.zero())
     assert not kernel.called
     assert len(f.terms) * len(g.terms) >= _PACK_MIN_PRODUCTS
     assert got == rows and got.terms[(0, 1, 0, 0)] == Coeff(3, [0, 1], [1, 1])
+
+
+# -- substitutions over F_p[u, 1/u] -------------------------------------------
+
+_SLOTS_OF = {"x": 0, "y": 1, "T": 3}
+
+
+@st.composite
+def laurent_substitutions(draw):
+    """(p, f, images): f a nonzero operand as laurent_operand draws it, and
+    images {name: operand} for one to three of x, y and T, each possibly
+    zero, so that len(f) times the images' total term count falls on both
+    sides of _PACK_MIN_SUBSTITUTION."""
+    p = draw(st.sampled_from(PRIMES))
+    f = draw(laurent_operand(p, (1, 2, 4, 8)))
+    names = draw(st.lists(st.sampled_from(sorted(_SLOTS_OF)), min_size=1,
+                          max_size=3, unique=True))
+    return p, f, {n: draw(laurent_operand(p, (0, 1, 3, 8, 16)))
+                  for n in names}
+
+
+def laurent_substitution_oracle(oracle, f, images):
+    """(shift, sympy's u^shift * f(images)) over GF(p)[x, y, z, T, u].
+
+    With f = u^-sf F and each image g_j = u^-s_j G_j for polynomials F and
+    G_j (laurent_cleared), and d_j the largest exponent of slot j in f,
+    shift = sf + sum(s_j * d_j) makes every term polynomial: a term of F
+    with slot exponents e_j becomes that term, slots j set to 0, times
+    G_j^e_j * u^(s_j * (d_j - e_j)) for each j.
+    """
+    u = oracle.gens[-1]
+    sf, cf = laurent_cleared(f)
+    shift = sf
+    cleared = {}
+    for name, g in images.items():
+        j = _SLOTS_OF[name]
+        # an image divisible by u is cleared by u^0, not by a negative power
+        s_j, cg = laurent_cleared(g) if g else (0, {})
+        if s_j < 0:
+            cg = {e[:-1] + (e[-1] - s_j,): v for e, v in cg.items()}
+            s_j = 0
+        d_j = max(e[j] for e in f)
+        shift += s_j * d_j
+        cleared[j] = (theirs(oracle, cg), s_j, d_j)
+    want = oracle.zero
+    for e, v in cf.items():
+        kept = list(e)
+        for j in cleared:
+            kept[j] = 0
+        term = theirs(oracle, {tuple(kept): v})
+        for j, (g, s_j, d_j) in cleared.items():
+            if e[j]:                        # sympy refuses 0**0
+                term *= g ** e[j]
+            term *= u ** (s_j * (d_j - e[j]))
+        want += term
+    return shift, want
+
+
+SUM_8 = {(i, j, 0, 0): (-1 - i, [1, 1]) for i in range(2) for j in range(4)}
+IMAGE_8 = {(0, j, 0, t): (-j, [1, 0, 2]) for j in range(4) for t in range(2)}
+H = [(j, t) for j in range(4) for t in range(4)]        # y^j z^t
+
+
+@given(laurent_substitutions())
+@ORACLE
+# negative u powers in f and in the image: 8 * 8 term pairs, the gate, and
+# 7 * 8, just below it
+@example((3, SUM_8, {"x": IMAGE_8}))
+@example((3, dict(list(SUM_8.items())[:7]), {"x": IMAGE_8}))
+# an image of T, which f does not use, leaves the size test at 8 * 4
+@example((3, {(i, j, 0, 0): (-1, [1]) for i in range(1, 3) for j in range(4)},
+          {"x": {(0, j, 0, 0): (-j, [1]) for j in range(4)}, "T": IMAGE_8}))
+# a zero image beside an image of T
+@example((5, {(i, 0, 0, t): (i - t, [1 + (i + t) % 4])
+              for i in range(4) for t in range(3)},
+          {"x": {}, "T": {(0, j, 0, 0): (j - 1, [1]) for j in range(8)}}))
+# T substituted alone
+@example((2, {(i, 0, 0, t): (i - t, [1]) for i in range(3) for t in range(3)},
+          {"T": {(j, 1, 0, 0): (-1, [1, 1]) for j in range(8)}}))
+# (x - y - T^2/u) H under x -> y + T^2/u cancels to zero at p = 3
+@example((3, {**{(1, j, t, 0): (0, [1]) for j, t in H},
+              **{(0, j + 1, t, 0): (0, [2]) for j, t in H},
+              **{(0, j, t, 2): (-1, [2]) for j, t in H}},
+          {"x": {(0, 1, 0, 0): (0, [1]), (0, 0, 0, 2): (-1, [1])}}))
+def test_laurent_substitute_matches_sympy(case):
+    """Simultaneous substitutions over F_p[u, 1/u], on both sides of
+    _PACK_MIN_SUBSTITUTION, against sympy with u as one more generator:
+    our result times u^shift (laurent_substitution_oracle) is read as a
+    polynomial in x, y, z, T, u.  The call takes poly._packed_substitute
+    exactly when it passes the size test; every result Coeff is canonical,
+    and the packed kernel hands out the shared constants of F_p."""
+    p, f, images = case
+    table = VarTable(p, ("x", "y", "z"))
+    oracle = ring(",".join(table.all_names + ("u",)), GF(p), grlex)[0]
+    ours_f = laurent_ours(table, f)
+    ours_images = {n: laurent_ours(table, g) for n, g in images.items()}
+    # the size test counts the images of the variables f uses, except
+    # those equal to their variable
+    counted = [g for n, g in ours_images.items()
+               if g.terms != table.var(n).terms and ours_f.uses_var(n)]
+    packs = (len(ours_f.terms) * sum(len(g.terms) for g in counted)
+             >= _PACK_MIN_SUBSTITUTION)
+    with mock.patch.object(poly, "_packed_substitute",
+                           wraps=poly._packed_substitute) as kernel:
+        got = ours_f.substitute(ours_images)
+    assert kernel.called == packs
+    shift, want = laurent_substitution_oracle(oracle, f, images)
+    mirrored = {}
+    for e, c in got.terms.items():
+        m = u_power(c)
+        assert m is not None and c.num[-1] and (m == 0 or c.num[0])
+        if packs and c.den == (1,) and len(c.num) == 1:
+            assert c is _CONSTANTS[p][c.num[0]]
+        mirrored.update({e + (i - m + shift,): v
+                         for i, v in enumerate(c.num) if v})
+    assert mirrored == as_dict(want, p)
+
+
+def test_laurent_substitutions_with_another_denominator_run_the_coeff_loop():
+    """One coefficient 1/(u + 1) in f: a call above the size test skips the
+    packed kernel and still matches sympy over GF(3)(u)."""
+    table, oracle = frac_rings(3)
+    f = laurent_ours(table, SUM_8) + MultiPoly(
+        table, {(0, 1, 0, 0): Coeff(3, [1], [1, 1])})
+    image = laurent_ours(table, IMAGE_8)
+    assert len(f.terms) * len(image.terms) >= _PACK_MIN_SUBSTITUTION
+    with mock.patch.object(poly, "_packed_substitute",
+                           wraps=poly._packed_substitute) as kernel:
+        got = f.substitute({"x": image})
+    assert not kernel.called
+
+    def as_fractions(h):
+        return frac_theirs(oracle, {e: (c.num, c.den)
+                                    for e, c in h.terms.items()})
+    want = as_fractions(f).compose(oracle.gens[0], as_fractions(image))
+    assert not (frac_mirror(oracle, got) - want)
