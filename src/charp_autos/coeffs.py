@@ -237,12 +237,6 @@ class Coeff:
             raise ValueError("%s is not a prime-field constant" % self)
         return self.num[0] if self.num else 0
 
-    def u_valuation(self):
-        """Order at u = 0; None for the zero element."""
-        if not self.num:
-            return None
-        return _uval(self.num) - _uval(self.den)
-
     def u_terms(self):
         """(k, a) pairs with self = sum(a*u^k), for self in F_p[u, 1/u]: one
         pair per nonzero term, a its residue in 1..p-1."""

@@ -79,7 +79,7 @@ def f_stability(avar_names, f):
                                 detail="A = k[y] and f is not constant")
 
     terms = list(f.terms.items())
-    nonconst = [(e, c) for e, c in terms if sum(abs(x) for x in e)]
+    nonconst = [(e, c) for e, c in terms if any(e)]
     if len(terms) - len(nonconst) <= 1 and len(nonconst) == 1:
         exp, _ = nonconst[0]
         touches_all = all(exp[table.index[name]] >= 1 for name in avar_names)

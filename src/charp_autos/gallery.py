@@ -1,15 +1,16 @@
 """Builders for the explicit constructions, each returning the construction
 plus a report of machine-checked identities.
 
-Large members of the translation family (see build_nonexp_family) cannot be
-materialized term by term: the image of x contains (y + xi)^(p*a+1) with
-hundreds of thousands of terms already at modest parameters.  All membership
-statements about them are congruences modulo powers of u, so the checks run
-in the quotient rings F_p[u]/(u^e): truncation commutes with ring operations
-as long as every operand has nonnegative u-valuation, which holds throughout
-(xi has valuation >= 1).  The reported residuals are exact.
+The builder of the translation family (see build_nonexp_family) does not
+materialize the image of x: it contains (y + xi)^(p*a+1), with hundreds of
+thousands of terms already at modest parameters.  Its report needs only
+the nonintegral part of E(x) - x, which NonExpFamily.nonintegral_shift
+computes exactly in closed form from xi modulo u^2, by Lucas's theorem.
+criteria.canonical_action(family.data()) builds the explicit images of a
+small member.
 """
 
+import json
 from dataclasses import dataclass
 
 from .coeffs import Coeff
@@ -18,10 +19,7 @@ from .errors import (BadH, BadParameters, InternalIntegralityFailure,
 from .poly import MultiPoly, VarTable, exact_div, is_polynomial_over
 from .endo import PolyMap, compose, eps_map, order_up_to
 from .gaction import GaAction, SliceData, slice_action, rank_certificate
-from .criteria import GenericElementaryData, canonical_action
-
-# largest p*a+1 for which NonExpFamily.materialize_action builds the images
-_MATERIALIZE_MAX_EXPONENT = 6
+from .criteria import GenericElementaryData
 
 
 @dataclass
@@ -52,11 +50,9 @@ class StarReport:
         return not bad, ("failed: " + ",".join(bad) if bad else "")
 
     def to_text(self, **values):
-        """The checks' verdicts, then any named values, in one JSON-like
-        line."""
-        from .textio import report_to_str
-        return report_to_str([(c.name, c.ok) for c in self.checks]
-                             + list(values.items()))
+        """The checks' verdicts, then any named values, as one JSON
+        object on one line."""
+        return json.dumps({**{c.name: c.ok for c in self.checks}, **values})
 
 
 # ---------------------------------------------------------------------------
@@ -125,28 +121,6 @@ def build_example_triangular(p):
 # the non-exponential family of section 4.4
 # ---------------------------------------------------------------------------
 
-def _pow_trunc(f, e, bound):
-    """f**e modulo u^bound; valid when no operand has negative u-valuation."""
-    table = f.table
-    p = table.p
-    if e == 0:
-        return table.one()
-    base = f.truncate_u(bound)
-    out = None
-    k = 0
-    while e:
-        digit = e % p
-        e //= p
-        if digit:
-            piece = base.frob(k).truncate_u(bound)
-            acc = piece
-            for _ in range(digit - 1):
-                acc = (acc * piece).truncate_u(bound)
-            out = acc if out is None else (out * acc).truncate_u(bound)
-        k += 1
-    return out
-
-
 @dataclass
 class NonExpFamily:
     p: int
@@ -178,20 +152,39 @@ class NonExpFamily:
                                      tuple(["y"] + self.zs()))
 
     def nonintegral_shift(self, t_value=None):
-        """The nonintegral part of E(x) - x (or of sigma(x) - x when
-        t_value = 1), computed exactly in F_p[u]/(u^e) quotients."""
+        """The nonintegral part of E(x) - x (of sigma(x) - x when
+        t_value = 1), in closed form.
+
+        E(x) = x + lam(y) - lam(y + xi) + wcap with wcap = u^b (1 + u g) T
+        integral, so modulo R[x, y, z, T] E(x) - x is -(q1 / u^(p+1) +
+        q2 / u^2), where q1 = (y + xi)^(p(p-1)) - y^(p(p-1)) and
+        q2 = (y + xi)^(pa+1) - y^(pa+1).
+
+        xi = xt^d - (xt + wcap)^d lies in u R[x, y, z, T]: wcap has
+        u-valuation >= b and xt^(d-1) has u-valuation >= -(p+1)(d-1) =
+        1 - b, so every term of the binomial expansion has valuation >= 1.
+        So xi = u A modulo u^2 with A over F_p, and xi^p = u^p A^p modulo
+        u^(p+1).  In characteristic p, (y + xi)^(pk) = (y^p + xi^p)^k
+        (Lucas's theorem).  Expanding the power p - 1, every term with
+        xi^(2p) lies in u^(p+1), and C(p-1, 1) = -1 modulo p; expanding
+        (y^p + xi^p)^a (y + xi), every term with xi^p lies in u^2:
+
+            q1 = -y^(p(p-2)) xi^p = -u^p y^(p(p-2)) A^p  modulo u^(p+1),
+            q2 = y^(pa) xi = u y^(pa) A                  modulo u^2.
+
+        So the shift is (y^(p(p-2)) A^p - y^(pa) A) / u, and A^p is the
+        Frobenius A.frob(), as A has its coefficients in F_p.
+        """
         table = self.table
         p = self.p
-        u = Coeff.u(p)
+        u_inv = Coeff.u(p, -1)
         xi = self.xi if t_value is None else self.xi.subs_T(table.const(t_value))
-        y = table.var("y")
-        e1 = p * (p - 1)
-        e2 = p * self.a + 1
-        q1 = (_pow_trunc(y + xi, e1, p + 1)
-              - _pow_trunc(y, e1, p + 1)).truncate_u(p + 1)
-        q2 = (_pow_trunc(y + xi, e2, 2) - _pow_trunc(y, e2, 2)).truncate_u(2)
-        shift = -(q1.scale(u ** (-(p + 1))) + q2.scale((u ** 2).inv()))
-        return shift.truncate_u(0)
+        low = xi.truncate_u(2)
+        if not low.truncate_u(1).is_zero():
+            raise InternalIntegralityFailure("xi is not in u R[x, y, z, T]")
+        a_part = low.scale(u_inv)
+        return (table.var("y", p * (p - 2)) * a_part.frob()
+                - table.var("y", p * self.a) * a_part).scale(u_inv)
 
     def slice_axioms(self):
         """(A1)/(A2) on the slice generators (xt, yt, z) through
@@ -209,20 +202,6 @@ class NonExpFamily:
             return None
         exps, coeff = shift.leading_term()
         return ("x", (exps, coeff))
-
-    def materialize_action(self):
-        """Full slice action with explicit images, the canonical action of
-        data(); only for small parameters (the power p*a+1 controls the
-        blow-up)."""
-        exponent = p_a_exponent(self.p, self.d)
-        if exponent > _MATERIALIZE_MAX_EXPONENT:
-            raise BadParameters("materialization refused: exponent %d > %d"
-                                % (exponent, _MATERIALIZE_MAX_EXPONENT))
-        return canonical_action(self.data())
-
-
-def p_a_exponent(p, d):
-    return p * (p - 2 + (p - 1) ** 2 * (d - 1)) + 1
 
 
 def build_nonexp_family(p, d, l, g_expr=None):

@@ -20,10 +20,10 @@ onto its heap of live keys.
 Products and substitutions whose coefficients all lie in F_p[u, 1/u] (a
 denominator that is a power of u; F_p included) may run on packed
 monomials (Monagan & Pearce, JSC 2011).  _layout makes each exponent slot
-that varies a mixed-radix digit, and the exponent k of u in an F_p term
-a*x^e*u^k the most significant digit, which may take either sign, so that
-x^e*u^k packs into one int and a product of two such terms is one int
-addition, with no carry between digits.  _pack encodes a term dict once,
+that is not always 0 a mixed-radix digit, and the exponent k of u in an
+F_p term a*x^e*u^k the most significant digit, which may take either sign,
+so that x^e*u^k packs into one int and a product of two such terms is one
+int addition, with no carry between digits.  _pack encodes a term dict once,
 as its keys grouped by residue a.  _products is the one product loop: it
 sums the coefficient products of each key as plain ints (as in sympy's
 galoistools gf_mul).  _unpack reduces each sum mod p and decodes each
@@ -32,8 +32,7 @@ u-terms under one exponent tuple.
 
 MultiPoly.__mul__ has two paths.  A product of at least
 _PACK_MIN_PRODUCTS = 32 term products, with more than one term in each
-operand and every coefficient in F_p[u, 1/u], runs _packed_product, where
-each operand packs its exponents less its own per-slot minimums.  Every
+operand and every coefficient in F_p[u, 1/u], runs _packed_product.  Every
 other product runs the _accumulate loop, which reduces a fraction per term
 product.  The size test comes first, so a smaller product never scans its
 coefficients, and on F_p the loop allocates no Coeff: coeffs hands out one
@@ -220,34 +219,33 @@ _PACK_MIN_PRODUCTS = 32
 _PACK_MIN_SUBSTITUTION = 64
 
 
-def _layout(lo, hi):
+def _layout(hi):
     """(weights, radices, top): packed keys for exponent tuples whose slot i
-    lies in lo[i]..hi[i].  A slot that varies is a mixed-radix digit of
-    span hi[i] - lo[i] + 1; weights holds each slot's weight (0 on a fixed
-    slot) and radices the (slot, span) of the digits, low digit first.  top
-    is the weight of the u exponent, the most significant digit, which may
-    take either sign."""
+    lies in 0..hi[i].  A slot with hi[i] > 0 is a mixed-radix digit of span
+    hi[i] + 1; weights holds each slot's weight (0 on a slot fixed at 0) and
+    radices the (slot, span) of the digits, low digit first.  top is the
+    weight of the u exponent, the most significant digit, which may take
+    either sign."""
     weights = []
     radices = []
     w = 1
-    for i, (l, h) in enumerate(zip(lo, hi)):
-        span = h - l + 1
-        if span > 1:
-            radices.append((i, span))
+    for i, h in enumerate(hi):
+        if h:
+            radices.append((i, h + 1))
             weights.append(w)
-            w *= span
+            w *= h + 1
         else:
             weights.append(0)
     return weights, radices, w
 
 
-def _pack(p, terms, weights, top, offset=0):
+def _pack(p, terms, weights, top):
     """A term dict over F_p[u, 1/u] as packed keys grouped by residue: a
-    list whose entry a holds the key sum(e[i] * weights[i]) - offset +
-    k * top of each F_p term a*x^e*u^k (entry 0 stays empty)."""
+    list whose entry a holds the key sum(e[i] * weights[i]) + k * top of
+    each F_p term a*x^e*u^k (entry 0 stays empty)."""
     out = [[] for _ in range(p)]
     for e, c in terms.items():
-        key = sum(map(mul, e, weights)) - offset
+        key = sum(map(mul, e, weights))
         # a constant of F_p is read as its one residue: a call of u_terms
         # per term left the rank3 workload ~4% slower than a kernel for
         # F_p alone
@@ -287,12 +285,12 @@ def _reduce(p, acc):
                    for a in range(1, p)]
 
 
-def _unpack(p, acc, top, radices, base):
-    """The term dict of acc, {key: int}, packed by _layout's weights with
-    base[i] subtracted from slot i: sums reduced mod p once per key, and
-    every Coeff built by coeffs.from_u_terms from the u-terms under one
-    exponent tuple.  When no key leaves 0..top - 1, no u exponent is
-    nonzero and the coefficients are the shared constants of F_p."""
+def _unpack(p, acc, top, radices, n):
+    """The term dict of acc, {key: int}, packed by _layout's weights on n
+    exponent slots: sums reduced mod p once per key, and every Coeff built
+    by coeffs.from_u_terms from the u-terms under one exponent tuple.  When
+    no key leaves 0..top - 1, no u exponent is nonzero and the coefficients
+    are the shared constants of F_p."""
     keys = []
     residues = []
     for key, k in acc.items():
@@ -317,10 +315,9 @@ def _unpack(p, acc, top, radices, base):
         keys = list(groups)
         coeffs = groups.values()
     # the result's exponent columns: digit by digit, low digit first
-    columns = [repeat(b) for b in base]
+    columns = [repeat(0)] * n
     for i, span in radices:
-        digits = map(mod, keys, repeat(span))
-        columns[i] = map(add, digits, repeat(base[i])) if base[i] else digits
+        columns[i] = map(mod, keys, repeat(span))
         keys = list(map(floordiv, keys, repeat(span)))
     return dict(zip(zip(*columns), coeffs))
 
@@ -328,23 +325,14 @@ def _unpack(p, acc, top, radices, base):
 def _packed_product(p, lhs, rhs):
     """Product of two term dicts over F_p[u, 1/u] on packed keys.
 
-    Slot i of a product exponent lies between base[i] = lo1[i] + lo2[i]
-    and hi1[i] + hi2[i], the sums of the operands' per-slot minimums and
-    maximums.  Each operand packs its exponents less its own minimums, so
-    that the key of a term product is the sum of its factors' keys, and
-    each result key is decoded once.
+    Slot i of a product exponent is at most hi[i], the sum of the operands'
+    largest exponents there, so the key of a term product is the sum of its
+    factors' keys, and each result key is decoded once.
     """
-    cols1 = list(zip(*lhs))
-    cols2 = list(zip(*rhs))
-    lo1 = list(map(min, cols1))
-    lo2 = list(map(min, cols2))
-    base = list(map(add, lo1, lo2))
-    hi = list(map(add, map(max, cols1), map(max, cols2)))
-    weights, radices, top = _layout(base, hi)
-    acc = _products({},
-                    _pack(p, lhs, weights, top, sum(map(mul, lo1, weights))),
-                    _pack(p, rhs, weights, top, sum(map(mul, lo2, weights))))
-    return _unpack(p, acc, top, radices, base)
+    hi = list(map(add, map(max, zip(*lhs)), map(max, zip(*rhs))))
+    weights, radices, top = _layout(hi)
+    acc = _products({}, *(_pack(p, h, weights, top) for h in (lhs, rhs)))
+    return _unpack(p, acc, top, radices, len(hi))
 
 
 def _packed_substitute(p, terms, images):
@@ -372,7 +360,7 @@ def _packed_substitute(p, terms, images):
             if deg[i]:
                 vals = map(add, vals, map(mul, cols[j], repeat(deg[i])))
         bounds.append(max(vals))
-    weights, radices, top = _layout([0] * n, bounds)
+    weights, radices, top = _layout(bounds)
     slots = list(images)
     packed = {j: _pack(p, img, weights, top) for j, img in images.items()}
     powers = {j: {} for j in slots}
@@ -423,7 +411,7 @@ def _packed_substitute(p, terms, images):
                 prod = (piece if prod is one else
                         _reduce(p, _products({}, prod, piece)))
         _products(acc, g, prod)
-    return _unpack(p, acc, top, radices, [0] * n)
+    return _unpack(p, acc, top, radices, n)
 
 
 class MultiPoly:
@@ -666,15 +654,19 @@ class MultiPoly:
                 out[e] = v
         return MultiPoly(self.table, out)
 
-    def truncate_u(self, bound):
-        """Drop terms whose coefficient lies in u^bound * F_p[u].
-
-        Exact modulo u^bound as long as every operand in the surrounding
-        computation has u-valuation >= 0.  Stored coefficients are nonzero,
-        so each has a valuation.
-        """
-        out = {e: c for e, c in self.terms.items() if c.u_valuation() < bound}
-        return MultiPoly(self.table, out)
+    def truncate_u(self, e):
+        """This polynomial modulo u^e: each coefficient, which must lie in
+        F_p[u, 1/u], keeps its terms a*u^k with k < e, negative k included.
+        Any other denominator raises ValueError, as its expansion in u does
+        not end."""
+        groups = {}
+        for exp, c in self.terms.items():
+            if not c.is_laurent():
+                raise ValueError("%s is not in F_p[u, 1/u]" % c)
+            low = [(k, a) for k, a in c.u_terms() if k < e]
+            if low:
+                groups[exp] = low
+        return MultiPoly(self.table, from_u_terms(self.table.p, groups))
 
     def __str__(self):
         from .textio import poly_to_str

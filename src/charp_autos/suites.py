@@ -218,7 +218,7 @@ def _suite_axioms(params):
     def nonexp_small_e_y():
         # the tractable image: materialized E(y) equals y + xi exactly
         fam = gallery.build_nonexp_family(2, 3, 1)
-        action = fam.materialize_action()
+        action = criteria.canonical_action(fam.data())
         idx = list(action.table.names).index("y")
         return action.images[idx] == fam.e_y(), ""
 

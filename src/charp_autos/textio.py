@@ -288,19 +288,3 @@ def _block_fields(tag, payload, defaults, maxsplit=-1):
     if None in fields.values():
         raise ParseError("a [%s] block needs %s" % (tag, ", ".join(fields)))
     return fields.values()
-
-
-def report_to_str(entries):
-    """Serialize an ordered dict of named booleans/values JSON-like."""
-    body = ", ".join('"%s": %s' % (k, _report_value(v)) for k, v in entries)
-    return "{%s}" % body
-
-
-def _report_value(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return "null"
-    if isinstance(v, (int, float)):
-        return str(v)
-    return '"%s"' % v

@@ -134,6 +134,15 @@ def test_criteria_certify(capsys):
     assert '"verdict": "NotExponentialOverR"' in out
 
 
+def test_nonexp_with_a_constant_g_reports_star4(capsys):
+    """With g = 1 the nonintegral part of E(x) - x is d u^-1 y^c (T - T^p),
+    as for the default g: E(x) - x has ((u^2 + 1)/u) y^8 T^2, whose
+    integral part u y^8 T^2 the shift leaves out."""
+    code, out, _ = run(capsys, "gallery", "nonexp", "--g", "1")
+    assert code == 0
+    assert '"star4_E_x_coset": true' in out
+
+
 def test_gallery_subcommand(capsys):
     code, out, _ = run(capsys, "gallery", "rank3", "--p", "2", "--l", "1",
                        "--m", "0")

@@ -103,13 +103,12 @@ def test_nonexp_suite_cases_build_their_own_member(monkeypatch):
 
 @pytest.mark.parametrize("p,d,l", [(2, 3, 1), (2, 3, 0), (3, 2, 0)])
 def test_nonexp_dual_route_small_parameters(p, d, l):
-    """The canonical action with explicit images agrees with the truncated
-    arithmetic of nonintegral_shift modulo R[x, y, z, T], R = F_p[u]:
+    """The canonical action with explicit images agrees with the closed
+    form of nonintegral_shift modulo R[x, y, z, T], R = F_p[u]:
     E(x) - x - shift has every coefficient in R.  The non-integral terms of
     E(x) need not sum to the shift itself: at (2,3,0) E(x) has the term
     ((u^30 + 1)/u) y^8 T^2, whose integral part u^29 y^8 T^2 the shift
-    leaves out.  canonical_action, not materialize_action, builds the
-    images, as the latter refuses (3,2,0) for its exponent 16."""
+    leaves out."""
     fam = build_nonexp_family(p, d, l)
     action = canonical_action(fam.data())
     table = action.table
@@ -126,6 +125,63 @@ def test_nonexp_dual_route_small_parameters(p, d, l):
     # sigma restricts: evaluate at 1 and check every image
     sigma = action.evaluate(1)
     assert all(is_polynomial_over(g)[0] for g in sigma.images)
+
+
+def _pow_mod_u(f, e, bound):
+    """f**e modulo u^bound by the base-p digits of e, each product reduced:
+    exact, as f has no negative power of u."""
+    p = f.table.p
+    out = f.table.one()
+    base = f.truncate_u(bound)
+    k = 0
+    while e:
+        e, digit = divmod(e, p)
+        piece = base.frob(k).truncate_u(bound)
+        for _ in range(digit):
+            out = (out * piece).truncate_u(bound)
+        k += 1
+    return out
+
+
+def _shift_by_powers_mod_u(fam, t_value):
+    """The nonintegral part of E(x) - x as -(q1 / u^(p+1) + q2 / u^2), with
+    q1 = (y + xi)^(p(p-1)) - y^(p(p-1)) taken modulo u^(p+1) and
+    q2 = (y + xi)^(pa+1) - y^(pa+1) modulo u^2 by reduced powers."""
+    p = fam.p
+    table = fam.table
+    xi = fam.xi if t_value is None else fam.xi.subs_T(table.const(t_value))
+    y = table.var("y")
+    q1, q2 = ((_pow_mod_u(y + xi, e, bound) - _pow_mod_u(y, e, bound))
+              .truncate_u(bound)
+              for e, bound in ((p * (p - 1), p + 1), (p * fam.a + 1, 2)))
+    u = Coeff.u(p)
+    return -(q1.scale(u ** -(p + 1)) + q2.scale(u ** -2)).truncate_u(0)
+
+
+@pytest.mark.parametrize("p,d,l", [(2, 3, 0), (2, 3, 1), (2, 3, 3),
+                                   (3, 2, 0), (3, 2, 1), (3, 4, 2),
+                                   (2, 5, 1), (5, 2, 0), (7, 2, 0)])
+def test_nonexp_shift_closed_form_matches_powers_mod_u(p, d, l):
+    """nonintegral_shift, at T and at T = 1, equals the shift built from
+    the powers of y + xi themselves modulo u^(p+1) and u^2, for the default
+    g and for g = 1, y + 1, u y + 1; every report is all-ok."""
+    names = ("x", "y") + tuple("z%d" % (i + 1) for i in range(l))
+    for g_text in (None, "1", "y+1", "u*y+1"):
+        g = None if g_text is None else VarTable(p, names).parse(g_text)
+        fam = build_nonexp_family(p, d, l, g)
+        assert fam.report.all_ok(), (g_text, fam.report.to_text())
+        for t_value in (None, 1):
+            assert fam.nonintegral_shift(t_value) \
+                == _shift_by_powers_mod_u(fam, t_value), (g_text, t_value)
+
+
+def test_nonexp_shift_refuses_an_xi_outside_u_R():
+    """The closed form holds only for xi in u R[x, y, z, T]; an xi with a
+    term prime to u raises instead of yielding a shift."""
+    fam = build_nonexp_family(2, 3, 1)
+    fam.xi = fam.xi + fam.table.var("y")
+    with pytest.raises(InternalIntegralityFailure):
+        fam.nonintegral_shift()
 
 
 def test_nonexp_certificate_round_trip():
@@ -170,10 +226,10 @@ def test_nonexp_materialization_takes_the_packed_substitution():
         sizes.append(len(out))
         return out
     with mock.patch.object(poly, "_packed_substitute", spy):
-        packed = fam.materialize_action()
+        packed = canonical_action(fam.data())
     with mock.patch.object(poly, "_PACK_MIN_SUBSTITUTION", float("inf")), \
             mock.patch.object(poly, "_packed_substitute") as kernel:
-        looped = fam.materialize_action()
+        looped = canonical_action(fam.data())
     assert not kernel.called
     assert 6006 in sizes
     assert [len(g.terms) for g in packed.images] == [6006, 98, 1]
@@ -182,18 +238,12 @@ def test_nonexp_materialization_takes_the_packed_substitution():
 
 def test_nonexp_sigma_is_order_p_structurally():
     fam = build_nonexp_family(2, 3, 1)
-    action = fam.materialize_action()
+    action = canonical_action(fam.data())
     sigma = action.evaluate(1)
     # sigma moves xt by the nonzero translation, so sigma != id; order
     # divides p because sigma = E_1 of an action
     assert sigma.apply(fam.xt) == fam.xt + fam.translation
     assert not fam.translation.is_zero()
-
-
-def test_refuses_materializing_large_family():
-    fam = build_nonexp_family(3, 4, 2)
-    with pytest.raises(BadParameters):
-        fam.materialize_action()
 
 
 @pytest.mark.parametrize("p", [2, 3])

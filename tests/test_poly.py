@@ -336,3 +336,24 @@ def test_T1_and_T2_are_ordinary_variable_names():
     action = GaAction(t, [t.parse("T1 + T2*T"), t.var("T2")])
     assert action.evaluate(1) == PolyMap(t, [t.parse("T1 + T2"),
                                              t.var("T2")])
+
+
+def test_truncate_u_reduces_each_coefficient_mod_a_power_of_u():
+    """truncate_u(e) keeps the terms a*u^k with k < e of every coefficient,
+    negative k included, and drops a monomial whose coefficient has none;
+    a denominator other than a power of u raises ValueError, as its
+    expansion in u does not end."""
+    t = table2(3)
+    u = Coeff.u(3)
+    x, y = t.var("x"), t.var("y")
+    f = x.scale(1 + u + u ** 2) + y.scale(u.inv() + u)
+    assert f.truncate_u(2) == x.scale(1 + u) + y.scale(u.inv() + u)
+    assert f.truncate_u(1) == x + y.scale(u.inv())
+    assert f.truncate_u(0) == y.scale(u.inv())
+    assert f.truncate_u(-1) == t.zero()
+    # the y term vanishes modulo u^2, the x term keeps its constant
+    g = x.scale(2 + u ** 2) + y.scale(u ** 2 + u ** 3)
+    assert g.truncate_u(2) == x.scale(2)
+    assert g.truncate_u(2).terms[x.leading_term()[0]] is Coeff.from_int(3, 2)
+    with pytest.raises(ValueError):
+        x.scale((u + 1).inv()).truncate_u(2)

@@ -2,9 +2,9 @@ import pytest
 
 from charp_autos.errors import ParseError
 from charp_autos.poly import VarTable
+from charp_autos.gallery import StarReport
 from charp_autos.textio import (map_to_str, parse_action, parse_coeff,
-                                parse_map, parse_poly, poly_to_str,
-                                report_to_str)
+                                parse_map, parse_poly, poly_to_str)
 
 
 def test_parse_print_idempotent():
@@ -105,7 +105,9 @@ def test_tame_word_round_trip():
 
 
 def test_report_format():
-    assert report_to_str([("A1", True), ("A2", False)]) \
-        == '{"A1": true, "A2": false}'
-    assert report_to_str([("verdict", "NotExponentialOverR")]) \
+    rep = StarReport()
+    rep.add("A1", True)
+    rep.add("A2", False)
+    assert rep.to_text() == '{"A1": true, "A2": false}'
+    assert StarReport().to_text(verdict="NotExponentialOverR") \
         == '{"verdict": "NotExponentialOverR"}'
