@@ -243,12 +243,6 @@ class Coeff:
         m = len(self.den) - 1
         return [(i - m, a) for i, a in enumerate(self.num) if a]
 
-    def divisible_by_u_power(self, e):
-        """Membership in u^e * F_p[u]."""
-        if not self.num:
-            return True
-        return self.is_integral() and _uval(self.num) >= e
-
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other):

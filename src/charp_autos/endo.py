@@ -6,7 +6,7 @@ product phi*psi of the paper-style word.
 """
 
 from .coeffs import Coeff
-from .errors import NotStructured, SingularAffine
+from .errors import NotStructured
 # Unused here; perfbench/selftest.py checks that its tracer replaces this
 # binding of exact_div along with the ones in poly and gallery.
 from .poly import exact_div  # noqa: F401
@@ -88,7 +88,7 @@ def order_up_to(sigma, bound=None):
 
 
 def classify(sigma):
-    """Shape flags {affine, triangular, strict_triangular, elementary}.
+    """Shape flags {triangular, strict_triangular}.
 
     Units are read in the ambient coefficient field: the triangular test
     accepts any nonzero constant as the leading unit.  All order-p uses force
@@ -96,10 +96,6 @@ def classify(sigma):
     """
     table = sigma.table
     flags = set()
-    if all(g.total_degree() == 1 for g in sigma.images):
-        flags.add("affine")
-
-    triangular = True
     strict = True
     for i, name in enumerate(table.names):
         g = sigma.images[i]
@@ -107,43 +103,24 @@ def classify(sigma):
         rest = g - table.var(name).scale(c)
         if c.is_zero() or any(
                 e[table.index[n]] for n in table.names[i:] for e in rest.terms):
-            triangular = False
-            strict = False
-            break
+            return flags
         if not c.is_one():
             strict = False
-    if triangular:
-        flags.add("triangular")
+    flags.add("triangular")
     if strict:
         flags.add("strict_triangular")
-
-    g1 = sigma.images[0]
-    x1 = table.names[0]
-    c = g1.coeff_of(**{x1: 1})
-    rest = g1 - table.var(x1).scale(c)
-    if (not c.is_zero() and not rest.uses_var(x1)
-            and all(sigma.images[i] == table.var(table.names[i])
-                    for i in range(1, table.nvars))):
-        flags.add("elementary")
     return flags
 
 
 def invert_structured(sigma):
-    """Inverse of an affine or triangular map, verified on one side only.
+    """Inverse of a triangular map, verified on one side only.
 
-    sigma*inv = id suffices.  A triangular map with nonzero diagonal is an
-    automorphism, so a right inverse of it is its inverse.  For an affine
-    map, the chain rule turns sigma*inv = id into M*L = I, L the constant
-    Jacobian of sigma and M that of inv taken at sigma; so L is invertible,
-    sigma is an automorphism, and again a right inverse is its inverse.
+    sigma*inv = id suffices: a triangular map with nonzero diagonal is an
+    automorphism, so a right inverse of it is its inverse.
     """
-    flags = classify(sigma)
-    if "affine" in flags:
-        inv = _invert_affine(sigma)
-    elif "triangular" in flags:
-        inv = _invert_triangular(sigma)
-    else:
-        raise NotStructured("map is neither affine nor triangular: %s" % sigma)
+    if "triangular" not in classify(sigma):
+        raise NotStructured("map is not triangular: %s" % sigma)
+    inv = _invert_triangular(sigma)
     if not compose(sigma, inv).is_identity():
         raise NotStructured("structured inversion failed for %s" % sigma)
     return inv
@@ -159,40 +136,6 @@ def _invert_triangular(sigma):
         # h_i = c^-1 (x_i - rest(h_1,..,h_{i-1}))
         moved = rest.substitute(dict(zip(table.names[:i], inv_images)))
         inv_images.append((table.var(name) - moved).scale(c.inv()))
-    return PolyMap(table, inv_images)
-
-
-def _invert_affine(sigma):
-    table = sigma.table
-    n = table.nvars
-    p = table.p
-    rows = []
-    shift = []
-    for g in sigma.images:
-        rows.append([g.coeff_of(**{m: 1}) for m in table.names])
-        shift.append(g.constant_term())
-    # solve M * Y = X - b by Gauss-Jordan on [M | I]
-    aug = [row[:] + [Coeff.from_int(p, 1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if piv is None:
-            raise SingularAffine("linear part is singular: %s" % sigma)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inv()
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    inv_images = []
-    for i in range(n):
-        img = table.zero()
-        for j, name in enumerate(table.names):
-            minv = aug[i][n + j]
-            if not minv.is_zero():
-                img = img + (table.var(name) - table.const(shift[j])).scale(minv)
-        inv_images.append(img)
     return PolyMap(table, inv_images)
 
 

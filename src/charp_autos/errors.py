@@ -40,10 +40,6 @@ class NotStructured(CharpAutosError):
     pass
 
 
-class SingularAffine(CharpAutosError):
-    pass
-
-
 # -- G_a-actions -------------------------------------------------------------
 
 class AxiomViolation(CharpAutosError):

@@ -21,9 +21,11 @@ The identities are asserted here, by raising InternalIntegralityFailure:
 - the averaging core, so every entry point: the conjugator phi is
   triangular and phi*eps = sigma*phi for eps = (x1 + a, x2, ..), which for
   an automorphism phi is conjugating eps by phi giving back sigma;
-- exponentialize_triangular_n2: E_1 = sigma, and the action restricts to R,
-  so a*c lies in F_p[u] for each coefficient c of the reduced f (the
-  x1^(i-1)*T coefficient of E(x2) is -i*a*c, and p does not divide i);
+- exponentialize_triangular_n2: E_1 = sigma, and, when sigma(x1) != x1,
+  the action restricts to R, so a*c lies in F_p[u] for each coefficient c
+  of the reduced f (the x1^(i-1)*T coefficient of E(x2) is -i*a*c, and p
+  does not divide i).  That path first raises NonIntegralCoefficient for a
+  sigma with a coefficient outside F_p[u], which is bad input, not a bug;
 - exponentialize_field_n3: E_1 = sigma (and, on the path delegated to
   n = 2, the images demoted from F_p[u] lie in F_p[x1]);
 - theta_of: sigma_from_theta(a, theta) is sigma, so a result computed for
@@ -35,9 +37,11 @@ The identities are asserted here, by raising InternalIntegralityFailure:
 from dataclasses import dataclass
 
 from .coeffs import Coeff
-from .errors import (BadThetaSupport, InternalIntegralityFailure, NotOrderP,
-                     NotTriangular, NonUnitTranslation, UnsupportedField)
-from .poly import MultiPoly, VarTable, _accumulate, express_in_invariant
+from .errors import (BadThetaSupport, InternalIntegralityFailure,
+                     NonIntegralCoefficient, NotOrderP, NotTriangular,
+                     NonUnitTranslation, UnsupportedField)
+from .poly import (MultiPoly, VarTable, _accumulate, express_in_invariant,
+                   is_polynomial_over)
 from .endo import PolyMap, classify, compose, eps_map
 from .gaction import GaAction, SliceData, slice_action
 
@@ -161,6 +165,12 @@ def _exponentialize_n2(sigma):
         return ExponentializationResult(GaAction(
             table, [table.var(x1), table.var(x2) + b * table.var("T")]))
 
+    # the restriction to R asserted below holds only for sigma over R
+    for g in sigma.images:
+        ok, bad = is_polynomial_over(g)
+        if not ok:
+            raise NonIntegralCoefficient("coefficient %s of sigma is not in "
+                                         "F_p[u]" % (bad[1],))
     phi = _averaged_conjugator(sigma, a, _order_p_powers(sigma))
     f = phi.images[1] - table.var(x2)
     _, f_red = express_in_invariant(f, x1, a)

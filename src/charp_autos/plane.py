@@ -23,7 +23,7 @@ them again:
 from .errors import (BadParameters, NotAutomorphism, NotInCentralizer,
                      NotInWst, WitnessNotCentralizing)
 from .poly import express_in_invariant
-from .endo import PolyMap, compose, eps_map, invert_structured
+from .endo import PolyMap, compose, eps_map
 from .gaction import SliceData, slice_action
 
 
@@ -388,7 +388,7 @@ def centralizer_decompose(phi, t):
                 g = table.var(x1).scale(aff.mat[1] / a)
                 kind = "E1"
             else:
-                g = _strip_swap_case(table, aff, nf, t)
+                g = _strip_swap_case(table, first, nf)
                 kind = "E1"
         cur = compose(generators.gen_map(kind, -g), cur)
         gens.append((kind, g))
@@ -431,22 +431,22 @@ def _strip_triangular(table, first, t):
     return q1_reduced.scale(b1.inv())
 
 
-def _strip_swap_case(table, aff, nf, t):
+def _strip_swap_case(table, first, nf):
     """Case (b): affine leading factor with a = 0 needs the next two factors;
-    the generator is E1(p(y) + u_hat y)."""
+    the generator is E1(p(y) + u_hat y).
+
+    Both normalizations are inverted in closed form.  gamma1 is defined by
+    first*gamma1 = (y, x), so gamma1^-1 = (y, x)*first.  The second factor
+    becomes phi2' = gamma1^-1 * nf[1] = (a2 x + c2, b2 y + q2(x)); split
+    q2 = ulin x + vconst + b2 p(x), so phi2' = (x, y + p(x))*A with affine
+    part A = (a2 x + c2, b2 y + ulin x + vconst) and gamma2 = A^-1, whence
+    phi3' = A * nf[2].
+    """
     x1, x2 = table.names
     if len(nf) < 3:
         raise NotInCentralizer("swap-led word is too short to centralize")
-    a, b, c, d = aff.mat
-    u, v = aff.shift
-    # gamma1 with aff * gamma1 = (y, x)
-    ap = b.inv()
-    cp = -(ap * u)
-    bp = c.inv()
-    ep = -(d / (c * b))
-    vp = -(bp * v + ep * u)
-    gamma1 = AffineFactor(table, (ap, 0, ep, bp), (cp, vp))
-    phi2p = compose(invert_structured(gamma1.to_map()), nf[1][1])
+    swap = PolyMap(table, [table.var(x2), table.var(x1)])
+    phi2p = compose(compose(swap, first), nf[1][1])
     f1, f2 = phi2p.images
     a2 = f1.coeff_of(**{x1: 1})
     c2 = f1.constant_term()
@@ -457,14 +457,10 @@ def _strip_swap_case(table, aff, nf, t):
     ulin = q2.coeff_of(**{x1: 1})
     vconst = q2.constant_term()
     pq = (q2 - table.var(x1).scale(ulin) - table.const(vconst)).scale(b2.inv())
-    gamma2 = AffineFactor(
-        table,
-        (a2.inv(), 0, -(ulin / (b2 * a2)), b2.inv()),
-        (-(c2 / a2), -((vconst - ulin * c2 / a2) / b2)))
-    if compose(phi2p, gamma2.to_map()) != PolyMap(
-            table, [table.var(x1), table.var(x2) + pq]):
-        raise NotInCentralizer("normalization (II) failed")
-    phi3p = compose(invert_structured(gamma2.to_map()), nf[2][1])
+    affine_part = PolyMap(table, [f1, table.var(x2).scale(b2)
+                                  + table.var(x1).scale(ulin)
+                                  + table.const(vconst)])
+    phi3p = compose(affine_part, nf[2][1])
     g1 = phi3p.images[0]
     a3 = g1.coeff_of(**{x1: 1})
     b3 = g1.coeff_of(**{x2: 1})

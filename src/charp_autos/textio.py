@@ -16,7 +16,7 @@ coefficient outside the prime field in parentheses: "(u^2+u)*x1^2*x2 + 1".
 import re
 
 from .coeffs import Coeff
-from .errors import ParseError
+from .errors import BadParameters, ParseError
 from .poly import VarTable
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|(\^|\*|\+|-|/|\(|\)|,|=|\[|\]|:))")
@@ -265,7 +265,11 @@ def parse_word(table, text, t=1):
             vals = [parse_coeff(table.p, part) for part in payload.split(",")]
             if len(vals) != 6:
                 raise ParseError("affine factor needs 6 entries")
-            factors.append(AffineFactor(table, vals[:4], vals[4:]))
+            factor = AffineFactor(table, vals[:4], vals[4:])
+            if factor.det().is_zero():
+                raise BadParameters("affine factor %s is singular"
+                                    % factor.to_text())
+            factors.append(factor)
         elif tag == "tri":
             a, b, c, q = _block_fields(tag, payload, dict.fromkeys("abcq"), 3)
             factors.append(TriangularFactor(

@@ -90,6 +90,19 @@ def test_expo_reports_a_failed_theta_round_trip(capsys, monkeypatch):
     assert "theta does not reproduce sigma" in err
 
 
+@pytest.mark.parametrize("sigma,coeff", [
+    ("(x1+1/u, x2)", "1/u"),
+    ("(x1+u, x2+1/(u+1))", "1/(u+1)")])
+def test_expo_rejects_sigma_outside_R_as_bad_input(capsys, sigma, coeff):
+    """For sigma(x1) != x1 the library asserts the restriction to R, which
+    holds only for sigma over R: other input is refused before that."""
+    code, out, err = run(capsys, "expo", sigma)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "NonIntegralCoefficient: coefficient %s of sigma is not in F_p[u]"
+        % coeff]
+
+
 def test_expo_reports_the_restriction_the_library_leaves_open(capsys):
     """sigma(x1) = x1 for n = 2, and the n = 3 path with sigma(x1) != x1:
     the library does not assert the restriction to R there.  For n = 2 with
@@ -230,6 +243,8 @@ def test_unsupported_p_is_usage_error(capsys, argv):
      "BadParameters: a and b must lie in k*, got a=0, b=1"),
     (("parse", "poly", "u*x1", "--vars", "u,x1"),
      "ParseError: --vars: 'u' is reserved for the coefficient parameter"),
+    (("parse", "word", "[aff:1,2,2,1,0,0]", "--p", "3"),
+     "BadParameters: affine factor [aff: 1,2,2,1,0,0] is singular"),
 ])
 def test_construction_parameters_out_of_range_are_usage_errors(capsys, argv,
                                                                message):

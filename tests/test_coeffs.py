@@ -86,12 +86,6 @@ def test_frobenius_power():
     assert a.frob_power(2) == a ** (p * p)
 
 
-def test_valuation_and_u_power_divisibility():
-    p = 2
-    assert (u(p) ** 2 * (u(p) + 1)).divisible_by_u_power(2)
-    assert not (u(p) * (u(p) + 1)).divisible_by_u_power(2)
-
-
 def test_gcd_of_integral_values():
     p = 2
     g = coeff_gcd_integral([u(p) ** 2, u(p) ** 3 + u(p) ** 2])

@@ -167,6 +167,26 @@ def test_decompose_each_proof_case_fires():
     assert recompose(centralizer_decompose(phi_c, 1)) == phi_c
 
 
+@pytest.mark.parametrize("tval,text", [
+    (1, "[E2: x1^2][E1: x2^2][H0: a=1,u1=0,u2=0]"),
+    (2, "[E2: x1^2 + x1][E1: 2*x2^2][E2: x1][H0: a=2,u1=1,u2=0]")])
+def test_swap_led_words_decompose_back_exactly(monkeypatch, tval, text):
+    """Case (b) gives back the very word, and the swap case is reached."""
+    from charp_autos import plane
+    from charp_autos.textio import parse_word
+    t = t2(3)
+    calls = []
+    original = plane._strip_swap_case
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(plane, "_strip_swap_case", spy)
+    phi = recompose(parse_word(t, text, t=tval))
+    assert centralizer_decompose(phi, tval).to_text() == text
+    assert calls
+
+
 def test_decompose_rejects_non_member():
     t = t2(2)
     with pytest.raises(NotInCentralizer):
