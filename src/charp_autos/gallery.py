@@ -527,6 +527,16 @@ def _rank3_generic(p):
 
     for N = X2 X3 - a^(p^2) + a^p, the numerator of E(x3) = N / e2; since
     e2 = X2 - Y divides both binomial differences, E(x3) is a polynomial.
+    The right-hand side is not expanded in that form: Y^(p^2-1) alone has
+    20,577 terms at p = 5.  As Y = F^(p^2) B and the coefficients lie in
+    F_p, B Y^(p^2-1) = F^(p^2(p^2-1)) B^(p^2) and B Y^(p-1) =
+    F^(p^2(p-1)) B^p, Frobenius powers of B, so the same polynomial is
+
+        X3 e2 + B X2^(p^2-1) - F^(p^2(p^2-1)) B^(p^2)
+              - F^(p^2-p) B X2^(p-1) + F^(p^3-p) B^p,
+
+    and N is compared with it.  Being the same polynomial, it is still a
+    multiple of e2 by the binomial form.
     """
     table, g, block = _rank3_symbols(p)
     p2 = p * p
@@ -539,11 +549,10 @@ def _rank3_generic(p):
     e2 = x2 - y
     slice_ok = f * e1 + e2 == f * x1 + x2 + f * g * st
     numerator = x2 * x3 - a.frob(2) + a.frob()
-    y_low = y ** (p - 1)
-    certificate = (x3 * e2
-                   + block * (table.var("X2", p2 - 1) - y_low * y_low.frob())
-                   - table.var("F", p2 - p) * block
-                   * (table.var("X2", p - 1) - y_low))
+    certificate = (x3 * e2 + block * table.var("X2", p2 - 1)
+                   - table.var("F", p2 * (p2 - 1)) * block.frob(2)
+                   - table.var("F", p2 - p) * block * table.var("X2", p - 1)
+                   + table.var("F", p2 * p - p) * block.frob())
     return e1, e2, slice_ok, numerator == certificate
 
 
@@ -569,6 +578,14 @@ def build_rank3_family(p, l, m):
     T -> T is a ring map that sends G to g, so they hold for every member:
     it sends the generic e1, e2 to the images of x1, x2 and the slice
     F G S T to f^l g^m T, which is checked concretely.
+
+    For l = 0 or m = 0 an image is written as n / d with n, d polynomials:
+    E(x2) = n / g when m = 0 (at T = 1 when l >= 2), E_1(x1) = n / (f g)
+    when l = 0.  A projection pi1 or pi2, which keeps x1 or x2 and sends
+    the other two variables to 0, kills d but not n, so d does not divide
+    n.  A projection is a ring map, so it is applied to f, g and the
+    variables first and n's image is formed from theirs: n itself, with
+    terms like f^(p^2-p) g^(mp), is not built.
     """
     if l < 0 or m < 0 or max(l, m) > 4:
         raise BadParameters(_RANK3_PARAMETERS)
@@ -596,32 +613,33 @@ def build_rank3_family(p, l, m):
         n1 = g * (x1 + table.one())           # g * E_1(x1)
         report.add("E1_extends_translation",
                    exact_div(n2, g) == x2 and exact_div(n1, g) == x1 + table.one())
-        n_t = g * x2 - f ** p2 * (table.var("T", p2) - table.var("T", p))
-        pi1 = _pi_map(n_t, "x1")
-        report.add("action_blocked_pi1",
-                   _pi_map(g, "x1").is_zero() and not pi1.is_zero(),
+        # pi1(g E(x2)), g E(x2) = g x2 - f^(p^2) (T^(p^2) - T^p)
+        f1, g1, x2_1 = (_pi_map(v, "x1") for v in (f, g, x2))
+        pi1 = g1 * x2_1 - f1 ** p2 * (table.var("T", p2) - table.var("T", p))
+        report.add("action_blocked_pi1", g1.is_zero() and not pi1.is_zero(),
                    "pi1 residual %s" % pi1)
         fam.classification = "OnlyE1Restricts"
         return fam
 
     if l >= 2 and m == 0:
-        n = g * x2 - f ** p2 * (f ** ((l - 1) * p2) - f ** ((l - 1) * p))
-        pi1 = _pi_map(n, "x1")
-        report.add("E1_blocked_pi1",
-                   _pi_map(g, "x1").is_zero() and not pi1.is_zero(),
-                   "pi1 residual nonzero")
+        # n = g E_1(x2) = g x2 - f^(p^2) (f^((l-1)p^2) - f^((l-1)p))
+        f1, g1, x2_1 = (_pi_map(v, "x1") for v in (f, g, x2))
+        pi1 = g1 * x2_1 - f1 ** p2 * (f1 ** ((l - 1) * p2)
+                                      - f1 ** ((l - 1) * p))
+        report.add("E1_blocked_pi1", g1.is_zero() and not pi1.is_zero(),
+                   "pi1 residual %s" % pi1)
         fam.classification = "Neither"
         return fam
 
-    # l == 0, any m
-    n = (f * g * x1 + g ** (m + 1) + g ** (m * p2)
-         - f ** (p2 - p) * g ** (m * p))
-    pi2 = _pi_map(n, "x2")
-    expected = _pi_map(g ** (m + 1) + g ** (m * p2), "x2")
+    # l == 0, any m: n = f g E_1(x1)
+    #                    = f g x1 + g^(m+1) + g^(mp^2) - f^(p^2-p) g^(mp)
+    f2, g2, x1_2 = (_pi_map(v, "x2") for v in (f, g, x1))
+    expected = g2 ** (m + 1) + g2 ** (m * p2)
+    pi2 = f2 * g2 * x1_2 + expected - f2 ** (p2 - p) * g2 ** (m * p)
     report.add("E1_blocked_pi2",
-               _pi_map(f * g, "x2").is_zero() and not pi2.is_zero()
+               (f2 * g2).is_zero() and not pi2.is_zero()
                and pi2 == expected,
-               "pi2 residual nonzero")
+               "pi2 residual %s" % pi2)
     fam.classification = "Neither"
     return fam
 

@@ -356,6 +356,65 @@ def test_rank3_certified_identities_char2():
             == [e1, e2]
 
 
+def _rank3_x3_sides(p):
+    """(numerator, expanded, frobenius) over the generic symbols: the
+    numerator N = X2 X3 - a^(p^2) + a^p of E(x3), the x3 certificate with
+    its binomial differences expanded, and its Frobenius form."""
+    table, _, block = gallery._rank3_symbols(p)
+    e1, e2, _, _ = gallery._rank3_generic(p)
+    p2 = p * p
+    f, x2, x3 = table.var("F"), table.var("X2"), table.var("X3")
+    a = e1 - table.var("X1")
+    y = table.var("F", p2) * block
+    numerator = x2 * x3 - a ** p2 + a ** p
+    expanded = (x3 * e2 + block * (x2 ** (p2 - 1) - y ** (p2 - 1))
+                - f ** (p2 - p) * block * (x2 ** (p - 1) - y ** (p - 1)))
+    frobenius = (x3 * e2 + block * x2 ** (p2 - 1)
+                 - f ** (p2 * (p2 - 1)) * block ** p2
+                 - f ** (p2 - p) * block * x2 ** (p - 1)
+                 + f ** (p ** 3 - p) * block ** p)
+    return numerator, expanded, frobenius
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_rank3_x3_certificate_matches_its_expanded_form(p):
+    """The x3 certificate in Frobenius powers of B is the expanded one,
+    B (X2^(p^2-1) - Y^(p^2-1)) with Y = F^(p^2) B and so on, and both equal
+    the numerator of E(x3), which _rank3_generic checks."""
+    numerator, expanded, frobenius = _rank3_x3_sides(p)
+    assert expanded == frobenius == numerator
+    assert gallery._rank3_generic(p)[3]
+
+
+def _rank3_expanded_numerator(fam):
+    """(projection, kept variable, n) for a member with l = 0 or m = 0: the
+    numerator of its blocking argument, expanded before it is projected."""
+    f, g, t, p2 = fam.f, fam.g, fam.table, fam.p ** 2
+    x1, x2 = t.var("x1"), t.var("x2")
+    l, m = fam.l, fam.m
+    if (l, m) == (1, 0):
+        return "pi1", "x1", g * x2 - f ** p2 * (t.var("T", p2)
+                                               - t.var("T", fam.p))
+    if l >= 2:
+        return "pi1", "x1", g * x2 - f ** p2 * (
+            f ** ((l - 1) * p2) - f ** ((l - 1) * fam.p))
+    return "pi2", "x2", (f * g * x1 + g ** (m + 1) + g ** (m * p2)
+                         - f ** (p2 - fam.p) * g ** (m * fam.p))
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_rank3_projection_first_matches_the_expanded_numerator(p):
+    """Each blocked member projects f, g and the variables before forming
+    the residual; projecting the expanded numerator gives the same one."""
+    for l, m in ((0, 0), (0, 1), (0, 2), (1, 0), (2, 0)):
+        fam = build_rank3_family(p, l, m)
+        name, keep, n = _rank3_expanded_numerator(fam)
+        residual = gallery._pi_map(n, keep)
+        blocking = fam.report.checks[-1]
+        assert blocking.ok
+        assert blocking.detail == "%s residual %s" % (name, residual)
+
+
 def _drop_g_term(symbols):
     # G without its term F^(p^2-p) X2^(p-1)
     def patched(p):
@@ -383,21 +442,82 @@ def _wrong_scale(ring_map):
     return patched
 
 
+def _zero_projection(pi_map):
+    # every variable sent to 0, the kept one too
+    return lambda f, keep: f.table.zero()
+
+
+# the checks each corrupted member reports, in order
+_RANK3_CHECKS = {
+    (2, 1): ["xi_equals_g_x2", "slice_consistency", "x3_image_polynomial"],
+    (1, 0): ["xi_equals_g_x2", "E1_extends_translation",
+             "action_blocked_pi1"],
+    (2, 0): ["xi_equals_g_x2", "E1_blocked_pi1"],
+    (0, 1): ["xi_equals_g_x2", "E1_blocked_pi2"],
+}
+
+
 @pytest.mark.parametrize("p", (2, 3))
-@pytest.mark.parametrize("attr,corrupt,check", [
-    ("_rank3_symbols", _drop_g_term, "x3_image_polynomial"),
-    ("_rank3_symbols", _scale_block_term, "x3_image_polynomial"),
-    ("_rank3_ring_map", _wrong_scale, "slice_consistency")],
-    ids=["G", "B", "scale"])
+@pytest.mark.parametrize("attr,corrupt,member,check", [
+    ("_rank3_symbols", _drop_g_term, (2, 1), "x3_image_polynomial"),
+    ("_rank3_symbols", _scale_block_term, (2, 1), "x3_image_polynomial"),
+    ("_rank3_ring_map", _wrong_scale, (2, 1), "slice_consistency"),
+    ("_pi_map", _zero_projection, (1, 0), "action_blocked_pi1"),
+    ("_pi_map", _zero_projection, (2, 0), "E1_blocked_pi1"),
+    ("_pi_map", _zero_projection, (0, 1), "E1_blocked_pi2")],
+    ids=["G", "B", "scale", "pi1-l1", "pi1-l2", "pi2"])
 def test_rank3_corruption_fails_only_its_check(monkeypatch, p, attr, corrupt,
-                                               check):
-    """Each check of an l, m >= 1 member computes something that can fail:
-    a corrupted input makes that check, and only that one, report false."""
-    names = ["xi_equals_g_x2", "slice_consistency", "x3_image_polynomial"]
-    assert [c.name for c in build_rank3_family(p, 2, 1).report.checks] == names
+                                               member, check):
+    """Each check of a member computes something that can fail: a
+    corrupted input or library step makes that check, and only that one,
+    report false."""
+    checks = build_rank3_family(p, *member).report.checks
+    assert [c.name for c in checks] == _RANK3_CHECKS[member]
+    assert all(c.ok for c in checks)
     monkeypatch.setattr(gallery, attr, corrupt(getattr(gallery, attr)))
-    report = build_rank3_family(p, 2, 1).report
+    report = build_rank3_family(p, *member).report
     assert [c.name for c in report.checks if not c.ok] == [check]
+
+
+def _bound_products(monkeypatch, bound):
+    """Record |a| |b| for each product of two MultiPolys, and raise as soon
+    as one passes bound, before it is formed."""
+    sizes = []
+    mul = poly.MultiPoly.__mul__
+
+    def bounded(a, b):
+        if isinstance(b, poly.MultiPoly):
+            sizes.append(len(a.terms) * len(b.terms))
+            assert sizes[-1] <= bound, "a product of %d terms" % sizes[-1]
+        return mul(a, b)
+    monkeypatch.setattr(poly.MultiPoly, "__mul__", bounded)
+    return sizes
+
+
+@pytest.mark.parametrize("p,bound", ((3, 100), (5, 500)))
+def test_rank3_generic_forms_only_small_products(monkeypatch, p, bound):
+    """The generic check never expands Y^(p^2-1): its largest product has
+    46 term products at p = 3 and 244 at p = 5, against 31,038 and about
+    4.9 million when the x3 certificate was expanded in powers of Y."""
+    sizes = _bound_products(monkeypatch, bound)
+    assert gallery._rank3_generic(p)[2:] == (True, True)
+    assert 0 < max(sizes) <= bound
+
+
+@pytest.mark.parametrize("p,bound", ((5, 500), (7, 1700)))
+def test_rank3_generic_identities_beyond_p3(monkeypatch, p, bound):
+    """The generic identities hold at p = 5 and 7, where no member is
+    built yet, and each corruption of G or B still fails the x3 check.
+    Products are bounded at about twice the largest one measured (244 at
+    p = 5, 816 at p = 7), so a certificate that expands Y^(p^2-1) fails
+    here at once instead of growing without bound."""
+    _bound_products(monkeypatch, bound)
+    _, _, slice_ok, x3_ok = gallery._rank3_generic(p)
+    assert slice_ok and x3_ok
+    symbols = gallery._rank3_symbols
+    for corrupt in (_drop_g_term, _scale_block_term):
+        monkeypatch.setattr(gallery, "_rank3_symbols", corrupt(symbols))
+        assert not gallery._rank3_generic(p)[3]
 
 
 def test_rank3_xi_cases_check_xi_without_building_a_member(monkeypatch):
