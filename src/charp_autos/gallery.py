@@ -478,7 +478,29 @@ class Rank3Family:
     report: StarReport = None
 
 
-_RANK3_PARAMETERS = "need p in {2,3} and small l, m >= 0"
+_RANK3_PARAMETERS = "need p in {2, 3} and 0 <= l, m <= 4"
+
+
+@dataclass
+class Rank3Base:
+    """The part of the rank-three family that depends only on p, which the
+    members built on it share: f, g, r, xi and the check xi_ok that
+    xi = g x2 by exact division, and (slice_ok, x3_ok) of _rank3_generic,
+    proved the first time a member with l, m >= 1 asks generic_ok.  The
+    polynomials are read, never changed, by every member."""
+    p: int
+    table: VarTable
+    f: MultiPoly
+    g: MultiPoly
+    r_elt: MultiPoly
+    xi: MultiPoly
+    xi_ok: bool
+    generic: tuple = None
+
+    def generic_ok(self):
+        if self.generic is None:
+            self.generic = _rank3_generic(self.p)[2:]
+        return self.generic
 
 
 def _pi_map(poly, keep):
@@ -488,9 +510,10 @@ def _pi_map(poly, keep):
 
 
 def _rank3_xi(p):
-    """(table, f, g, r, xi, ok) for the rank-three family at p: its part
-    that does not depend on (l, m), with ok the check xi = g x2 by exact
-    division."""
+    """A fresh Rank3Base for p: f, g, r with
+    xi := f^(p^2+1) - r^(p^2) + f^(p^2-p) r^p and the check xi = g x2 by
+    exact division.  Nothing is kept between calls, so a call after a
+    library step has been replaced sees the replacement."""
     if p not in (2, 3):
         raise BadParameters(_RANK3_PARAMETERS)
     table = VarTable(p, ("x1", "x2", "x3"))
@@ -500,7 +523,7 @@ def _rank3_xi(p):
     g = f ** p2 * x3 - table.var("x2", p2 - 1) + f ** (p2 - p) * table.var("x2", p - 1)
     r_elt = f * x1 + x2
     xi = f ** (p2 + 1) - r_elt ** p2 + f ** (p2 - p) * r_elt ** p
-    return table, f, g, r_elt, xi, exact_div(xi, g) == x2
+    return Rank3Base(p, table, f, g, r_elt, xi, exact_div(xi, g) == x2)
 
 
 def _rank3_symbols(p):
@@ -564,9 +587,14 @@ def _rank3_ring_map(f, g, l, m):
             "X3": table.var("x3"), "S": f ** (l - 1) * g ** (m - 1)}
 
 
-def build_rank3_family(p, l, m):
+def build_rank3_family(p, l, m, base=None):
     """The translation-inducing family on k[x1,x2,x3] built on f, g, r with
     xi := f^(p^2+1) - r^(p^2) + f^(p^2-p) r^p = g x2.
+
+    The member reads f, g, r, xi and the checks that depend only on p from
+    base, a Rank3Base of p.  When base is None a fresh one is built, so
+    each direct call proves them again; the rank3 suite passes one base to
+    all cases of a p, so a suite run proves them once per p.
 
     Classification: the action restricts iff l, m >= 1; at (1, 0) only the
     evaluation at 1 restricts (and extends eps); otherwise neither does, by
@@ -577,7 +605,8 @@ def build_rank3_family(p, l, m):
     symbols F, X1, X2, X3, S, T, and F -> f, Xi -> xi, S -> f^(l-1) g^(m-1),
     T -> T is a ring map that sends G to g, so they hold for every member:
     it sends the generic e1, e2 to the images of x1, x2 and the slice
-    F G S T to f^l g^m T, which is checked concretely.
+    F G S T to f^l g^m T, which is checked concretely.  They are proved
+    once per base.
 
     For l = 0 or m = 0 an image is written as n / d with n, d polynomials:
     E(x2) = n / g when m = 0 (at T = 1 when l >= 2), E_1(x1) = n / (f g)
@@ -589,18 +618,21 @@ def build_rank3_family(p, l, m):
     """
     if l < 0 or m < 0 or max(l, m) > 4:
         raise BadParameters(_RANK3_PARAMETERS)
-    table, f, g, r_elt, xi, xi_ok = _rank3_xi(p)
+    if base is None:
+        base = _rank3_xi(p)
+    table, f, g = base.table, base.f, base.g
     p2 = p * p
     x1, x2 = table.var("x1"), table.var("x2")
 
     report = StarReport()
-    report.add("xi_equals_g_x2", xi_ok)
+    report.add("xi_equals_g_x2", base.xi_ok)
 
-    fam = Rank3Family(p, l, m, table, f, g, r_elt, xi, "", report=report)
+    fam = Rank3Family(p, l, m, table, f, g, base.r_elt, base.xi, "",
+                      report=report)
 
     if l >= 1 and m >= 1:
         scale = _rank3_ring_map(f, g, l, m)["S"]
-        _, _, slice_ok, x3_ok = _rank3_generic(p)
+        slice_ok, x3_ok = base.generic_ok()
         report.add("slice_consistency",
                    slice_ok and f * g * scale == f ** l * g ** m)
         report.add("x3_image_polynomial", x3_ok)

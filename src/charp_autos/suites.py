@@ -335,19 +335,28 @@ def _suite_nonexp_family(params):
 
 
 def _suite_rank3(params):
+    """The cases of a p share one gallery.Rank3Base, made by the first of
+    them to run and not while the list is built; a case that raises leaves
+    it unmade, so the next case makes it again."""
     cases = []
     for p in _plist(params, (2, 3)):
-        def xi_case(p=p):
-            *_, xi_ok = gallery._rank3_xi(p)
-            return xi_ok, ""
+        made = []
+
+        def base(p=p, made=made):
+            if not made:
+                made.append(gallery._rank3_xi(p))
+            return made[0]
+
+        def xi_case(base=base):
+            return base().xi_ok, ""
         cases.append(("xi-p%d" % p, xi_case))
         for l in range(3):
             for m in range(3):
                 expected = ("ActionRestricts" if l >= 1 and m >= 1 else
                             "OnlyE1Restricts" if (l, m) == (1, 0) else "Neither")
 
-                def thunk(p=p, l=l, m=m, expected=expected):
-                    fam = gallery.build_rank3_family(p, l, m)
+                def thunk(p=p, l=l, m=m, expected=expected, base=base):
+                    fam = gallery.build_rank3_family(p, l, m, base=base())
                     if fam.classification != expected:
                         return False, "got %s, expected %s" % (
                             fam.classification, expected)

@@ -219,7 +219,7 @@ def test_unsupported_p_is_usage_error(capsys, argv):
 
 @pytest.mark.parametrize("argv,message", [
     (("gallery", "rank3", "--p", "5"),
-     "BadParameters: need p in {2,3} and small l, m >= 0"),
+     "BadParameters: need p in {2, 3} and 0 <= l, m <= 4"),
     (("gallery", "F", "--n", "2"), "BadParameters: need n >= 3"),
     (("gallery", "eps-invariants", "--n", "0"), "BadParameters: need n >= 1"),
     (("criteria", "certify", "--d", "4"),
@@ -245,6 +245,10 @@ def test_unsupported_p_is_usage_error(capsys, argv):
      "ParseError: --vars: 'u' is reserved for the coefficient parameter"),
     (("parse", "word", "[aff:1,2,2,1,0,0]", "--p", "3"),
      "BadParameters: affine factor [aff: 1,2,2,1,0,0] is singular"),
+    (("gallery", "rank3", "--l", "5"),
+     "BadParameters: need p in {2, 3} and 0 <= l, m <= 4"),
+    (("gallery", "rank3", "--m", "-1"),
+     "BadParameters: need p in {2, 3} and 0 <= l, m <= 4"),
 ])
 def test_construction_parameters_out_of_range_are_usage_errors(capsys, argv,
                                                                message):

@@ -533,6 +533,73 @@ def test_rank3_xi_cases_check_xi_without_building_a_member(monkeypatch):
     assert built == []
 
 
+def _record_calls(monkeypatch, *names):
+    """Replace each named one-argument gallery function by one that logs
+    its argument p and calls the original; return the logs by name."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def spy(p, fn=getattr(gallery, name), log=calls[name]):
+            log.append(p)
+            return fn(p)
+        monkeypatch.setattr(gallery, name, spy)
+    return calls
+
+
+def test_rank3_suite_proves_each_per_p_fact_once(monkeypatch):
+    """A suite run makes one Rank3Base per p, which its xi case and its
+    nine members share, and proves the generic identities once per p;
+    two direct builds of a member each make their own."""
+    calls = _record_calls(monkeypatch, "_rank3_xi", "_rank3_generic")
+    result = run_suite("rank3")
+    assert len(result.cases) == 20 and result.all_passed, result.to_text()
+    assert calls == {"_rank3_xi": [2, 3], "_rank3_generic": [2, 3]}
+    calls["_rank3_xi"].clear()
+    calls["_rank3_generic"].clear()
+    assert build_rank3_family(3, 2, 2).report.all_ok()
+    assert build_rank3_family(3, 2, 2).report.all_ok()
+    assert calls == {"_rank3_xi": [3, 3], "_rank3_generic": [3, 3]}
+
+
+_RANK3_RESTRICTING = ["p%d-l%d-m%d" % (p, l, m)
+                      for p in (2, 3) for l in (1, 2) for m in (1, 2)]
+
+
+def test_rank3_suite_shared_facts_can_fail(monkeypatch):
+    """A shared fact that fails fails every case that reads it: with
+    exact_div returning its dividend all 20 cases FAIL, and with G missing
+    a term exactly the eight members with l, m >= 1 FAIL, on
+    x3_image_polynomial."""
+    monkeypatch.setattr(gallery, "exact_div", lambda f, g: f)
+    result = run_suite("rank3")
+    assert len(result.cases) == 20
+    assert not any(c.ok for c in result.cases), result.to_text()
+    monkeypatch.undo()
+    monkeypatch.setattr(gallery, "_rank3_symbols",
+                        _drop_g_term(gallery._rank3_symbols))
+    failed = {c.name: c.detail for c in run_suite("rank3").cases if not c.ok}
+    assert failed == dict.fromkeys(_RANK3_RESTRICTING,
+                                   "failed: x3_image_polynomial")
+
+
+def test_rank3_suite_retries_a_base_that_raised(monkeypatch):
+    """The first case of a p to run makes its Rank3Base; if that raises,
+    the case fails with the exception as its witness and the next case
+    makes the base again."""
+    build = gallery._rank3_xi
+    calls = []
+
+    def flaky(p):
+        calls.append(p)
+        if len(calls) == 1:
+            raise NotDivisible("planted")
+        return build(p)
+    monkeypatch.setattr(gallery, "_rank3_xi", flaky)
+    result = run_suite("rank3", p=2)
+    failed = {c.name: c.detail for c in result.cases if not c.ok}
+    assert failed == {"xi-p2": "NotDivisible: planted"}
+    assert calls == [2, 2]
+
+
 def test_F_family_and_commutator():
     for p in (2, 3):
         t = VarTable(p, ("x1", "x2", "x3", "x4"))

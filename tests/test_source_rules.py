@@ -12,6 +12,12 @@
 - No assignment to a `.num` or `.den` attribute outside coeffs.py: the
   prime-field constants are shared objects, which is safe only while no
   Coeff changes once built.
+- No write into a `.terms` dict: no item assignment or `del`, no
+  `pop`, `popitem`, `update`, `clear` or `setdefault` call, and no
+  augmented assignment to `.terms` itself.  A polynomial is read by
+  everything built on it, such as the rank3 members sharing one per-p
+  record, which is safe only while no MultiPoly changes once built.  A
+  write through another name for the dict is not seen.
 - No call of `_canonical` or `object.__new__(Coeff)` outside coeffs.py:
   both build a Coeff without reducing it, so only the module that owns the
   num/den representation may vouch that a fraction is canonical.
@@ -89,6 +95,42 @@ def _coeff_writes(path):
                                                                    "den"):
                     yield "%s:%d: assigns .%s" % (path.name, sub.lineno,
                                                   sub.attr)
+
+
+_DICT_WRITES = ("pop", "popitem", "update", "clear", "setdefault")
+
+
+def _is_terms(node):
+    return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+
+def _terms_writes(path):
+    """Item assignments to and deletions from a .terms dict, calls of its
+    mutating methods, and augmented assignments to .terms itself."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+            if isinstance(node, ast.AugAssign) and _is_terms(node.target):
+                yield "%s:%d: updates .terms" % (path.name, node.lineno)
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _DICT_WRITES
+              and _is_terms(node.func.value)):
+            yield "%s:%d: calls .terms.%s" % (path.name, node.lineno,
+                                              node.func.attr)
+            continue
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Subscript) and _is_terms(sub.value):
+                    yield "%s:%d: %s .terms" % (
+                        path.name, sub.lineno,
+                        "deletes from" if isinstance(node, ast.Delete)
+                        else "writes into")
 
 
 def _unreduced_coeffs(path):
@@ -213,6 +255,29 @@ def test_coeff_write_rule_catches_planted_assignments(tmp_path):
                        "c.numer = 1\nn = c.num\nc.den: tuple = (1,)\n")
     assert [v.split(": ", 1)[1] for v in _coeff_writes(planted)] == [
         "assigns .num", "assigns .den", "assigns .num", "assigns .den"]
+
+
+def test_library_never_writes_into_terms():
+    assert [v for path in SOURCES for v in _terms_writes(path)] == []
+
+
+def test_terms_write_rule_catches_planted_writes(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "f.terms[e] = c\nf.terms[e] += c\na, g.terms[e] = 1, c\n"
+        "del f.terms[e]\nf.terms.pop(e)\nf.terms.update(d)\n"
+        "f.terms.clear()\nf.terms.setdefault(e, c)\nf.terms.popitem()\n"
+        "f.terms |= d\nf.terms[e]: Coeff = c\n"
+        "self.terms = terms\nout = dict(f.terms)\nout[e] = f.terms[e]\n"
+        "c = f.terms.get(e)\nf.termsx[e] = c\nout.pop(e)\n")
+    found = sorted((int(v.split(":")[1]), v.split(": ", 1)[1])
+                   for v in _terms_writes(planted))
+    assert found == list(enumerate([
+        "writes into .terms", "writes into .terms", "writes into .terms",
+        "deletes from .terms", "calls .terms.pop", "calls .terms.update",
+        "calls .terms.clear", "calls .terms.setdefault",
+        "calls .terms.popitem", "updates .terms", "writes into .terms"],
+        start=1))
 
 
 def test_only_coeffs_builds_unreduced_coeffs():
