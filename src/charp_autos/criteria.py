@@ -34,22 +34,15 @@ class GenericElementaryData:
     """Coordinates (y1,..,yn) of k[x], their inverse, and the translation
     f expressed in the variables standing for y2,..,yn.
 
-    f_expr lives on the ambient table with slot i standing for y_{i+1}; the
-    slot of y1 must be unused.  avar_names lists the y-variables of A in
-    slot order (used by the stability patterns).
+    f_expr lives on the ambient table with slot i standing for y_{i+1}, as
+    a slice translation does; the slot of y1 must be unused, which the slice
+    proof of canonical_action and f_stability check.  avar_names lists the
+    y-variables of A in slot order (used by the stability patterns).
     """
     coords: PolyMap
     coords_inverse: PolyMap
     f_expr: MultiPoly
     avar_names: tuple
-
-    def __post_init__(self):
-        table = self.coords.table
-        first = table.names[0]
-        if self.f_expr.is_zero():
-            raise ValueError("the translation f must be nonzero")
-        if self.f_expr.uses_var(first):
-            raise ValueError("f may not involve the moved coordinate")
 
 
 def f_stability(avar_names, f):
@@ -115,7 +108,7 @@ def a_rigid_counter_action(table, f):
 def canonical_action(data):
     """The slice action h(y1) -> h(y1 + fT) fixing y2,..,yn; slice_action
     proves its coaction axioms on the slice generators."""
-    lam = data.coords.apply(data.f_expr) * data.coords.table.var("T")
+    lam = data.f_expr * data.coords.table.var("T")
     return slice_action(SliceData(data.coords, lam, data.coords_inverse))
 
 
@@ -158,19 +151,19 @@ def non_exponentiality_certificate(data, restriction=None):
 
 def modify_action(action, slice_data, alpha):
     """Replace the slice translation lam(T) by the constant translation
-    lam(alpha)*T."""
+    lam(alpha)*T, for an invariant alpha, written like lam in p2,..,pn."""
     table = action.table
     lam = slice_data.lam
-    r = slice_data.coords.images[0]
-    if action.apply(r) - r != lam:
-        raise InconsistentSlice("E(r) - r differs from lam")
+    coords = slice_data.coords
+    r = coords.images[0]
+    if action.apply(r) - r != coords.apply(lam):
+        raise InconsistentSlice("E(p1) - p1 differs from lam")
     if isinstance(alpha, (int, Coeff)):
         alpha = table.const(alpha)
-    if not action.is_invariant(alpha):
-        raise NotInvariantParameter("alpha is not invariant")
+    if alpha.uses_var("T") or alpha.uses_var(table.names[0]):
+        raise NotInvariantParameter("alpha is not in k[p2,..,pn]")
     new_lam = lam.subs_T(alpha) * table.var("T")
-    return slice_action(
-        SliceData(slice_data.coords, new_lam, slice_data.coords_inverse))
+    return slice_action(SliceData(coords, new_lam, slice_data.coords_inverse))
 
 
 def gauss_check(f, g):

@@ -4,8 +4,10 @@ A GaAction stores the generator images e_i in B[T].  Construction verifies
 (A1): substituting T = 0 gives back the generators, and (A2):
 E(x; S+T) = E(E(x; S); T) for every generator x, i.e. e_i under T -> S+T
 equals e_i with the generators replaced by their S-images.  Checking (A2) on
-generators suffices because both sides are ring homomorphisms; slice_action
-proves both on its slice generators instead, and skips this check.
+generators suffices because both sides are ring homomorphisms.  A slice
+action's lam is written in the slice coordinates (slot i stands for p_i);
+slice_axioms_report proves both axioms on those generators, and
+slice_action skips this check.
 
 The second parameter S lives only here: (A2) and the additivity of a slice
 translation, lam(S+T) = lam(S) + lam(T), are checked in a lifted table, the
@@ -127,62 +129,49 @@ def additivity_check(lam):
 
 @dataclass
 class SliceData:
-    """A coordinate system (p1,..,pn) and an additive lam(T); the action fixes
-    p2,..,pn and sends p1 to p1 + lam(T)."""
+    """A coordinate system (p1,..,pn) and an additive lam(T) written in the
+    slice coordinates: the slot of x_i stands for p_i, the slot of p1 is
+    unused, and T is T.  The action fixes p2,..,pn and sends p1 to
+    p1 + lam(p2,..,pn; T)."""
     coords: PolyMap
     lam: MultiPoly
     coords_inverse: PolyMap = None
 
 
+def slice_axioms_report(data):
+    """(A1)/(A2) on the slice generators p1,..,pn, which generate B: there
+    (A2) says that lam is additive and does not involve p1, and (A1) that
+    lam(0) = 0."""
+    lam = data.lam
+    a1 = lam.subs_T(lam.table.const(0)).is_zero()
+    if not additivity_check(lam):
+        return {"A1": a1, "A2": False, "witness": "lam is not additive"}
+    if lam.uses_var(lam.table.names[0]):
+        return {"A1": a1, "A2": False, "witness": "lam involves p1"}
+    return {"A1": a1, "A2": True, "witness": None}
+
+
 def slice_action(data):
     """The action fixing p2,..,pn and translating p1 by lam, written on the
-    x-generators through the inverse coordinates.
-
-    (A1)/(A2) are proved on the slice generators p1,..,pn, which generate B
-    as the inverse is verified both ways: there they reduce to additivity of
-    lam, which gives lam(0) = 0, and to lam, written in the p-coordinates,
-    not involving p1.  The x-images are not checked again.
-    """
-    lam = data.lam
-    table = data.coords.table
-    if not additivity_check(lam):
-        raise AdditivityViolation("%s is not additive" % lam)
+    x-generators through the inverse coordinates.  Its axioms are proved by
+    slice_axioms_report; the x-images are not checked again."""
+    report = slice_axioms_report(data)
+    if not report["A2"]:
+        if report["witness"] == "lam is not additive":
+            raise AdditivityViolation("%s is not additive" % data.lam)
+        raise AxiomViolation("A2 fails: %s involves p1" % data.lam)
+    coords = data.coords
     inverse = data.coords_inverse
     if inverse is None:
-        inverse = invert_structured(data.coords)
-    elif (not compose(data.coords, inverse).is_identity()
-          or not compose(inverse, data.coords).is_identity()):
+        inverse = invert_structured(coords)
+    elif (not compose(coords, inverse).is_identity()
+          or not compose(inverse, coords).is_identity()):
         raise ValueError("supplied inverse does not invert the coordinates")
-    first = table.names[0]
-    if inverse.apply(lam).uses_var(first):
-        raise AxiomViolation("A2 fails: %s has a coefficient outside "
-                             "k[p2,..,pn]" % lam)
-    target = {name: img for name, img in zip(table.names, data.coords.images)}
-    target[first] = target[first] + lam
+    target = coords.assignment()
+    first = coords.table.names[0]
+    target[first] = target[first] + coords.apply(data.lam)
     images = [q.substitute(target) for q in inverse.images]
-    return GaAction(table, images, _checked=True)
-
-
-def slice_axioms_report(data, invariant_exprs):
-    """(A1)/(A2) on the slice generators (p1,..,pn) by slice_action's
-    argument, for slice data whose inverse substitution does not fit in
-    memory: the caller exhibits the coefficients of lam as expressions in
-    p2,..,pn (slot i stands for p_{i+1}), which are substituted back.
-    """
-    table = data.coords.table
-    lam = data.lam
-    a1 = lam.subs_T(table.const(0)).is_zero()
-    a2 = additivity_check(lam)
-    rebuilt = table.zero()
-    for k, expr in invariant_exprs.items():
-        if expr.uses_var(table.names[0]):
-            return {"A1": a1, "A2": False, "witness": "coefficient uses p1"}
-        rebuilt = rebuilt + data.coords.apply(expr) * table.var("T") ** k
-    if rebuilt != lam:
-        return {"A1": a1, "A2": False,
-                "witness": "coefficients not generated by p2,..,pn"}
-    return {"A1": a1, "A2": a2,
-            "witness": None if (a1 and a2) else "lam"}
+    return GaAction(coords.table, images, _checked=True)
 
 
 def rank_certificate(claimed_invariant_gens, coordinate_witness):

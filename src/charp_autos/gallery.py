@@ -18,7 +18,8 @@ from .errors import (BadH, BadParameters, InternalIntegralityFailure,
                      NotDivisible, NotInvariantGenerator, UnsupportedP)
 from .poly import MultiPoly, VarTable, exact_div, is_polynomial_over
 from .endo import PolyMap, compose, eps_map, order_up_to
-from .gaction import GaAction, SliceData, slice_action, rank_certificate
+from .gaction import (GaAction, SliceData, rank_certificate, slice_action,
+                      slice_axioms_report)
 from .criteria import GenericElementaryData
 
 
@@ -187,13 +188,14 @@ class NonExpFamily:
                 - table.var("y", p * self.a) * a_part).scale(u_inv)
 
     def slice_axioms(self):
-        """(A1)/(A2) on the slice generators (xt, yt, z) through
-        slice_axioms_report: slice_action's proof needs too much memory."""
-        from .gaction import slice_axioms_report
-        lam_t = self.translation * self.table.var("T")
-        return slice_axioms_report(
-            SliceData(self.coords, lam_t, self.coords_inverse),
-            {1: self.f_expr})
+        """slice_axioms_report for the certificate's f_expr, and that f_expr
+        read in x, y, z is the translation that xi and the stars use."""
+        report = slice_axioms_report(SliceData(
+            self.coords, self.f_expr * self.table.var("T")))
+        if self.coords.apply(self.f_expr) != self.translation:
+            return {"A1": report["A1"], "A2": False,
+                    "witness": "f_expr differs from the translation"}
+        return report
 
     def restriction_witness(self):
         """The offending term of E(x) as (generator name, (exponents, coeff))."""

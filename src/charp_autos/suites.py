@@ -15,11 +15,16 @@ conjugator.  The axioms suite does run check_axioms, on actions that
 slice_action proved only on the slice generators; a case whose builder
 makes a GaAction(table, images), which has run check_axioms, passes when
 the builder returns.
+
+Cases that need one costly record (a rank3 Rank3Base, a nonexp member)
+share it through functools.cache on a thunk: the first case to run makes
+it, and one that raises leaves it unmade for the next.
 """
 
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cache
 
 from .coeffs import SUPPORTED_PRIMES, Coeff
 from .errors import (AxiomViolation, BadParameters, NotAutomorphism,
@@ -214,19 +219,19 @@ def _suite_axioms(params):
 
     # the cases below are built at one fixed p each, and run only when
     # that p is selected
-    slice_families = [pdl for pdl in ((2, 3, 1), (3, 2, 1)) if pdl[0] in ps]
+    members = {pdl: cache(lambda pdl=pdl: gallery.build_nonexp_family(*pdl))
+               for pdl in ((2, 3, 1), (3, 2, 1)) if pdl[0] in ps}
 
     def nonexp_slice_axioms():
         # x-generator substitution is intractable here; the slice generator
         # system generates the same ring, so the axioms are checked there
-        reps = [gallery.build_nonexp_family(*pdl).slice_axioms()
-                for pdl in slice_families]
+        reps = [member().slice_axioms() for member in members.values()]
         return all(rep["A1"] and rep["A2"] for rep in reps), ""
     cases.append(("gallery-nonexp-slice-generators", nonexp_slice_axioms))
 
     def nonexp_small_e_y():
         # the tractable image: materialized E(y) equals y + xi exactly
-        fam = gallery.build_nonexp_family(2, 3, 1)
+        fam = members[(2, 3, 1)]()
         action = criteria.canonical_action(fam.data())
         idx = list(action.table.names).index("y")
         return action.images[idx] == fam.e_y(), ""
@@ -318,34 +323,29 @@ def _suite_ex_triangular(params):
 
 def _suite_nonexp_family(params):
     cases = []
-    for (p, d, l) in ((2, 3, 1), (3, 2, 1), (3, 4, 2)):
-        def stars(p=p, d=d, l=l):
-            return gallery.build_nonexp_family(p, d, l).report.outcome()
-        cases.append(("stars-%d-%d-%d" % (p, d, l), stars))
+    for pdl in ((2, 3, 1), (3, 2, 1), (3, 4, 2)):
+        member = cache(lambda pdl=pdl: gallery.build_nonexp_family(*pdl))
 
-        def certificate(p=p, d=d, l=l):
-            fam = gallery.build_nonexp_family(p, d, l)
+        def stars(member=member):
+            return member().report.outcome()
+        cases.append(("stars-%d-%d-%d" % pdl, stars))
+
+        def certificate(member=member):
+            fam = member()
             cert = criteria.non_exponentiality_certificate(
                 fam.data(), restriction=(False, fam.restriction_witness()))
             return (cert.verdict == "NotExponentialOverR"
                     and cert.stability.pattern == "every-variable-monomial"), \
                 cert.verdict
-        cases.append(("certificate-%d-%d-%d" % (p, d, l), certificate))
+        cases.append(("certificate-%d-%d-%d" % pdl, certificate))
     return cases
 
 
 def _suite_rank3(params):
-    """The cases of a p share one gallery.Rank3Base, made by the first of
-    them to run and not while the list is built; a case that raises leaves
-    it unmade, so the next case makes it again."""
+    """The cases of a p share one gallery.Rank3Base."""
     cases = []
     for p in _plist(params, (2, 3)):
-        made = []
-
-        def base(p=p, made=made):
-            if not made:
-                made.append(gallery._rank3_xi(p))
-            return made[0]
+        base = cache(lambda p=p: gallery._rank3_xi(p))
 
         def xi_case(base=base):
             return base().xi_ok, ""

@@ -252,10 +252,9 @@ def parse_word(table, text, t=1):
                 h0 = tuple(parse_coeff(table.p, v) for v in _block_fields(
                     tag, payload, {"a": "1", "u1": "0", "u2": "0"}))
             else:
-                g = parse_poly(table, payload)
-                if tag == "E1":
-                    g = g.substitute({x2: table.var(x1)})
-                gens.append((tag, g))
+                g = _univariate(table, tag, payload, payload,
+                                x2 if tag == "E1" else x1)
+                gens.append((tag, g.substitute({x2: table.var(x1)})))
         return CentralizerWord(table, t, gens, h0)
     factors = []
     for tag, payload in blocks:
@@ -274,10 +273,23 @@ def parse_word(table, text, t=1):
             a, b, c, q = _block_fields(tag, payload, dict.fromkeys("abcq"), 3)
             factors.append(TriangularFactor(
                 table, parse_coeff(table.p, a), parse_coeff(table.p, b),
-                parse_coeff(table.p, c), parse_poly(table, q)))
+                parse_coeff(table.p, c),
+                _univariate(table, tag, payload, q, table.names[0])))
         else:
             raise ParseError("cannot mix word kinds in %r" % text)
     return TameWord(table, factors)
+
+
+def _univariate(table, tag, payload, text, var):
+    """The polynomial text of a [tag: payload] block: a tri factor's q in
+    var alone, or an E1 or E2 argument g in var alone with g(0) = 0."""
+    f = parse_poly(table, text)
+    if any(f.uses_var(name) for name in table.all_names if name != var):
+        raise BadParameters("[%s: %s]: %s must be univariate in %s" % (
+            tag, payload, "q" if tag == "tri" else "g", var))
+    if tag != "tri" and not f.constant_term().is_zero():
+        raise BadParameters("[%s: %s]: g(0) must be 0" % (tag, payload))
+    return f
 
 
 def _block_fields(tag, payload, defaults, maxsplit=-1):

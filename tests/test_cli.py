@@ -249,6 +249,17 @@ def test_unsupported_p_is_usage_error(capsys, argv):
      "BadParameters: need p in {2, 3} and 0 <= l, m <= 4"),
     (("gallery", "rank3", "--m", "-1"),
      "BadParameters: need p in {2, 3} and 0 <= l, m <= 4"),
+    (("parse", "word", "[tri: a=1,b=1,c=0,q=x2^2]"),
+     "BadParameters: [tri: a=1,b=1,c=0,q=x2^2]: q must be univariate in x1"),
+    (("parse", "word", "[tri: a=1,b=1,c=0,q=x1*T]"),
+     "BadParameters: [tri: a=1,b=1,c=0,q=x1*T]: q must be univariate in x1"),
+    (("parse", "word", "[E1: x1^2]"),
+     "BadParameters: [E1: x1^2]: g must be univariate in x2"),
+    (("parse", "word", "[E2: x2]"),
+     "BadParameters: [E2: x2]: g must be univariate in x1"),
+    (("parse", "word", "[E1: x2*T]"),
+     "BadParameters: [E1: x2*T]: g must be univariate in x2"),
+    (("parse", "word", "[E1: x2+1]"), "BadParameters: [E1: x2+1]: g(0) must be 0"),
 ])
 def test_construction_parameters_out_of_range_are_usage_errors(capsys, argv,
                                                                message):

@@ -1,8 +1,8 @@
 import pytest
 
 from charp_autos.coeffs import Coeff
-from charp_autos.errors import (InconsistentSlice, NotInvariantParameter,
-                                PreconditionViolated)
+from charp_autos.errors import (AxiomViolation, InconsistentSlice,
+                                NotInvariantParameter, PreconditionViolated)
 from charp_autos.criteria import (GenericElementaryData, a_rigid_counter_action,
                                   canonical_action, f_stability, gauss_check,
                                   modify_action,
@@ -98,13 +98,19 @@ def test_certificate_paths():
 
 
 def test_generic_data_invariants():
+    """A zero f, or one involving y1, is refused where the data is used: by
+    the certificate's f_stability and by canonical_action's slice proof."""
     t = VarTable(2, ("x", "y"))
     ident = PolyMap.identity(t)
-    with pytest.raises(ValueError):
-        GenericElementaryData(ident, ident, t.zero(), ("y",))
-    with pytest.raises(ValueError):
-        GenericElementaryData(ident, ident, t.var("x"), ("y",))
-    GenericElementaryData(ident, ident, t.var("y"), ("y",))  # accepted
+    for f in (t.zero(), t.var("x")):
+        with pytest.raises(ValueError):
+            non_exponentiality_certificate(
+                GenericElementaryData(ident, ident, f, ("y",)))
+    with pytest.raises(AxiomViolation):
+        canonical_action(GenericElementaryData(ident, ident, t.var("x"),
+                                               ("y",)))
+    data = GenericElementaryData(ident, ident, t.var("y"), ("y",))
+    assert canonical_action(data).images[0] == t.parse("x + y*T")
 
 
 def test_certificate_accepts_precomputed_restriction():
@@ -142,6 +148,27 @@ def test_modify_action_rank_one_extension_restricts():
         assert modified.evaluate(1) == E.evaluate(alpha)
     with pytest.raises(NotInvariantParameter):
         modify_action(E, sd, t.var("x1"))
+
+
+def test_modify_action_in_slice_coordinates():
+    """On (x1, x2 + x1^2) alpha and lam are written in the slice
+    coordinates, where x2 stands for p2 = x2 + x1^2 and x1 for p1."""
+    p = 3
+    t = VarTable(p, ("x1", "x2"))
+    coords = PolyMap(t, [t.var("x1"), t.parse("x2 + x1^2")])
+    sd = SliceData(coords, t.var("T").scale(Coeff.u(p)))
+    E = slice_action(sd)
+    alpha = t.var("x2")
+    modified = modify_action(E, sd, alpha)
+    assert modified.evaluate(1) == E.evaluate(coords.apply(alpha))
+    with pytest.raises(NotInvariantParameter):
+        modify_action(E, sd, t.var("x1"))
+    # a lam that moves with p2: E(p1) - p1 is lam read in x
+    sd = SliceData(coords, t.parse("x2*T"))
+    E = slice_action(sd)
+    assert modify_action(E, sd, 1).evaluate(1) == E.evaluate(1)
+    with pytest.raises(InconsistentSlice):
+        modify_action(E, SliceData(coords, t.parse("(x2 + x1^2)*T")), 1)
 
 
 def test_modify_action_consistency_check():

@@ -6,7 +6,8 @@ from charp_autos.errors import (AdditivityViolation, AxiomViolation,
                                 NotInvariantGenerator, NotInvariantParameter)
 from charp_autos.endo import PolyMap, compose, invert_structured
 from charp_autos.gaction import (GaAction, SliceData, additivity_check,
-                                 check_axioms, rank_certificate, slice_action)
+                                 check_axioms, rank_certificate, slice_action,
+                                 slice_axioms_report)
 from charp_autos.poly import VarTable
 
 
@@ -116,10 +117,31 @@ def test_slice_rejects_non_additive():
     slice_action(SliceData(PolyMap.identity(t), t.parse("T + T^3")))
 
 
+def test_slice_axioms_report_can_fail_either_way():
+    """A non-additive lam and a lam involving p1 each make (A2) false, with
+    its own witness, and slice_action raises the matching error."""
+    t = t2(3)
+    coords = PolyMap(t, [t.var("x1"), t.parse("x2 + x1^2")])
+
+    def report(lam):
+        return slice_axioms_report(SliceData(coords, t.parse(lam)))
+    assert report("x2*T + u*T^3") == {"A1": True, "A2": True, "witness": None}
+    non_additive, moving = report("T^2"), report("x1*T")
+    assert non_additive["A1"] and not non_additive["A2"]
+    assert moving["A1"] and not moving["A2"]
+    assert non_additive["witness"] != moving["witness"]
+    assert report("T + 1")["A1"] is False
+    with pytest.raises(AdditivityViolation):
+        slice_action(SliceData(coords, t.parse("T^2")))
+    with pytest.raises(AxiomViolation):
+        slice_action(SliceData(coords, t.parse("x1*T")))
+
+
 def _verdicts(coords, lam):
     """(slice_action accepts, check_axioms reports A1 and A2) for the slice
-    data (coords, lam); the images for check_axioms are built here, as the
-    inverse coordinates at p1 + lam, p2, .., pn."""
+    data (coords, lam), lam written in the slice coordinates; the images for
+    check_axioms are built here, as the inverse coordinates at
+    p1 + coords.apply(lam), p2, .., pn."""
     try:
         slice_action(SliceData(coords, lam))
         accepted = True
@@ -127,7 +149,7 @@ def _verdicts(coords, lam):
         accepted = False
     t = coords.table
     target = coords.assignment()
-    target[t.names[0]] = target[t.names[0]] + lam
+    target[t.names[0]] = target[t.names[0]] + coords.apply(lam)
     images = [q.substitute(target) for q in invert_structured(coords).images]
     report = check_axioms(t, images)
     return accepted, report["A1"] and report["A2"]
@@ -136,8 +158,9 @@ def _verdicts(coords, lam):
 @st.composite
 def _slice_data(draw):
     """Strict triangular coordinates and lam = sum of c_k T^(p^k), k = 0, 1,
-    each c_k a constant of F_p(u), a polynomial in p2 (invariant) or a
-    polynomial in x1 (not invariant)."""
+    in the slice coordinates: each c_k a constant of F_p(u), a polynomial
+    in the slot of p2 (invariant) or one in the slot of p1 (not
+    invariant)."""
     p = draw(st.sampled_from((2, 3)))
     t = VarTable(p, ("x1", "x2", "x3")[:draw(st.sampled_from((2, 3)))])
     xs = [t.var(name) for name in t.names]
@@ -162,7 +185,7 @@ def _slice_data(draw):
             c = t.const(draw(st.sampled_from((Coeff.from_int(p, 1), u,
                                               u.inv(), u + 1))))
         elif kind == "invariant":
-            c = poly_in([coords.images[1]], 0)
+            c = poly_in([xs[1]], 0)
         else:
             c = poly_in([xs[0]], 1)
         lam = lam + c * t.var("T", p ** k)
@@ -186,9 +209,11 @@ def test_slice_action_proof_agrees_with_check_axioms():
 
 
 @pytest.mark.parametrize("lam,accepted", [
-    ("x1*T", False), ("x2*T", False), ("x1*T^3", False),
-    ("(x2 + x1^2)*T", True), ("(x2 + x1^2)*T^3 + u*T", True)])
+    ("x1*T", False), ("(x2 - x1^2)*T", False), ("x1*T^3", False),
+    ("x2*T", True), ("x2*T^3 + u*T", True)])
 def test_slice_action_proof_examples(lam, accepted):
+    """lam in the slice coordinates of (x1, x2 + x1^2): x2*T is (x2 + x1^2)*T
+    on the x-generators, and (x2 - x1^2)*T is x2*T there."""
     t = t2(3)
     coords = PolyMap(t, [t.var("x1"), t.parse("x2 + x1^2")])
     assert _verdicts(coords, t.parse(lam)) == (accepted, accepted)

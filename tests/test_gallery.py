@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -98,7 +99,31 @@ def test_nonexp_suite_cases_build_their_own_member(monkeypatch):
     monkeypatch.setattr(gallery, "build_nonexp_family", spy)
     result = run_suite("nonexp-family")
     assert result.all_passed
-    assert sorted(built) == sorted(((2, 3, 1), (3, 2, 1), (3, 4, 2)) * 2)
+    # each (p, d, l) once: its stars and certificate cases share the member
+    assert sorted(built) == [(2, 3, 1), (3, 2, 1), (3, 4, 2)]
+
+
+def test_perturbed_translation_fails_only_the_slice_generators_case(
+        monkeypatch):
+    """slice_axioms proves the certificate's f_expr and also ties it to the
+    translation the stars are built from: a member whose translation no
+    longer matches reports (A2) false, and of the axioms cases only
+    gallery-nonexp-slice-generators fails.  The suite builds each member
+    once, (2,3,1) for both of its nonexp cases."""
+    real = gallery.build_nonexp_family
+    built = []
+
+    def perturbed(*args):
+        built.append(args)
+        fam = real(*args)
+        return replace(fam, translation=fam.translation + fam.table.one())
+    report = perturbed(2, 3, 1).slice_axioms()
+    assert report["A1"] and not report["A2"]
+    monkeypatch.setattr(gallery, "build_nonexp_family", perturbed)
+    result = run_suite("axioms")
+    assert [c.name for c in result.cases if not c.ok] == [
+        "gallery-nonexp-slice-generators"]
+    assert built == [(2, 3, 1), (2, 3, 1), (3, 2, 1)]
 
 
 @pytest.mark.parametrize("p,d,l", [(2, 3, 1), (2, 3, 0), (3, 2, 0)])

@@ -26,6 +26,10 @@
   that has just proved the axioms of the action it builds.
 - No `raise AssertionError`: every failure the library raises is a
   CharpAutosError, which the CLI reports as one line with exit code 1.
+- Every imported name is used in its module, or listed in `__all__`:
+  deleting code leaves imports behind.  The one exception is endo's
+  `exact_div`, which perfbench/selftest.py reads to check that the tracer
+  rebinds it there.
 """
 
 import ast
@@ -180,6 +184,34 @@ def _assertion_raises(path):
                 else exc.attr if isinstance(exc, ast.Attribute) else None)
         if name == "AssertionError":
             yield "%s:%d: raises AssertionError" % (path.name, node.lineno)
+
+
+# (module, name) pairs that may be imported without a use in the module:
+# perfbench/selftest.py reads endo.exact_div, to check that the tracer
+# rebinds it there
+UNUSED_IMPORT_ALLOWED = {("endo.py", "exact_div")}
+
+
+def _unused_imports(path):
+    """Names bound by an import that no name in the module reads and that
+    `__all__` does not list; `import a.b` binds a."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= {c.value for c in ast.walk(node.value)
+                     if isinstance(c, ast.Constant)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and (path.name, name) not in \
+                    UNUSED_IMPORT_ALLOWED:
+                yield "%s:%d: imports %s unused" % (path.name, node.lineno,
+                                                    name)
 
 
 def _defs(tree):
@@ -340,6 +372,27 @@ def test_assertion_error_rule_catches_planted_raises(tmp_path):
         "raises AssertionError"] * 3
     assert [v.split(":")[1] for v in _assertion_raises(planted)] == [
         "1", "2", "3"]
+
+
+def test_library_imports_no_name_it_never_uses():
+    assert [v for path in SOURCES for v in _unused_imports(path)] == []
+
+
+def test_unused_import_rule_catches_planted_imports(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "import os.path, re as regex\nimport json\n"
+        "from .poly import VarTable, exact_div\nfrom . import gallery\n"
+        "from .endo import PolyMap\n__all__ = ['PolyMap']\n"
+        "def lazy():\n    from .textio import parse_poly\n"
+        "    return os.sep, gallery.Check, json\n")
+    assert [v.split(": ", 1)[1] for v in _unused_imports(planted)] == [
+        "imports regex unused", "imports VarTable unused",
+        "imports exact_div unused", "imports parse_poly unused"]
+    endo_py = tmp_path / "endo.py"
+    endo_py.write_text("from .poly import exact_div, VarTable\n")
+    assert [v.split(": ", 1)[1] for v in _unused_imports(endo_py)] == [
+        "imports VarTable unused"]
 
 
 def test_every_public_name_has_a_caller_in_the_library():
