@@ -9,27 +9,24 @@ instability only for nonzero constants, where the explicit counter-action
 with invariant y + x^p - f^(p-1) x exists.  Everything else is Unknown.
 """
 
-from dataclasses import dataclass
-
 from .coeffs import Coeff
 from .errors import (InconsistentSlice, NotInvariantParameter,
                      PreconditionViolated)
-from .poly import MultiPoly, content_primitive
+from .poly import content_primitive
 from .endo import PolyMap
 from .gaction import SliceData, slice_action
 
 
-@dataclass
 class StabilityVerdict:
-    kind: str          # "Stable" | "NotStable" | "Unknown"
-    pattern: str = ""
-    detail: str = ""
+    def __init__(self, kind, pattern="", detail=""):
+        self.kind = kind          # "Stable" | "NotStable" | "Unknown"
+        self.pattern = pattern
+        self.detail = detail
 
     def is_stable(self):
         return self.kind == "Stable"
 
 
-@dataclass
 class GenericElementaryData:
     """Coordinates (y1,..,yn) of k[x], their inverse, and the translation
     f expressed in the variables standing for y2,..,yn.
@@ -39,10 +36,12 @@ class GenericElementaryData:
     proof of canonical_action and f_stability check.  avar_names lists the
     y-variables of A in slot order (used by the stability patterns).
     """
-    coords: PolyMap
-    coords_inverse: PolyMap
-    f_expr: MultiPoly
-    avar_names: tuple
+
+    def __init__(self, coords, coords_inverse, f_expr, avar_names):
+        self.coords = coords
+        self.coords_inverse = coords_inverse
+        self.f_expr = f_expr
+        self.avar_names = avar_names
 
 
 def f_stability(avar_names, f):
@@ -112,12 +111,12 @@ def canonical_action(data):
     return slice_action(SliceData(data.coords, lam, data.coords_inverse))
 
 
-@dataclass
 class CertificateResult:
-    verdict: str                 # "NotExponentialOverR" | "Inconclusive"
-    stability: StabilityVerdict = None
-    reason: str = ""
-    witness: tuple = None        # (generator name, (exponents, coeff))
+    def __init__(self, verdict, stability=None, reason="", witness=None):
+        self.verdict = verdict        # "NotExponentialOverR" | "Inconclusive"
+        self.stability = stability    # a StabilityVerdict
+        self.reason = reason
+        self.witness = witness        # (generator name, (exponents, coeff))
 
 
 def non_exponentiality_certificate(data, restriction=None):

@@ -34,8 +34,6 @@ The identities are asserted here, by raising InternalIntegralityFailure:
   and the images it builds lie over R.
 """
 
-from dataclasses import dataclass
-
 from .coeffs import Coeff
 from .errors import (BadThetaSupport, InternalIntegralityFailure,
                      NonIntegralCoefficient, NotOrderP, NotTriangular,
@@ -46,15 +44,16 @@ from .endo import PolyMap, classify, compose, eps_map
 from .gaction import GaAction, SliceData, slice_action
 
 
-@dataclass
 class ExponentializationResult:
     """The action and, when sigma(x1) = x1 + a with a != 0, the data of its
     construction: a, the reduced f and the coordinates (x1, x2 + reduced f).
     When sigma fixes x1 the action is built directly and these are None."""
-    action: GaAction
-    conjugator: PolyMap = None
-    reduced_f: MultiPoly = None
-    a: Coeff = None
+
+    def __init__(self, action, conjugator=None, reduced_f=None, a=None):
+        self.action = action
+        self.conjugator = conjugator
+        self.reduced_f = reduced_f
+        self.a = a
 
 
 def _check_shape(sigma):

@@ -15,8 +15,6 @@ caller's variables plus S (named apart from them), so that an exponent
 tuple there is the caller's with one more slot, for S, just before T.
 """
 
-from dataclasses import dataclass
-
 from .coeffs import Coeff
 from .errors import (AdditivityViolation, AxiomViolation,
                      NotInvariantGenerator, NotInvariantParameter)
@@ -127,15 +125,16 @@ def additivity_check(lam):
             == _lift(lifted, lam, at_s=True) + at_t)
 
 
-@dataclass
 class SliceData:
     """A coordinate system (p1,..,pn) and an additive lam(T) written in the
     slice coordinates: the slot of x_i stands for p_i, the slot of p1 is
     unused, and T is T.  The action fixes p2,..,pn and sends p1 to
     p1 + lam(p2,..,pn; T)."""
-    coords: PolyMap
-    lam: MultiPoly
-    coords_inverse: PolyMap = None
+
+    def __init__(self, coords, lam, coords_inverse=None):
+        self.coords = coords
+        self.lam = lam
+        self.coords_inverse = coords_inverse
 
 
 def slice_axioms_report(data):

@@ -11,26 +11,26 @@ small member.
 """
 
 import json
-from dataclasses import dataclass
 
 from .coeffs import Coeff
 from .errors import (BadH, BadParameters, InternalIntegralityFailure,
                      NotDivisible, NotInvariantGenerator, UnsupportedP)
-from .poly import MultiPoly, VarTable, exact_div, is_polynomial_over
+from .poly import VarTable, exact_div, is_polynomial_over
 from .endo import PolyMap, compose, eps_map, order_up_to
 from .gaction import (GaAction, SliceData, rank_certificate, slice_action,
                       slice_axioms_report)
 from .criteria import GenericElementaryData
 
 
-@dataclass
 class Check:
     """One named check: its verdict, a residual or witness text, and its
     wall time in seconds (0 where the check is not timed on its own)."""
-    name: str
-    ok: bool
-    detail: str = ""
-    elapsed: float = 0.0
+
+    def __init__(self, name, ok, detail="", elapsed=0.0):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
+        self.elapsed = elapsed
 
 
 class StarReport:
@@ -60,11 +60,11 @@ class StarReport:
 # the triangular three-variable example
 # ---------------------------------------------------------------------------
 
-@dataclass
 class TriangularExample:
-    p: int
-    action: GaAction
-    report: StarReport
+    def __init__(self, p, action, report):
+        self.p = p
+        self.action = action
+        self.report = report
 
 
 def build_example_triangular(p):
@@ -122,24 +122,25 @@ def build_example_triangular(p):
 # the non-exponential family of section 4.4
 # ---------------------------------------------------------------------------
 
-@dataclass
 class NonExpFamily:
-    p: int
-    d: int
-    l: int
-    a: int
-    b: int
-    c: int
-    table: VarTable
-    lam: MultiPoly
-    xt: MultiPoly
-    g: MultiPoly
-    translation: MultiPoly       # u^b (1 + u g)
-    xi: MultiPoly                # E(y) - y, exact
-    coords: PolyMap
-    coords_inverse: PolyMap
-    f_expr: MultiPoly
-    report: StarReport = None
+    def __init__(self, p, d, l, a, b, c, table, lam, xt, g, translation, xi,
+                 coords, coords_inverse, f_expr, report=None):
+        self.p = p
+        self.d = d
+        self.l = l
+        self.a = a
+        self.b = b
+        self.c = c
+        self.table = table
+        self.lam = lam
+        self.xt = xt
+        self.g = g
+        self.translation = translation    # u^b (1 + u g)
+        self.xi = xi                      # E(y) - y, exact
+        self.coords = coords
+        self.coords_inverse = coords_inverse
+        self.f_expr = f_expr
+        self.report = report
 
     def zs(self):
         return ["z%d" % (i + 1) for i in range(self.l)]
@@ -291,14 +292,14 @@ def build_nonexp_family(p, d, l, g_expr=None):
 # section 6.1: the action F and the centralizer elements F_h
 # ---------------------------------------------------------------------------
 
-@dataclass
 class FFamily:
-    p: int
-    n: int
-    table: VarTable
-    f: MultiPoly
-    action: GaAction
-    report: StarReport
+    def __init__(self, p, n, table, f, action, report):
+        self.p = p
+        self.n = n
+        self.table = table
+        self.f = f
+        self.action = action
+        self.report = report
 
 
 def build_F_and_Fh(n, p, h_exprs=()):
@@ -360,15 +361,15 @@ def build_F_and_Fh(n, p, h_exprs=()):
 # section 6.2: rank r actions inducing the translation
 # ---------------------------------------------------------------------------
 
-@dataclass
 class RankRAction:
-    p: int
-    n: int
-    r: int
-    table: VarTable
-    gs: list
-    action: GaAction
-    report: StarReport
+    def __init__(self, p, n, r, table, gs, action, report):
+        self.p = p
+        self.n = n
+        self.r = r
+        self.table = table
+        self.gs = gs
+        self.action = action
+        self.report = report
 
 
 def build_rank_r_action(n, r, p):
@@ -466,38 +467,41 @@ def build_rank_r_action(n, r, p):
 # section 6.3: the rank-three family
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Rank3Family:
-    p: int
-    l: int
-    m: int
-    table: VarTable
-    f: MultiPoly
-    g: MultiPoly
-    r_elt: MultiPoly
-    xi: MultiPoly
-    classification: str          # ActionRestricts | OnlyE1Restricts | Neither
-    report: StarReport = None
+    def __init__(self, p, l, m, table, f, g, r_elt, xi, classification,
+                 report=None):
+        self.p = p
+        self.l = l
+        self.m = m
+        self.table = table
+        self.f = f
+        self.g = g
+        self.r_elt = r_elt
+        self.xi = xi
+        # ActionRestricts | OnlyE1Restricts | Neither
+        self.classification = classification
+        self.report = report
 
 
 _RANK3_PARAMETERS = "need p in {2, 3} and 0 <= l, m <= 4"
 
 
-@dataclass
 class Rank3Base:
     """The part of the rank-three family that depends only on p, which the
     members built on it share: f, g, r, xi and the check xi_ok that
     xi = g x2 by exact division, and (slice_ok, x3_ok) of _rank3_generic,
     proved the first time a member with l, m >= 1 asks generic_ok.  The
     polynomials are read, never changed, by every member."""
-    p: int
-    table: VarTable
-    f: MultiPoly
-    g: MultiPoly
-    r_elt: MultiPoly
-    xi: MultiPoly
-    xi_ok: bool
-    generic: tuple = None
+
+    def __init__(self, p, table, f, g, r_elt, xi, xi_ok, generic=None):
+        self.p = p
+        self.table = table
+        self.f = f
+        self.g = g
+        self.r_elt = r_elt
+        self.xi = xi
+        self.xi_ok = xi_ok
+        self.generic = generic
 
     def generic_ok(self):
         if self.generic is None:

@@ -31,6 +31,19 @@ from .gaction import SliceData, slice_action
 # word factors
 # ---------------------------------------------------------------------------
 
+def _check_univariate(name, f, var, vanishes_at_0=False):
+    """BadParameters unless f is univariate in var and, when vanishes_at_0,
+    f(0) = 0: the form of a tri factor's q (name "q") and of an H(t)
+    generator's g (name "g").  One scan of f's terms; as no exponent is
+    negative, a term lies in var alone when its degree is var's exponent."""
+    i = f.table.index[var]
+    for e in f.terms:
+        if sum(e) != e[i]:
+            raise BadParameters("%s must be univariate in %s" % (name, var))
+    if vanishes_at_0 and not f.constant_term().is_zero():
+        raise BadParameters("%s(0) must be 0" % name)
+
+
 class AffineFactor:
     """(a*x + b*y + u, c*x + d*y + v)."""
 
@@ -75,7 +88,8 @@ class AffineFactor:
 
 
 class TriangularFactor:
-    """(a*x + c, b*y + q(x)) with a, b units; q is univariate in x."""
+    """(a*x + c, b*y + q(x)) with a, b units; q is univariate in x.  The
+    constructor raises BadParameters for any other a, b or q."""
 
     __slots__ = ("table", "a", "b", "c", "q")
 
@@ -87,6 +101,7 @@ class TriangularFactor:
             raise BadParameters("a and b must lie in k*, got a=%s, b=%s"
                                 % (self.a, self.b))
         self.c = table.coeff(c)
+        _check_univariate("q", q, table.names[0])
         self.q = q
 
     def to_map(self):
@@ -274,7 +289,8 @@ class CentralizerWord:
 
     Each generator is ("E1", g) for (x1 + g(x2), x2) or ("E2", g) for
     (x1, x2 + g(x1^p - t^(p-1) x1)); g is stored as a univariate polynomial
-    in the first variable with g(0) = 0.
+    in the first variable with g(0) = 0.  The constructor raises
+    BadParameters for any other t, g or H0 factor a.
     """
 
     def __init__(self, table, t, gens, h0=(1, 0, 0)):
@@ -283,6 +299,8 @@ class CentralizerWord:
         if self.t.is_zero():
             raise BadParameters("t must lie in k*, got 0")
         self.gens = list(gens)
+        for _, g in self.gens:
+            _check_univariate("g", g, table.names[0], vanishes_at_0=True)
         a, u1, u2 = h0
         self.h0 = (table.coeff(a), table.coeff(u1), table.coeff(u2))
         if self.h0[0].is_zero():

@@ -23,7 +23,6 @@ it, and one that raises leaves it unmade for the next.
 
 import json
 import time
-from dataclasses import dataclass, field
 from functools import cache
 
 from .coeffs import SUPPORTED_PRIMES, Coeff
@@ -37,13 +36,14 @@ from .seeds import Lcg
 from . import criteria, expo, gallery, plane
 
 
-@dataclass
 class SuiteResult:
     """A suite's cases, one Check per case: name is the case id and detail
     the witness."""
-    suite: str
-    params: dict
-    cases: list = field(default_factory=list)
+
+    def __init__(self, suite, params, cases=None):
+        self.suite = suite
+        self.params = params
+        self.cases = [] if cases is None else cases
 
     @property
     def all_passed(self):

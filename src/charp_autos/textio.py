@@ -282,13 +282,17 @@ def parse_word(table, text, t=1):
 
 def _univariate(table, tag, payload, text, var):
     """The polynomial text of a [tag: payload] block: a tri factor's q in
-    var alone, or an E1 or E2 argument g in var alone with g(0) = 0."""
+    var alone, or an E1 or E2 argument g in var alone with g(0) = 0.  The
+    rule is plane's; the error names the block."""
+    from .plane import _check_univariate
     f = parse_poly(table, text)
-    if any(f.uses_var(name) for name in table.all_names if name != var):
-        raise BadParameters("[%s: %s]: %s must be univariate in %s" % (
-            tag, payload, "q" if tag == "tri" else "g", var))
-    if tag != "tri" and not f.constant_term().is_zero():
-        raise BadParameters("[%s: %s]: g(0) must be 0" % (tag, payload))
+    try:
+        if tag == "tri":
+            _check_univariate("q", f, var)
+        else:
+            _check_univariate("g", f, var, vanishes_at_0=True)
+    except BadParameters as err:
+        raise BadParameters("[%s: %s]: %s" % (tag, payload, err)) from None
     return f
 
 

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -11,6 +10,7 @@ from charp_autos.errors import (BadH, BadParameters,
 from charp_autos.criteria import (canonical_action,
                                   non_exponentiality_certificate)
 from charp_autos.endo import PolyMap, compose, order_up_to
+from charp_autos.gaction import GaAction
 from charp_autos.gallery import (StarReport, build_example_triangular,
                                  build_F_and_Fh, build_nonexp_family,
                                  build_rank3_family, build_rank_r_action,
@@ -49,6 +49,41 @@ def test_triangular_example_reports(p):
 def test_triangular_example_rejects_bad_p():
     with pytest.raises(UnsupportedP):
         build_example_triangular(7)
+
+
+def _evaluate_at(value):
+    """GaAction.evaluate at value(p) instead of the parameter asked for."""
+    def corrupt(evaluate):
+        return lambda action, alpha: evaluate(action, value(action.table.p))
+    return corrupt
+
+
+_TRIANGULAR_CHECKS = ["mu_good_form", "E_x2_integral",
+                      "E_x3_residual_integral", "E1_restricts", "E1_order_p",
+                      "E_not_restricts"]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("owner,attr,corrupt,check", [
+    (gallery, "order_up_to", lambda real: lambda sigma, bound=None: None,
+     "E1_order_p"),
+    # E_0 is the identity, of order 1, and restricts
+    (GaAction, "evaluate", _evaluate_at(lambda p: 0), "E1_order_p"),
+    # E_(1/u) has order p, but u^(p-1) x1 T^p in E(x2) gives it a 1/u
+    (GaAction, "evaluate", _evaluate_at(lambda p: Coeff.u(p, -1)),
+     "E1_restricts")],
+    ids=["order-none", "at-0", "at-1/u"])
+def test_triangular_corruption_fails_only_its_check(monkeypatch, p, owner,
+                                                    attr, corrupt, check):
+    """E1_order_p and E1_restricts each compute something that can fail: a
+    corrupted library step makes that check, and only that one, report
+    false."""
+    checks = build_example_triangular(p).report.checks
+    assert [c.name for c in checks] == _TRIANGULAR_CHECKS
+    assert all(c.ok for c in checks)
+    monkeypatch.setattr(owner, attr, corrupt(getattr(owner, attr)))
+    report = build_example_triangular(p).report
+    assert [c.name for c in report.checks if not c.ok] == [check]
 
 
 def test_nonexp_wrong_inverse_raises(monkeypatch):
@@ -116,7 +151,8 @@ def test_perturbed_translation_fails_only_the_slice_generators_case(
     def perturbed(*args):
         built.append(args)
         fam = real(*args)
-        return replace(fam, translation=fam.translation + fam.table.one())
+        fam.translation = fam.translation + fam.table.one()
+        return fam
     report = perturbed(2, 3, 1).slice_axioms()
     assert report["A1"] and not report["A2"]
     monkeypatch.setattr(gallery, "build_nonexp_family", perturbed)

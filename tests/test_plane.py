@@ -1,8 +1,8 @@
 import pytest
 
 from charp_autos.coeffs import Coeff
-from charp_autos.errors import (NotAutomorphism, NotInCentralizer,
-                                NotInWst)
+from charp_autos.errors import (BadParameters, NotAutomorphism,
+                                NotInCentralizer, NotInWst)
 from charp_autos.endo import PolyMap, compose, eps_map
 from charp_autos.plane import (AffineFactor, CentralizerWord,
                                TriangularFactor, TameWord,
@@ -79,6 +79,30 @@ def test_non_automorphism_rejection():
         from charp_autos.textio import parse_map
         with pytest.raises(NotAutomorphism):
             jvdk_factor(parse_map(t, text))
+
+
+@pytest.mark.parametrize("build,message", [
+    # (x1, x2^2 + x2) is not an automorphism
+    (lambda t: TriangularFactor(t, 1, 1, 0, t.parse("x2^2")),
+     "q must be univariate in x1"),
+    (lambda t: TriangularFactor(t, 1, 1, 0, t.parse("x1*T")),
+     "q must be univariate in x1"),
+    (lambda t: CentralizerWord(t, 1, [("E1", t.parse("x1*x2"))]),
+     "g must be univariate in x1"),
+    # would build (x1 + x2 + 1, x2), an E1 generator with g(0) != 0
+    (lambda t: CentralizerWord(t, 1, [("E1", t.parse("x1+1"))]),
+     "g(0) must be 0"),
+    (lambda t: CentralizerWord(t, 1, [("E2", t.parse("x1^2")),
+                                      ("E2", t.parse("x1^3+2"))]),
+     "g(0) must be 0"),
+])
+def test_factor_constructors_reject_inputs_outside_their_form(build,
+                                                             message):
+    """The constructors check the form their docstrings state, so a library
+    caller cannot build a word that parse_word would reject."""
+    with pytest.raises(BadParameters) as err:
+        build(t2(3))
+    assert str(err.value) == message
 
 
 def test_recompose_empty_word_is_identity():
