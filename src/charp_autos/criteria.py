@@ -14,7 +14,7 @@ from .errors import (InconsistentSlice, NotInvariantParameter,
                      PreconditionViolated)
 from .poly import content_primitive
 from .endo import PolyMap
-from .gaction import SliceData, slice_action
+from .gaction import SliceData, slice_action, slice_image
 
 
 class StabilityVerdict:
@@ -104,11 +104,23 @@ def a_rigid_counter_action(table, f):
     return action, gen
 
 
+def _canonical_slice(data):
+    """The slice data of the canonical action: lam = f T."""
+    lam = data.f_expr * data.coords.table.var("T")
+    return SliceData(data.coords, lam, data.coords_inverse)
+
+
 def canonical_action(data):
     """The slice action h(y1) -> h(y1 + fT) fixing y2,..,yn; slice_action
     proves its coaction axioms on the slice generators."""
-    lam = data.f_expr * data.coords.table.var("T")
-    return slice_action(SliceData(data.coords, lam, data.coords_inverse))
+    return slice_action(_canonical_slice(data))
+
+
+def canonical_image(data, name):
+    """The image of the generator name under canonical_action(data), built
+    without the other images: for a check that reads one image, such as
+    E(y) of the non-exponential family, whose E(x) is far larger."""
+    return slice_image(_canonical_slice(data), name)
 
 
 class CertificateResult:

@@ -7,7 +7,7 @@ equals e_i with the generators replaced by their S-images.  Checking (A2) on
 generators suffices because both sides are ring homomorphisms.  A slice
 action's lam is written in the slice coordinates (slot i stands for p_i);
 slice_axioms_report proves both axioms on those generators, and
-slice_action skips this check.
+slice_action and slice_image skip this check.
 
 The second parameter S lives only here: (A2) and the additivity of a slice
 translation, lam(S+T) = lam(S) + lam(T), are checked in a lifted table, the
@@ -150,10 +150,19 @@ def slice_axioms_report(data):
     return {"A1": a1, "A2": True, "witness": None}
 
 
-def slice_action(data):
-    """The action fixing p2,..,pn and translating p1 by lam, written on the
-    x-generators through the inverse coordinates.  Its axioms are proved by
-    slice_axioms_report; the x-images are not checked again."""
+def _slice_images(data, names):
+    """The images of the generators named in names under the action fixing
+    p2,..,pn and translating p1 by lam: the inverse coordinates' images of
+    those names at p1 + lam, p2,..,pn.  The axioms are proved by
+    slice_axioms_report, and no x-image is checked again.
+
+    A supplied coords_inverse is proved by compose(inverse, coords) = id
+    alone.  Read as ring endomorphisms of K[x], phi: x_i -> coords_i and
+    psi: x_i -> inverse_i, that says psi(phi(q)) = q for every q.  So psi
+    is onto, and an onto endomorphism of a Noetherian ring is one-to-one
+    (the kernels of psi, psi^2, .. stop growing), so psi is an automorphism
+    and phi = psi^(-1); the other side, phi(psi(q)) = q, follows.
+    """
     report = slice_axioms_report(data)
     if not report["A2"]:
         if report["witness"] == "lam is not additive":
@@ -163,14 +172,27 @@ def slice_action(data):
     inverse = data.coords_inverse
     if inverse is None:
         inverse = invert_structured(coords)
-    elif (not compose(coords, inverse).is_identity()
-          or not compose(inverse, coords).is_identity()):
+    elif not compose(inverse, coords).is_identity():
         raise ValueError("supplied inverse does not invert the coordinates")
     target = coords.assignment()
     first = coords.table.names[0]
     target[first] = target[first] + coords.apply(data.lam)
-    images = [q.substitute(target) for q in inverse.images]
-    return GaAction(coords.table, images, _checked=True)
+    gens = coords.table.names
+    return [inverse.images[gens.index(name)].substitute(target)
+            for name in names]
+
+
+def slice_action(data):
+    """The action fixing p2,..,pn and translating p1 by lam, written on the
+    x-generators through the inverse coordinates (see _slice_images)."""
+    table = data.coords.table
+    return GaAction(table, _slice_images(data, table.names), _checked=True)
+
+
+def slice_image(data, name):
+    """The image of the generator name under slice_action(data), built
+    without the other images."""
+    return _slice_images(data, (name,))[0]
 
 
 def rank_certificate(claimed_invariant_gens, coordinate_witness):

@@ -6,8 +6,10 @@ materialize the image of x: it contains (y + xi)^(p*a+1), with hundreds of
 thousands of terms already at modest parameters.  Its report needs only
 the nonintegral part of E(x) - x, which NonExpFamily.nonintegral_shift
 computes exactly in closed form from xi modulo u^2, by Lucas's theorem.
-criteria.canonical_action(family.data()) builds the explicit images of a
-small member.
+criteria.canonical_image(family.data(), name) builds one image alone, so
+E(y) = y + xi is checked cheaply at every member; criteria.canonical_action
+builds all of them, E(x) included, which is feasible only for a small
+member.
 """
 
 import json

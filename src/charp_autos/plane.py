@@ -290,7 +290,7 @@ class CentralizerWord:
     Each generator is ("E1", g) for (x1 + g(x2), x2) or ("E2", g) for
     (x1, x2 + g(x1^p - t^(p-1) x1)); g is stored as a univariate polynomial
     in the first variable with g(0) = 0.  The constructor raises
-    BadParameters for any other t, g or H0 factor a.
+    BadParameters for any other generator kind, t, g or H0 factor a.
     """
 
     def __init__(self, table, t, gens, h0=(1, 0, 0)):
@@ -299,7 +299,9 @@ class CentralizerWord:
         if self.t.is_zero():
             raise BadParameters("t must lie in k*, got 0")
         self.gens = list(gens)
-        for _, g in self.gens:
+        for kind, g in self.gens:
+            if kind not in ("E1", "E2"):
+                raise BadParameters("unknown generator kind %r" % (kind,))
             _check_univariate("g", g, table.names[0], vanishes_at_0=True)
         a, u1, u2 = h0
         self.h0 = (table.coeff(a), table.coeff(u1), table.coeff(u2))

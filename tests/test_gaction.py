@@ -7,7 +7,7 @@ from charp_autos.errors import (AdditivityViolation, AxiomViolation,
 from charp_autos.endo import PolyMap, compose, invert_structured
 from charp_autos.gaction import (GaAction, SliceData, additivity_check,
                                  check_axioms, rank_certificate, slice_action,
-                                 slice_axioms_report)
+                                 slice_axioms_report, slice_image)
 from charp_autos.poly import VarTable
 
 
@@ -206,6 +206,53 @@ def test_slice_action_proof_agrees_with_check_axioms():
 
     agree()
     assert seen == {True, False}
+
+
+def test_slice_image_is_the_slice_action_image():
+    """slice_image(data, name) equals slice_action(data)'s image of name for
+    every generator, with the inverse built or supplied; where the slice
+    proof fails, both raise."""
+    seen = set()
+
+    @given(_slice_data(), st.booleans())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def agree(data, supplied):
+        coords, lam = data
+        inverse = invert_structured(coords) if supplied else None
+        sd = SliceData(coords, lam, inverse)
+        names = coords.table.names
+        try:
+            images = slice_action(sd).images
+        except AxiomViolation:
+            for name in names:
+                with pytest.raises(AxiomViolation):
+                    slice_image(sd, name)
+            seen.add((False, supplied))
+            return
+        assert tuple(slice_image(sd, name) for name in names) == images
+        seen.add((True, supplied))
+
+    agree()
+    assert seen == {(accepted, supplied) for accepted in (True, False)
+                    for supplied in (True, False)}
+
+
+def test_slice_rejects_a_supplied_map_that_is_not_the_inverse():
+    """A supplied coords_inverse is proved by compose(inverse, coords) = id;
+    the coordinates themselves, or the inverse of other coordinates, fail
+    it, in slice_action and in slice_image alike."""
+    t = t2(3)
+    coords = PolyMap(t, [t.var("x1"), t.parse("x2 + x1^2")])
+    other = invert_structured(PolyMap(t, [t.var("x1"), t.parse("x2 + x1^3")]))
+    lam = t.parse("x2*T")
+    for wrong in (coords, other):
+        sd = SliceData(coords, lam, wrong)
+        with pytest.raises(ValueError, match="does not invert"):
+            slice_action(sd)
+        with pytest.raises(ValueError, match="does not invert"):
+            slice_image(sd, "x2")
+    right = SliceData(coords, lam, invert_structured(coords))
+    assert slice_action(right) == slice_action(SliceData(coords, lam))
 
 
 @pytest.mark.parametrize("lam,accepted", [

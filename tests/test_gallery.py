@@ -7,7 +7,7 @@ from charp_autos import gallery, poly
 from charp_autos.errors import (BadH, BadParameters,
                                 InternalIntegralityFailure, NotDivisible,
                                 UnsupportedP)
-from charp_autos.criteria import (canonical_action,
+from charp_autos.criteria import (canonical_action, canonical_image,
                                   non_exponentiality_certificate)
 from charp_autos.endo import PolyMap, compose, order_up_to
 from charp_autos.gaction import GaAction
@@ -160,6 +160,54 @@ def test_perturbed_translation_fails_only_the_slice_generators_case(
     assert [c.name for c in result.cases if not c.ok] == [
         "gallery-nonexp-slice-generators"]
     assert built == [(2, 3, 1), (2, 3, 1), (3, 2, 1)]
+
+
+@pytest.mark.parametrize("p,d,l", [(2, 3, 1), (2, 3, 0), (3, 2, 0),
+                                   (3, 2, 1), (2, 3, 3), (5, 2, 0)])
+def test_nonexp_canonical_image_of_y_and_z(p, d, l):
+    """canonical_image builds E(y) and each E(z) alone: E(y) = y + xi, the
+    closed form the stars use, and E(z) = z.  At (5,2,0) the whole canonical
+    action does not finish in minutes, but these images are small."""
+    fam = build_nonexp_family(p, d, l)
+    data = fam.data()
+    assert canonical_image(data, "y") == fam.e_y()
+    assert all(canonical_image(data, z) == fam.table.var(z)
+               for z in fam.zs())
+
+
+def test_perturbed_xi_fails_only_the_231_image_case(monkeypatch):
+    """The 231-image case compares the canonical E(y) with y + xi: a member
+    whose xi is off by u y T reports false there, and no other axioms case
+    reads xi."""
+    real = gallery.build_nonexp_family
+
+    def perturbed(*args):
+        fam = real(*args)
+        fam.xi = fam.xi + fam.table.monomial(Coeff.u(fam.p), y=1, T=1)
+        return fam
+    monkeypatch.setattr(gallery, "build_nonexp_family", perturbed)
+    result = run_suite("axioms")
+    assert [c.name for c in result.cases if not c.ok] == [
+        "gallery-nonexp-231-image"]
+
+
+def test_nonexp_231_image_case_does_not_build_e_x():
+    """The 231-image case builds E(y), 98 terms, and not the 6,006-term
+    E(x): no packed substitution it runs yields 6,006 terms, though the
+    whole canonical action's does."""
+    real = poly._packed_substitute
+    sizes = []
+
+    def spy(p, terms, images):
+        out = real(p, terms, images)
+        sizes.append(len(out))
+        return out
+    thunk = dict(SUITES["axioms"]({"p": 2}))["gallery-nonexp-231-image"]
+    with mock.patch.object(poly, "_packed_substitute", spy):
+        assert thunk() == (True, "")
+        assert max(sizes) < 6006
+        canonical_action(build_nonexp_family(2, 3, 1).data())
+    assert 6006 in sizes
 
 
 @pytest.mark.parametrize("p,d,l", [(2, 3, 1), (2, 3, 0), (3, 2, 0)])

@@ -95,6 +95,10 @@ def test_non_automorphism_rejection():
     (lambda t: CentralizerWord(t, 1, [("E2", t.parse("x1^2")),
                                       ("E2", t.parse("x1^3+2"))]),
      "g(0) must be 0"),
+    # recompose would meet the kind only in gen_map, with a ValueError
+    (lambda t: CentralizerWord(t, 1, [("E1", t.parse("x1^2")),
+                                      ("E3", t.parse("x1^2"))]),
+     "unknown generator kind 'E3'"),
 ])
 def test_factor_constructors_reject_inputs_outside_their_form(build,
                                                              message):
