@@ -1,6 +1,10 @@
-"""Non-exponentiality machinery: f-stability patterns, the canonical
-generic-elementary action, the certificate, action modification and the
-Gauss-lemma harness.
+"""Non-exponentiality machinery: f-stability patterns, the certificate,
+action modification and the Gauss-lemma harness.
+
+The canonical action h(y1) -> h(y1 + fT), fixing y2,..,yn, is
+gaction.slice_action of the SliceData(coords, f T, inverse) that the
+certificate reads f and A = k[y2,..,yn] from; gaction.slice_image builds
+one of its images.
 
 f_stability is a pattern recognizer, not a decision procedure: it certifies
 stability only through the two patterns with a known proof (a monomial plus
@@ -10,11 +14,10 @@ with invariant y + x^p - f^(p-1) x exists.  Everything else is Unknown.
 """
 
 from .coeffs import Coeff
-from .errors import (InconsistentSlice, NotInvariantParameter,
-                     PreconditionViolated)
+from .errors import NotInvariantParameter, PreconditionViolated
 from .poly import content_primitive
 from .endo import PolyMap
-from .gaction import SliceData, slice_action, slice_image
+from .gaction import SliceData, slice_action
 
 
 class StabilityVerdict:
@@ -27,46 +30,30 @@ class StabilityVerdict:
         return self.kind == "Stable"
 
 
-class GenericElementaryData:
-    """Coordinates (y1,..,yn) of k[x], their inverse, and the translation
-    f expressed in the variables standing for y2,..,yn.
-
-    f_expr lives on the ambient table with slot i standing for y_{i+1}, as
-    a slice translation does; the slot of y1 must be unused, which the slice
-    proof of canonical_action and f_stability check.  avar_names lists the
-    y-variables of A in slot order (used by the stability patterns).
-    """
-
-    def __init__(self, coords, coords_inverse, f_expr, avar_names):
-        self.coords = coords
-        self.coords_inverse = coords_inverse
-        self.f_expr = f_expr
-        self.avar_names = avar_names
-
-
-def f_stability(avar_names, f):
-    """Stability of A = k[avar_names] for the translation by f.
+def f_stability(f):
+    """Stability of A = k[y2,..,yn] for the translation by f, written as a
+    slice translation is: slot i of f's table stands for y_{i+1}, so A is
+    k[f.table.names[1:]] and the slot of y1 must be unused.
 
     Unit factors from k* are immaterial (A[ux] = A[x]), so patterns are
     matched on the terms of f directly.
     """
-    avar_names = tuple(avar_names)
     if f.is_zero():
         raise ValueError("f must be nonzero")
     table = f.table
-    for name in table.names:
-        if name not in avar_names and f.uses_var(name):
-            raise ValueError("f involves %s outside A" % name)
+    if f.uses_var(table.names[0]):
+        raise ValueError("f involves %s outside A" % table.names[0])
+    a_names = table.names[1:]
 
     if f.is_constant():
-        if avar_names:
+        if a_names:
             return StabilityVerdict(
                 "NotStable", pattern="constant-translation",
                 detail="counter-action translates x by f with invariant "
                        "y + x^p - f^(p-1) x in place of y")
         return StabilityVerdict("Unknown", detail="A has no variables")
 
-    if len(avar_names) == 1:
+    if len(a_names) == 1:
         return StabilityVerdict("Stable", pattern="univariate",
                                 detail="A = k[y] and f is not constant")
 
@@ -74,11 +61,8 @@ def f_stability(avar_names, f):
     nonconst = [(e, c) for e, c in terms if any(e)]
     if len(terms) - len(nonconst) <= 1 and len(nonconst) == 1:
         exp, _ = nonconst[0]
-        touches_all = all(exp[table.index[name]] >= 1 for name in avar_names)
-        others_zero = all(
-            exp[i] == 0 for i, name in enumerate(table.all_names)
-            if name not in avar_names)
-        if touches_all and others_zero:
+        # the slots of y2,..,yn, between y1's (unused) and T's
+        if all(exp[1:-1]) and not exp[-1]:
             return StabilityVerdict(
                 "Stable", pattern="every-variable-monomial",
                 detail="f = alpha + beta*m with m touching every variable of A")
@@ -104,25 +88,6 @@ def a_rigid_counter_action(table, f):
     return action, gen
 
 
-def _canonical_slice(data):
-    """The slice data of the canonical action: lam = f T."""
-    lam = data.f_expr * data.coords.table.var("T")
-    return SliceData(data.coords, lam, data.coords_inverse)
-
-
-def canonical_action(data):
-    """The slice action h(y1) -> h(y1 + fT) fixing y2,..,yn; slice_action
-    proves its coaction axioms on the slice generators."""
-    return slice_action(_canonical_slice(data))
-
-
-def canonical_image(data, name):
-    """The image of the generator name under canonical_action(data), built
-    without the other images: for a check that reads one image, such as
-    E(y) of the non-exponential family, whose E(x) is far larger."""
-    return slice_image(_canonical_slice(data), name)
-
-
 class CertificateResult:
     def __init__(self, verdict, stability=None, reason="", witness=None):
         self.verdict = verdict        # "NotExponentialOverR" | "Inconclusive"
@@ -134,11 +99,17 @@ class CertificateResult:
 def non_exponentiality_certificate(data, restriction=None):
     """Corollary-style certificate: NotExponentialOverR iff A is f-stable
     (by a recognized pattern) and the canonical action does not restrict to
-    R[x].  restriction may carry a precomputed (ok, witness) pair for
-    families whose restriction test was done by an exact structure-specific
-    argument; otherwise the canonical action is materialized and tested.
+    R[x].  data is the canonical action's SliceData, whose lam must be f T
+    with f = lam(1).  restriction may carry a precomputed (ok, witness)
+    pair for families whose restriction test was done by an exact
+    structure-specific argument; otherwise the canonical action is
+    materialized and tested.
     """
-    verdict = f_stability(data.avar_names, data.f_expr)
+    table = data.lam.table
+    f = data.lam.subs_T(table.one())
+    if f * table.var("T") != data.lam:
+        raise PreconditionViolated("lam = %s is not f T" % data.lam)
+    verdict = f_stability(f)
     if verdict.kind == "Unknown":
         return CertificateResult("Inconclusive", stability=verdict,
                                  reason="stability unknown")
@@ -146,8 +117,7 @@ def non_exponentiality_certificate(data, restriction=None):
         return CertificateResult("Inconclusive", stability=verdict,
                                  reason="A is not f-stable")
     if restriction is None:
-        action = canonical_action(data)
-        restriction = action.restricts_to()
+        restriction = slice_action(data).restricts_to()
     ok, witness = restriction
     if ok:
         return CertificateResult("Inconclusive", stability=verdict,
@@ -160,21 +130,19 @@ def non_exponentiality_certificate(data, restriction=None):
                              witness=witness)
 
 
-def modify_action(action, slice_data, alpha):
-    """Replace the slice translation lam(T) by the constant translation
-    lam(alpha)*T, for an invariant alpha, written like lam in p2,..,pn."""
-    table = action.table
+def modify_action(slice_data, alpha):
+    """Replace the slice translation lam(T) of slice_action(slice_data) by
+    the constant translation lam(alpha)*T, for an invariant alpha, written
+    like lam in p2,..,pn."""
     lam = slice_data.lam
-    coords = slice_data.coords
-    r = coords.images[0]
-    if action.apply(r) - r != coords.apply(lam):
-        raise InconsistentSlice("E(p1) - p1 differs from lam")
+    table = lam.table
     if isinstance(alpha, (int, Coeff)):
         alpha = table.const(alpha)
     if alpha.uses_var("T") or alpha.uses_var(table.names[0]):
         raise NotInvariantParameter("alpha is not in k[p2,..,pn]")
     new_lam = lam.subs_T(alpha) * table.var("T")
-    return slice_action(SliceData(coords, new_lam, slice_data.coords_inverse))
+    return slice_action(SliceData(slice_data.coords, new_lam,
+                                  slice_data.coords_inverse))
 
 
 def gauss_check(f, g):

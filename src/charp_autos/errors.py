@@ -58,10 +58,6 @@ class NotInvariantGenerator(CharpAutosError):
     pass
 
 
-class InconsistentSlice(CharpAutosError):
-    pass
-
-
 # -- exponentialization ------------------------------------------------------
 
 class NotOrderP(CharpAutosError):

@@ -6,10 +6,10 @@ materialize the image of x: it contains (y + xi)^(p*a+1), with hundreds of
 thousands of terms already at modest parameters.  Its report needs only
 the nonintegral part of E(x) - x, which NonExpFamily.nonintegral_shift
 computes exactly in closed form from xi modulo u^2, by Lucas's theorem.
-criteria.canonical_image(family.data(), name) builds one image alone, so
-E(y) = y + xi is checked cheaply at every member; criteria.canonical_action
-builds all of them, E(x) included, which is feasible only for a small
-member.
+gaction.slice_image(family.data(), name) builds one image of the canonical
+action alone, so E(y) = y + xi is checked cheaply at every member;
+gaction.slice_action(family.data()) builds all of them, E(x) included,
+which is feasible only for a small member.
 """
 
 import json
@@ -21,7 +21,6 @@ from .poly import VarTable, exact_div, is_polynomial_over
 from .endo import PolyMap, compose, eps_map, order_up_to
 from .gaction import (GaAction, SliceData, rank_certificate, slice_action,
                       slice_axioms_report)
-from .criteria import GenericElementaryData
 
 
 class Check:
@@ -151,9 +150,9 @@ class NonExpFamily:
         return self.table.var("y") + self.xi
 
     def data(self):
-        return GenericElementaryData(self.coords, self.coords_inverse,
-                                     self.f_expr,
-                                     tuple(["y"] + self.zs()))
+        """The SliceData of the canonical action: lam = f_expr T."""
+        return SliceData(self.coords, self.f_expr * self.table.var("T"),
+                         self.coords_inverse)
 
     def nonintegral_shift(self, t_value=None):
         """The nonintegral part of E(x) - x (of sigma(x) - x when
@@ -191,10 +190,9 @@ class NonExpFamily:
                 - table.var("y", p * self.a) * a_part).scale(u_inv)
 
     def slice_axioms(self):
-        """slice_axioms_report for the certificate's f_expr, and that f_expr
-        read in x, y, z is the translation that xi and the stars use."""
-        report = slice_axioms_report(SliceData(
-            self.coords, self.f_expr * self.table.var("T")))
+        """slice_axioms_report(self.data()), and that f_expr read in x, y, z
+        is the translation that xi and the stars use."""
+        report = slice_axioms_report(self.data())
         if self.coords.apply(self.f_expr) != self.translation:
             return {"A1": report["A1"], "A2": False,
                     "witness": "f_expr differs from the translation"}

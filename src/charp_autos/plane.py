@@ -364,16 +364,16 @@ def centralizer_membership(phi, t):
             and f2.substitute(shift) == f2)
 
 
-def w_st_split(q, s, t):
-    """q = q1(x^p - t^(p-1)x) + t^-1 s x, given q(x+t) - q(x) = s."""
+def w_st_split(q, t):
+    """q = q1(x^p - t^(p-1)x) + t^-1 s x for the constant s = q(x+t) - q(x);
+    NotInWst when that difference is not a constant."""
     table = q.table
     var = table.names[0]
-    s = table.coeff(s)
     t = table.coeff(t)
     diff = q.substitute({var: table.var(var) + table.const(t)}) - q
-    if diff != table.const(s):
-        raise NotInWst("q(x+t) - q(x) = %s differs from s" % diff)
-    core = q - table.var(var).scale(s / t)
+    if not diff.is_constant():
+        raise NotInWst("q(x+t) - q(x) = %s is not a constant" % diff)
+    core = q - table.var(var).scale(diff.constant_term() / t)
     q1, rem = express_in_invariant(core, var, t)
     if not rem.is_zero():
         raise NotInWst("residual part %s survives" % rem)
@@ -441,12 +441,7 @@ def _strip_triangular(table, first, t):
     q = f2 - table.var(x2).scale(b1)
     if q.uses_var(x2):
         raise NotInCentralizer("leading triangular factor has a bad shape")
-    diff = q.substitute({x1: table.var(x1) + table.const(t)}) - q
-    if not diff.is_constant():
-        raise NotInCentralizer(
-            "leading factor violates the constant-difference property")
-    s = diff.constant_term()
-    q1 = w_st_split(q, s, t)
+    q1 = w_st_split(q, t)
     q1_reduced = q1 - table.const(q1.constant_term())
     return q1_reduced.scale(b1.inv())
 
@@ -517,14 +512,12 @@ def fixed_point_elem_centralizer(phi, f):
     return a, b, c, g
 
 
-def fpf_witness_check(f, psi_word):
+def fpf_witness_check(psi_word):
     """Theorem criterion for a fixed point free tau = (x1 + f, x2), f in k*:
-    the slice action through psi in H(f) evaluates to tau at 1; the verdict
-    is whether it restricts to R = F_p[u]."""
+    the slice action through psi in H(f), with f = psi_word.t, evaluates to
+    tau at 1; the verdict is whether it restricts to R = F_p[u]."""
     table = psi_word.table
-    f = table.coeff(f)
-    if f.is_zero():
-        raise ValueError("f must be a nonzero field constant")
+    f = psi_word.t
     psi_map = recompose(psi_word)
     psi_inv = psi_word.inverse_map()
     lam = table.var("T").scale(f)

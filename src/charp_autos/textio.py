@@ -229,7 +229,8 @@ _WORD_BLOCK = re.compile(r"\[\s*(aff|tri|E1|E2|H0|id)\s*(?::([^\]]*))?\]")
 
 def parse_word(table, text, t=1):
     """Rebuild a serialized word: centralizer words from E1/E2/H0 blocks,
-    tame words from aff/tri blocks."""
+    tame words from aff/tri blocks.  A centralizer word has at most one H0
+    block, and it comes last, as the product reads left to right."""
     from .plane import AffineFactor, CentralizerWord, TameWord, TriangularFactor
     blocks = []
     pos = 0
@@ -238,17 +239,19 @@ def parse_word(table, text, t=1):
         m = _WORD_BLOCK.match(stripped, pos)
         if not m:
             raise ParseError("expected a [tag: ...] block", pos)
-        blocks.append((m.group(1), (m.group(2) or "").strip()))
+        blocks.append((m.group(1), (m.group(2) or "").strip(), pos))
         pos = m.end()
         while pos < len(stripped) and stripped[pos].isspace():
             pos += 1
-    tags = {tag for tag, _ in blocks}
+    tags = {tag for tag, _, _ in blocks}
     if tags <= {"E1", "E2", "H0"}:
         gens = []
         h0 = (1, 0, 0)
         x1, x2 = table.names
-        for tag, payload in blocks:
+        for i, (tag, payload, start) in enumerate(blocks):
             if tag == "H0":
+                if i != len(blocks) - 1:
+                    raise ParseError("an [H0] block must come last", start)
                 h0 = tuple(parse_coeff(table.p, v) for v in _block_fields(
                     tag, payload, {"a": "1", "u1": "0", "u2": "0"}))
             else:
@@ -257,7 +260,7 @@ def parse_word(table, text, t=1):
                 gens.append((tag, g.substitute({x2: table.var(x1)})))
         return CentralizerWord(table, t, gens, h0)
     factors = []
-    for tag, payload in blocks:
+    for tag, payload, _ in blocks:
         if tag == "id":
             continue
         if tag == "aff":

@@ -147,6 +147,18 @@ def test_criteria_certify(capsys):
     assert '"verdict": "NotExponentialOverR"' in out
 
 
+@pytest.mark.parametrize("argv,check", [
+    (("--l", "1", "--g", "y"), '"stability_unknown": false'),
+    (("--l", "0", "--g", "1"), '"stability_notstable": false')])
+def test_criteria_certify_reports_a_failed_stability(capsys, argv, check):
+    """stability_<kind> reports false for every kind but Stable: with
+    g = y, f misses z1 of A = k[y, z1], so no pattern applies; with l = 0
+    and g = 1, f is a constant of k[y], which is not f-stable."""
+    code, out, err = run(capsys, "criteria", "certify", *argv)
+    assert (code, err) == (1, "")
+    assert check in out and '"verdict": "Inconclusive"' in out
+
+
 def test_nonexp_with_a_constant_g_reports_star4(capsys):
     """With g = 1 the nonintegral part of E(x) - x is d u^-1 y^c (T - T^p),
     as for the default g: E(x) - x has ((u^2 + 1)/u) y^8 T^2, whose
@@ -260,6 +272,10 @@ def test_unsupported_p_is_usage_error(capsys, argv):
     (("parse", "word", "[E1: x2*T]"),
      "BadParameters: [E1: x2*T]: g must be univariate in x2"),
     (("parse", "word", "[E1: x2+1]"), "BadParameters: [E1: x2+1]: g(0) must be 0"),
+    (("parse", "word", "[H0: u2=1][E1: x2^2]"),
+     "ParseError: an [H0] block must come last (at position 0)"),
+    (("parse", "word", "[E1: x2^2][H0: a=2][H0: u2=1]", "--p", "3"),
+     "ParseError: an [H0] block must come last (at position 10)"),
 ])
 def test_construction_parameters_out_of_range_are_usage_errors(capsys, argv,
                                                                message):

@@ -7,10 +7,9 @@ from charp_autos import gallery, poly
 from charp_autos.errors import (BadH, BadParameters,
                                 InternalIntegralityFailure, NotDivisible,
                                 UnsupportedP)
-from charp_autos.criteria import (canonical_action, canonical_image,
-                                  non_exponentiality_certificate)
+from charp_autos.criteria import non_exponentiality_certificate
 from charp_autos.endo import PolyMap, compose, order_up_to
-from charp_autos.gaction import GaAction
+from charp_autos.gaction import GaAction, slice_action, slice_image
 from charp_autos.gallery import (StarReport, build_example_triangular,
                                  build_F_and_Fh, build_nonexp_family,
                                  build_rank3_family, build_rank_r_action,
@@ -165,13 +164,13 @@ def test_perturbed_translation_fails_only_the_slice_generators_case(
 @pytest.mark.parametrize("p,d,l", [(2, 3, 1), (2, 3, 0), (3, 2, 0),
                                    (3, 2, 1), (2, 3, 3), (5, 2, 0)])
 def test_nonexp_canonical_image_of_y_and_z(p, d, l):
-    """canonical_image builds E(y) and each E(z) alone: E(y) = y + xi, the
+    """slice_image builds E(y) and each E(z) alone: E(y) = y + xi, the
     closed form the stars use, and E(z) = z.  At (5,2,0) the whole canonical
     action does not finish in minutes, but these images are small."""
     fam = build_nonexp_family(p, d, l)
     data = fam.data()
-    assert canonical_image(data, "y") == fam.e_y()
-    assert all(canonical_image(data, z) == fam.table.var(z)
+    assert slice_image(data, "y") == fam.e_y()
+    assert all(slice_image(data, z) == fam.table.var(z)
                for z in fam.zs())
 
 
@@ -206,7 +205,7 @@ def test_nonexp_231_image_case_does_not_build_e_x():
     with mock.patch.object(poly, "_packed_substitute", spy):
         assert thunk() == (True, "")
         assert max(sizes) < 6006
-        canonical_action(build_nonexp_family(2, 3, 1).data())
+        slice_action(build_nonexp_family(2, 3, 1).data())
     assert 6006 in sizes
 
 
@@ -219,7 +218,7 @@ def test_nonexp_dual_route_small_parameters(p, d, l):
     ((u^30 + 1)/u) y^8 T^2, whose integral part u^29 y^8 T^2 the shift
     leaves out."""
     fam = build_nonexp_family(p, d, l)
-    action = canonical_action(fam.data())
+    action = slice_action(fam.data())
     table = action.table
     names = list(table.names)
     assert action.images[names.index("y")] == fam.e_y()
@@ -306,6 +305,20 @@ def test_nonexp_certificate_round_trip():
     assert cert.verdict == "NotExponentialOverR"
 
 
+def test_nonexp_certificate_reads_A_from_the_slice_table():
+    """At (2,3,1) A = k[y, z1].  With g = y, f = u^7 + u^17 y misses z1,
+    so no stability pattern applies: Inconclusive, with the precomputed
+    restriction and with the action materialized.  The univariate pattern
+    would hold in k[y] alone, but the record names no other A."""
+    g = VarTable(2, ("x", "y", "z1")).var("y")
+    fam = build_nonexp_family(2, 3, 1, g_expr=g)
+    for restriction in ((False, fam.restriction_witness()), None):
+        cert = non_exponentiality_certificate(fam.data(), restriction)
+        assert (cert.verdict, cert.reason) == ("Inconclusive",
+                                               "stability unknown")
+        assert cert.stability.kind == "Unknown"
+
+
 @pytest.mark.parametrize("p,d", [(2, 3), (3, 2)])
 def test_nonexp_materialized_certificate_at_l_zero(p, d):
     """At l = 0 the certificate, given no precomputed restriction,
@@ -335,10 +348,10 @@ def test_nonexp_materialization_takes_the_packed_substitution():
         sizes.append(len(out))
         return out
     with mock.patch.object(poly, "_packed_substitute", spy):
-        packed = canonical_action(fam.data())
+        packed = slice_action(fam.data())
     with mock.patch.object(poly, "_PACK_MIN_SUBSTITUTION", float("inf")), \
             mock.patch.object(poly, "_packed_substitute") as kernel:
-        looped = canonical_action(fam.data())
+        looped = slice_action(fam.data())
     assert not kernel.called
     assert 6006 in sizes
     assert [len(g.terms) for g in packed.images] == [6006, 98, 1]
@@ -347,7 +360,7 @@ def test_nonexp_materialization_takes_the_packed_substitution():
 
 def test_nonexp_sigma_is_order_p_structurally():
     fam = build_nonexp_family(2, 3, 1)
-    action = canonical_action(fam.data())
+    action = slice_action(fam.data())
     sigma = action.evaluate(1)
     # sigma moves xt by the nonzero translation, so sigma != id; order
     # divides p because sigma = E_1 of an action
@@ -736,6 +749,53 @@ def test_F_family_rejects_bad_h():
         build_F_and_Fh(3, 2, [t.var("x2")])
     with pytest.raises(BadParameters):
         build_F_and_Fh(2, 2)
+
+
+_F_CHECKS = ["F_x2_divisibility", "F_restricts", "F_f_invariant",
+             "F_h_formula_and_centralizing", "commutator_identity"]
+
+
+def _eps_plus_x3(eps_map):
+    """eps_map with x3 added to the image of x1: not a translation."""
+    def corrupt(table, c):
+        eps = eps_map(table, c)
+        return PolyMap(table, [eps.images[0] + table.var("x3")]
+                       + list(eps.images[1:]))
+    return corrupt
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("n,with_h,owner,attr,corrupt,check", [
+    (4, True, gallery, "exact_div",
+     lambda real: lambda f, g: real(f, g) + g.table.one(),
+     "F_x2_divisibility"),
+    (4, True, GaAction, "restricts_to",
+     lambda real: lambda action: (False, None), "F_restricts"),
+    # evaluate asks is_invariant of its parameter, so this row evaluates
+    # nothing: n = 3, which has no commutator, and no h
+    (3, False, GaAction, "is_invariant",
+     lambda real: lambda action, h: False, "F_f_invariant"),
+    # F_f does not commute with (x1 + 1 + x3, x2, ..): f moves by x3 - x3^p
+    (4, True, gallery, "eps_map", _eps_plus_x3,
+     "F_h_formula_and_centralizing"),
+    # with no h, compose runs only in the commutator's right-hand side
+    (4, False, gallery, "compose", lambda real: lambda phi, psi: phi,
+     "commutator_identity")],
+    ids=["quotient-plus-1", "no-restriction", "nothing-invariant",
+         "eps-not-translation", "compose-drops-psi"])
+def test_F_corruption_fails_only_its_check(monkeypatch, p, n, with_h, owner,
+                                           attr, corrupt, check):
+    """Each of build_F_and_Fh's checks computes something that can fail: a
+    corrupted library step makes that check, and only that one, report
+    false.  The h list holds 0, f (written x1) and x4."""
+    table = VarTable(p, tuple("x%d" % (i + 1) for i in range(n)))
+    hs = [table.zero(), table.var("x1"), table.var("x4")] if with_h else []
+    checks = build_F_and_Fh(n, p, hs).report.checks
+    assert [c.name for c in checks] == _F_CHECKS[:5 if n == 4 else 4]
+    assert all(c.ok for c in checks)
+    monkeypatch.setattr(owner, attr, corrupt(getattr(owner, attr)))
+    report = build_F_and_Fh(n, p, hs).report
+    assert [c.name for c in report.checks if not c.ok] == [check]
 
 
 def test_epsilon_invariants_and_c0():

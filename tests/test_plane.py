@@ -228,12 +228,14 @@ def test_w_st_split_examples():
     tv = Coeff.from_int(p, 1)
     # q = t^-1 s x
     q = t.var("x1").scale(s / tv)
-    assert w_st_split(q, s, tv).is_zero()
+    assert w_st_split(q, tv).is_zero()
     # q = w^2 + 5 with w = x^3 - x
     q = t.parse("(x1^3 - x1)^2 + 5")
-    assert w_st_split(q, 0, tv) == t.parse("x1^2 + 5")
+    assert w_st_split(q, tv) == t.parse("x1^2 + 5")
+    # q = x^3 = w + x: s = (x+1)^3 - x^3 = 1 is read off q
+    assert w_st_split(t.parse("x1^3"), tv) == t.var("x1")
     with pytest.raises(NotInWst):
-        w_st_split(t.parse("x1^2"), 0, tv)
+        w_st_split(t.parse("x1^2"), tv)
 
 
 def test_w_st_split_derived_char2():
@@ -242,7 +244,7 @@ def test_w_st_split_derived_char2():
     q = t.parse("x1^4 + x1^2 + x1")
     diff = q.substitute({"x1": t.parse("x1+1")}) - q
     assert diff == t.one()
-    q1 = w_st_split(q, one, one)
+    q1 = w_st_split(q, one)
     w = t.parse("x1^2 + x1")
     assert q1.substitute({"x1": w}) + t.var("x1").scale(one) == q
 
@@ -327,11 +329,11 @@ def test_fpf_witness_identity_and_transport():
     p = 2
     t = t2(p)
     fval = Coeff.from_int(p, 1)
-    res = fpf_witness_check(fval, CentralizerWord(t, fval, []))
+    res = fpf_witness_check(CentralizerWord(t, fval, []))
     assert res["restricts"] and res["action"].images[0] == t.parse("x1 + T")
     # psi = [E1(x2^2)]: the slice transports to E(x2) = x2, E(x1) = x1 + f T
     word = CentralizerWord(t, fval, [("E1", t.var("x1") ** 2)])
-    res = fpf_witness_check(fval, word)
+    res = fpf_witness_check(word)
     assert res["action"].images[0] == t.parse("x1 + T")
     assert res["action"].images[1] == t.var("x2")
 
@@ -344,7 +346,7 @@ def test_fpf_witness_verdicts_cross_checked():
     for gens, expected in [([("E2", t.var("x1") ** 2)], True),
                            ([("E2", t.var("x1").scale(u.inv()))], False)]:
         word = CentralizerWord(t, fval, gens)
-        res = fpf_witness_check(fval, word)
+        res = fpf_witness_check(word)
         assert res["restricts"] is expected
         if not expected:
             assert res["witness"] is not None

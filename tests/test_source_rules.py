@@ -30,6 +30,12 @@
   deleting code leaves imports behind.  The one exception is endo's
   `exact_div`, which perfbench/selftest.py reads to check that the tracer
   rebinds it there.
+- Module-level imports go one way through the layers: errors and seeds,
+  coeffs, poly, endo and textio, gaction, then criteria, expo, plane and
+  gallery, then suites, then cli and the package itself.  A module imports
+  only modules of lower layers, so no two modules of one layer import each
+  other.  An import inside a function, such as a printer's or a parser's,
+  runs at call time and is exempt.
 - Importing charp_autos.cli loads neither `dataclasses` nor `inspect`:
   `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize` and builds
   each record's methods with `exec`, which made the import 16.9 ms instead
@@ -221,6 +227,56 @@ def _unused_imports(path):
                                                     name)
 
 
+# The import layers, lowest first; "__init__" is the package module.
+LAYERS = (("errors", "seeds"), ("coeffs",), ("poly",), ("endo", "textio"),
+          ("gaction",), ("criteria", "expo", "plane", "gallery"),
+          ("suites",), ("cli", "__init__"))
+_LAYER_OF = {name: i for i, layer in enumerate(LAYERS) for name in layer}
+
+
+def _module_level(node):
+    """The nodes of node's subtree outside function bodies."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _module_level(child)
+
+
+def _library_modules(node):
+    """The library modules a module-level import statement names."""
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            parts = alias.name.split(".")
+            if parts[0] == "charp_autos":
+                yield parts[1] if len(parts) > 1 else "__init__"
+    elif isinstance(node, ast.ImportFrom):
+        if node.level:
+            module = node.module
+        elif node.module and node.module.split(".")[0] == "charp_autos":
+            module = node.module.partition(".")[2]
+        else:
+            return
+        if module:
+            yield module.split(".")[0]
+        else:
+            yield from (alias.name for alias in node.names)
+
+
+def _layer_violations(path):
+    """Module-level imports of a library module that is not in a lower
+    layer than the importing one, and a module in no layer."""
+    layer = _LAYER_OF.get(path.stem)
+    if layer is None:
+        yield "%s:1: is in no layer" % path.name
+        return
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in _module_level(tree):
+        for target in _library_modules(node):
+            if _LAYER_OF.get(target, len(LAYERS)) >= layer:
+                yield "%s:%d: imports %s against the layers" % (
+                    path.name, node.lineno, target)
+
+
 def _defs(tree):
     """Module-level functions and classes, and the methods of the classes."""
     for node in tree.body:
@@ -400,6 +456,43 @@ def test_unused_import_rule_catches_planted_imports(tmp_path):
     endo_py.write_text("from .poly import exact_div, VarTable\n")
     assert [v.split(": ", 1)[1] for v in _unused_imports(endo_py)] == [
         "imports VarTable unused"]
+
+
+def test_module_imports_follow_the_layers():
+    assert {p.stem for p in SOURCES} == set(_LAYER_OF)
+    assert [v for path in SOURCES for v in _layer_violations(path)] == []
+
+
+def test_layer_rule_catches_planted_imports(tmp_path):
+    (tmp_path / "gallery.py").write_text(
+        "import json\nfrom .criteria import f_stability\n"
+        "from .gaction import SliceData\nfrom . import expo, poly\n"
+        "import charp_autos.suites\nfrom charp_autos import plane\n"
+        "from charp_autos.endo import compose\n"
+        "class Family:\n    from .cli import main\n"
+        "def show(x):\n    from .textio import map_to_str\n"
+        "    from . import suites\n"
+        "    return map_to_str(x)\n"
+        "try:\n    from .criteria import modify_action\n"
+        "except ImportError:\n    pass\n")
+    assert [v.split(":", 1)[1] for v in _layer_violations(
+        tmp_path / "gallery.py")] == [
+        "2: imports criteria against the layers",
+        "4: imports expo against the layers",
+        "5: imports suites against the layers",
+        "6: imports plane against the layers",
+        "9: imports cli against the layers",
+        "15: imports criteria against the layers"]
+    (tmp_path / "coeffs.py").write_text("from .errors import DivisionByZero\n"
+                                        "from .seeds import Lcg\n"
+                                        "from .coeffs import Coeff\n"
+                                        "from .extra import helper\n")
+    assert [v.split(": ", 1)[1] for v in _layer_violations(
+        tmp_path / "coeffs.py")] == ["imports coeffs against the layers",
+                                     "imports extra against the layers"]
+    (tmp_path / "extra.py").write_text("")
+    assert [v.split(": ", 1)[1] for v in _layer_violations(
+        tmp_path / "extra.py")] == ["is in no layer"]
 
 
 def test_every_public_name_has_a_caller_in_the_library():
