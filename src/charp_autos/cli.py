@@ -118,7 +118,8 @@ def _cmd_gallery(args):
         print("a=%d b=%d c=%d" % (built.a, built.b, built.c))
         print("E(y) = %s" % poly_to_str(built.e_y()))
     elif args.name == "rank3":
-        built = gallery.build_rank3_family(args.p, args.l, args.m)
+        built = gallery.build_rank3_family(gallery.rank3_base(args.p),
+                                           args.l, args.m)
         print("classification: %s" % built.classification)
     else:
         if args.name == "triangular":
@@ -203,8 +204,8 @@ def _cmd_parse(args):
     elif args.entity == "map":
         print(map_to_str(parse_map(table, args.text)))
     elif args.entity == "word":
-        from .textio import parse_word
-        word = parse_word(table, args.text, t=parse_coeff(args.p, args.t))
+        word = plane.parse_word(table, args.text,
+                                t=parse_coeff(args.p, args.t))
         print(word.to_text())
     else:
         from .textio import parse_action

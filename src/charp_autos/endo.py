@@ -75,10 +75,8 @@ def compose(phi, psi):
     return PolyMap(phi.table, [phi.apply(g) for g in psi.images])
 
 
-def order_up_to(sigma, bound=None):
-    """Least m <= bound with sigma^m = id, else None; bound defaults to p^2."""
-    if bound is None:
-        bound = sigma.table.p ** 2
+def order_up_to(sigma, bound):
+    """Least m <= bound with sigma^m = id, else None."""
     acc = sigma
     for m in range(1, bound + 1):
         if acc.is_identity():

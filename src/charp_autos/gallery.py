@@ -515,7 +515,7 @@ def _pi_map(poly, keep):
     return poly.substitute(assignment)
 
 
-def _rank3_xi(p):
+def rank3_base(p):
     """A fresh Rank3Base for p: f, g, r with
     xi := f^(p^2+1) - r^(p^2) + f^(p^2-p) r^p and the check xi = g x2 by
     exact division.  Nothing is kept between calls, so a call after a
@@ -593,14 +593,13 @@ def _rank3_ring_map(f, g, l, m):
             "X3": table.var("x3"), "S": f ** (l - 1) * g ** (m - 1)}
 
 
-def build_rank3_family(p, l, m, base=None):
+def build_rank3_family(base, l, m):
     """The translation-inducing family on k[x1,x2,x3] built on f, g, r with
     xi := f^(p^2+1) - r^(p^2) + f^(p^2-p) r^p = g x2.
 
-    The member reads f, g, r, xi and the checks that depend only on p from
-    base, a Rank3Base of p.  When base is None a fresh one is built, so
-    each direct call proves them again; the rank3 suite passes one base to
-    all cases of a p, so a suite run proves them once per p.
+    The member reads p, f, g, r, xi and the checks that depend only on p
+    from base, a Rank3Base of rank3_base(p); the rank3 suite passes one
+    base to all cases of a p, so a suite run proves them once per p.
 
     Classification: the action restricts iff l, m >= 1; at (1, 0) only the
     evaluation at 1 restricts (and extends eps); otherwise neither does, by
@@ -624,9 +623,7 @@ def build_rank3_family(p, l, m, base=None):
     """
     if l < 0 or m < 0 or max(l, m) > 4:
         raise BadParameters(_RANK3_PARAMETERS)
-    if base is None:
-        base = _rank3_xi(p)
-    table, f, g = base.table, base.f, base.g
+    p, table, f, g = base.p, base.table, base.f, base.g
     p2 = p * p
     x1, x2 = table.var("x1"), table.var("x2")
 

@@ -11,6 +11,10 @@ of the amalgam normal form (three cases: affine with a != 0, affine with
 a = 0, triangular) and terminates on an affine remainder, which splits into
 one E1 generator and the trailing H0 element.
 
+A word's factors are maps: AffineFactor and TriangularFactor are PolyMaps
+that keep their parameters for to_text, and parse_word reads that text
+format back.
+
 The identities are asserted here by raising, and callers check none of
 them again:
 - jvdk_factor: recompose(word) = phi (NotAutomorphism);
@@ -20,10 +24,13 @@ them again:
   (WitnessNotCentralizing).
 """
 
+import re
+
 from .errors import (BadParameters, NotAutomorphism, NotInCentralizer,
-                     NotInWst, WitnessNotCentralizing)
+                     NotInWst, ParseError, WitnessNotCentralizing)
 from .poly import express_in_invariant
 from .endo import PolyMap, compose, eps_map
+from .textio import parse_coeff, parse_poly
 from .gaction import SliceData, slice_action
 
 
@@ -44,18 +51,26 @@ def _check_univariate(name, f, var, vanishes_at_0=False):
         raise BadParameters("%s(0) must be 0" % name)
 
 
-class AffineFactor:
+class AffineFactor(PolyMap):
     """(a*x + b*y + u, c*x + d*y + v)."""
 
-    __slots__ = ("table", "mat", "shift")
+    __slots__ = ("mat", "shift")
 
     def __init__(self, table, mat, shift):
-        self.table = table
         self.mat = tuple(table.coeff(c) for c in mat)      # (a, b, c, d)
         self.shift = tuple(table.coeff(c) for c in shift)  # (u, v)
+        a, b, c, d = self.mat
+        u, v = self.shift
+        x, y = (table.var(n) for n in table.names)
+        super().__init__(table, [x.scale(a) + y.scale(b) + table.const(u),
+                                 x.scale(c) + y.scale(d) + table.const(v)])
 
     @classmethod
     def from_map(cls, pmap):
+        """pmap itself when it is an AffineFactor; NotAutomorphism when it
+        is not affine."""
+        if isinstance(pmap, cls):
+            return pmap
         table = pmap.table
         x, y = table.names
         gx, gy = pmap.images
@@ -63,38 +78,25 @@ class AffineFactor:
                gy.coeff_of(**{x: 1}), gy.coeff_of(**{y: 1}))
         shift = (gx.constant_term(), gy.constant_term())
         factor = cls(table, mat, shift)
-        if factor.to_map() != pmap:
+        if factor != pmap:
             raise NotAutomorphism("map %s is not affine" % pmap)
         return factor
-
-    def to_map(self):
-        table = self.table
-        x, y = table.names
-        a, b, c, d = self.mat
-        u, v = self.shift
-        return PolyMap(table, [
-            table.var(x).scale(a) + table.var(y).scale(b) + table.const(u),
-            table.var(x).scale(c) + table.var(y).scale(d) + table.const(v)])
 
     def det(self):
         a, b, c, d = self.mat
         return a * d - b * c
 
-    def is_identity(self):
-        return self.to_map().is_identity()
-
     def to_text(self):
         return "[aff: %s]" % ",".join(str(c) for c in self.mat + self.shift)
 
 
-class TriangularFactor:
+class TriangularFactor(PolyMap):
     """(a*x + c, b*y + q(x)) with a, b units; q is univariate in x.  The
     constructor raises BadParameters for any other a, b or q."""
 
-    __slots__ = ("table", "a", "b", "c", "q")
+    __slots__ = ("a", "b", "c", "q")
 
     def __init__(self, table, a, b, c, q):
-        self.table = table
         self.a = table.coeff(a)
         self.b = table.coeff(b)
         if self.a.is_zero() or self.b.is_zero():
@@ -103,13 +105,9 @@ class TriangularFactor:
         self.c = table.coeff(c)
         _check_univariate("q", q, table.names[0])
         self.q = q
-
-    def to_map(self):
-        table = self.table
-        x, y = table.names
-        return PolyMap(table, [
-            table.var(x).scale(self.a) + table.const(self.c),
-            table.var(y).scale(self.b) + self.q])
+        x, y = (table.var(n) for n in table.names)
+        super().__init__(table, [x.scale(self.a) + table.const(self.c),
+                                 y.scale(self.b) + q])
 
     def to_text(self):
         return "[tri: a=%s,b=%s,c=%s,q=%s]" % (self.a, self.b, self.c, self.q)
@@ -121,13 +119,106 @@ class TameWord:
         self.factors = list(factors)
 
     def __iter__(self):
-        """The factors as maps, left to right."""
-        return (f.to_map() for f in self.factors)
+        """The factors, left to right."""
+        return iter(self.factors)
 
     def to_text(self):
         if not self.factors:
             return "[id]"
         return "".join(f.to_text() for f in self.factors)
+
+
+# ---------------------------------------------------------------------------
+# the word text format, as the to_text methods print it
+# ---------------------------------------------------------------------------
+
+_WORD_BLOCK = re.compile(r"\[\s*(aff|tri|E1|E2|H0|id)\s*(?::([^\]]*))?\]")
+
+
+def parse_word(table, text, t=1):
+    """Rebuild a serialized word: centralizer words from E1/E2/H0 blocks,
+    tame words from aff/tri blocks.  A centralizer word has at most one H0
+    block, and it comes last, as the product reads left to right."""
+    if table.nvars != 2:
+        raise ParseError("a word needs two variables, got %d" % table.nvars)
+    blocks = []
+    pos = 0
+    stripped = text.strip()
+    while pos < len(stripped):
+        m = _WORD_BLOCK.match(stripped, pos)
+        if not m:
+            raise ParseError("expected a [tag: ...] block", pos)
+        blocks.append((m.group(1), (m.group(2) or "").strip(), pos))
+        pos = m.end()
+        while pos < len(stripped) and stripped[pos].isspace():
+            pos += 1
+    tags = {tag for tag, _, _ in blocks}
+    if tags <= {"E1", "E2", "H0"}:
+        gens = []
+        h0 = (1, 0, 0)
+        x1, x2 = table.names
+        for i, (tag, payload, start) in enumerate(blocks):
+            if tag == "H0":
+                if i != len(blocks) - 1:
+                    raise ParseError("an [H0] block must come last", start)
+                h0 = tuple(parse_coeff(table.p, v) for v in _block_fields(
+                    tag, payload, {"a": "1", "u1": "0", "u2": "0"}))
+            else:
+                g = _univariate(table, tag, payload, payload,
+                                x2 if tag == "E1" else x1)
+                gens.append((tag, g.substitute({x2: table.var(x1)})))
+        return CentralizerWord(table, t, gens, h0)
+    factors = []
+    for tag, payload, _ in blocks:
+        if tag == "id":
+            continue
+        if tag == "aff":
+            vals = [parse_coeff(table.p, part) for part in payload.split(",")]
+            if len(vals) != 6:
+                raise ParseError("affine factor needs 6 entries")
+            factor = AffineFactor(table, vals[:4], vals[4:])
+            if factor.det().is_zero():
+                raise BadParameters("affine factor %s is singular"
+                                    % factor.to_text())
+            factors.append(factor)
+        elif tag == "tri":
+            a, b, c, q = _block_fields(tag, payload, dict.fromkeys("abcq"), 3)
+            factors.append(TriangularFactor(
+                table, parse_coeff(table.p, a), parse_coeff(table.p, b),
+                parse_coeff(table.p, c),
+                _univariate(table, tag, payload, q, table.names[0])))
+        else:
+            raise ParseError("cannot mix word kinds in %r" % text)
+    return TameWord(table, factors)
+
+
+def _univariate(table, tag, payload, text, var):
+    """The polynomial text of a [tag: payload] block: a tri factor's q in
+    var alone, or an E1 or E2 argument g in var alone with g(0) = 0.  The
+    rule is _check_univariate's; the error names the block."""
+    f = parse_poly(table, text)
+    try:
+        if tag == "tri":
+            _check_univariate("q", f, var)
+        else:
+            _check_univariate("g", f, var, vanishes_at_0=True)
+    except BadParameters as err:
+        raise BadParameters("[%s: %s]: %s" % (tag, payload, err)) from None
+    return f
+
+
+def _block_fields(tag, payload, defaults, maxsplit=-1):
+    """The values of a block's key=value fields in the order of defaults; an
+    omitted key takes its default, and a default of None makes it needed."""
+    fields = dict(defaults)
+    for part in filter(None, payload.split(",", maxsplit)):
+        key, eq, value = part.partition("=")
+        if not eq or key.strip() not in fields:
+            raise ParseError("bad field %r in a [%s] block" % (part, tag))
+        fields[key.strip()] = value
+    if None in fields.values():
+        raise ParseError("a [%s] block needs %s" % (tag, ", ".join(fields)))
+    return fields.values()
 
 
 def recompose(word):
@@ -197,7 +288,6 @@ def _jvdk_word(phi):
         raise NotAutomorphism("terminal affine part is singular")
 
     factors = [terminal]
-    swap = AffineFactor(table, (0, 1, 1, 0), (0, 0))
     for comp, qdict in reversed(runs):
         # inverse of the peeled factor adds q back
         q_hi = table.zero()
@@ -214,23 +304,19 @@ def _jvdk_word(phi):
                 const = const + c
         lin_aff = AffineFactor(table, (1, 0, lin, 1), (0, const)) if comp == 1 \
             else AffineFactor(table, (1, lin, 0, 1), (const, 0))
-        if comp == 1:
-            # (x, y + q(x)) = (x, y + q_hi(x)) * linear/const affine
+        if comp == 1 or q_hi.is_zero():
+            # (x, y + q(x)) = (x, y + q_hi(x)) * linear/const affine, and
+            # (x + q(y), y) is lin_aff itself when q has no q_hi part
             if not q_hi.is_zero():
                 factors.append(TriangularFactor(table, 1, 1, 0, q_hi))
             if not lin_aff.is_identity():
                 factors.append(lin_aff)
         else:
             # (x + q(y), y) = swap * (x, y + q_hi(x)) * affine * swap
-            if q_hi.is_zero():
-                merged = AffineFactor(table, (1, lin, 0, 1), (const, 0))
-                if not merged.is_identity():
-                    factors.append(merged)
-            else:
-                factors.append(swap)
-                factors.append(TriangularFactor(table, 1, 1, 0, q_hi))
-                factors.append(AffineFactor.from_map(
-                    compose(swap.to_map(), lin_aff.to_map())))
+            swap = AffineFactor(table, (0, 1, 1, 0), (0, 0))
+            factors.append(swap)
+            factors.append(TriangularFactor(table, 1, 1, 0, q_hi))
+            factors.append(AffineFactor.from_map(compose(swap, lin_aff)))
 
     return TameWord(table, _merge_affines(table, factors))
 
@@ -239,7 +325,7 @@ def _merge_affines(table, factors):
     out = []
     for f in factors:
         if isinstance(f, AffineFactor) and out and isinstance(out[-1], AffineFactor):
-            out[-1] = AffineFactor.from_map(compose(out[-1].to_map(), f.to_map()))
+            out[-1] = AffineFactor.from_map(compose(out[-1], f))
         else:
             out.append(f)
     return [f for f in out
@@ -249,28 +335,19 @@ def _merge_affines(table, factors):
 def normal_form(word):
     """Alternating factors from G\\J and J\\G, with G-cap-J parts folded into
     their right neighbour (or the tail).  Returns [(tag, PolyMap)]."""
-    table = word.table
-
-    def affine_class(factor):
-        return "GintJ" if factor.mat[1].is_zero() else "GJ"
-
     out = []
     pending = None
-    for factor in word.factors:
-        pmap = factor.to_map()
-        if isinstance(factor, AffineFactor):
-            tag = affine_class(factor)
-        else:
-            tag = "JG"
+    for factor in word:
+        affine = isinstance(factor, AffineFactor)
         if pending is not None:
-            pmap = compose(pending, pmap)
+            factor = compose(pending, factor)
             pending = None
-            if tag != "JG":
-                tag = "GintJ" if AffineFactor.from_map(pmap).mat[1].is_zero() else "GJ"
-        if tag == "GintJ":
-            pending = pmap
-            continue
-        out.append((tag, pmap))
+        if not affine:
+            out.append(("JG", factor))
+        elif AffineFactor.from_map(factor).mat[1].is_zero():
+            pending = factor
+        else:
+            out.append(("GJ", factor))
     if pending is not None and out:
         tag, last = out[-1]
         out[-1] = (tag, compose(last, pending))
@@ -383,7 +460,7 @@ def w_st_split(q, t):
 def centralizer_decompose(phi, t):
     """Write phi in C(eps) as an H(t) word followed by an H0 element."""
     table = phi.table
-    x1, x2 = table.names
+    x1 = table.names[0]
     generators = CentralizerWord(table, t, [])   # rejects t = 0; gen_map
     t = generators.t
     if not centralizer_membership(phi, t):
@@ -402,27 +479,17 @@ def centralizer_decompose(phi, t):
             g = _strip_triangular(table, first, t)
             kind = "E2"
         else:
-            aff = AffineFactor.from_map(first)
-            a = aff.mat[0]
-            if not a.is_zero():
-                g = table.var(x1).scale(aff.mat[1] / a)
-                kind = "E1"
-            else:
-                g = _strip_swap_case(table, first, nf)
-                kind = "E1"
+            a, b = AffineFactor.from_map(first).mat[:2]
+            g = (table.var(x1).scale(b / a) if not a.is_zero()
+                 else _strip_swap_case(table, first, nf))
+            kind = "E1"
         cur = compose(generators.gen_map(kind, -g), cur)
         gens.append((kind, g))
 
     # affine remainder (x1 + s x2 + u1, a x2 + u2)
-    f1, f2 = cur.images
-    s = f1.coeff_of(**{x2: 1})
-    u1 = f1.constant_term()
-    a = f2.coeff_of(**{x2: 1})
-    u2 = f2.constant_term()
-    good_shape = (f1 == table.var(x1) + table.var(x2).scale(s) + table.const(u1)
-                  and f2 == table.var(x2).scale(a) + table.const(u2)
-                  and not a.is_zero())
-    if not good_shape:
+    remainder = AffineFactor.from_map(cur)
+    (one, s, zero, a), (u1, u2) = remainder.mat, remainder.shift
+    if not one.is_one() or not zero.is_zero() or a.is_zero():
         raise NotInCentralizer("affine remainder %s has the wrong shape" % cur)
     if not s.is_zero():
         gens.append(("E1", table.var(x1).scale(s)))

@@ -124,7 +124,7 @@ def _sample_tame_word(lcg, table, max_factors=6, max_deg=4):
                 if (a * d - b * c) % p:
                     break
             factor = plane.AffineFactor(table, (a, b, c, d),
-                                        (lcg.draw(p), lcg.draw(p))).to_map()
+                                        (lcg.draw(p), lcg.draw(p)))
         else:
             deg = 2 + lcg.draw(max_deg - 1)
             q = table.monomial(lcg.draw_nonzero(p), **{x1: deg})
@@ -134,7 +134,7 @@ def _sample_tame_word(lcg, table, max_factors=6, max_deg=4):
                     q = q + table.monomial(cc, **{x1: e})
             factor = plane.TriangularFactor(
                 table, lcg.draw_nonzero(p), lcg.draw_nonzero(p),
-                lcg.draw(p), q).to_map()
+                lcg.draw(p), q)
         phi = compose(phi, factor)
     return phi
 
@@ -343,7 +343,7 @@ def _suite_rank3(params):
     """The cases of a p share one gallery.Rank3Base."""
     cases = []
     for p in _plist(params, (2, 3)):
-        base = cache(lambda p=p: gallery._rank3_xi(p))
+        base = cache(lambda p=p: gallery.rank3_base(p))
 
         def xi_case(base=base):
             return base().xi_ok, ""
@@ -353,8 +353,8 @@ def _suite_rank3(params):
                 expected = ("ActionRestricts" if l >= 1 and m >= 1 else
                             "OnlyE1Restricts" if (l, m) == (1, 0) else "Neither")
 
-                def thunk(p=p, l=l, m=m, expected=expected, base=base):
-                    fam = gallery.build_rank3_family(p, l, m, base=base())
+                def thunk(l=l, m=m, expected=expected, base=base):
+                    fam = gallery.build_rank3_family(base(), l, m)
                     if fam.classification != expected:
                         return False, "got %s, expected %s" % (
                             fam.classification, expected)

@@ -1,4 +1,5 @@
-"""Parsing and canonical printing of the text formats.
+"""Parsing and canonical printing of polynomials, maps and actions; the
+word format of plane's factorizations is plane's own.
 
 Polynomial grammar (accepted input is free-form, printing is canonical):
 
@@ -16,7 +17,7 @@ coefficient outside the prime field in parentheses: "(u^2+u)*x1^2*x2 + 1".
 import re
 
 from .coeffs import Coeff
-from .errors import BadParameters, ParseError
+from .errors import ParseError
 from .poly import VarTable
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|(\^|\*|\+|-|/|\(|\)|,|=|\[|\]|:))")
@@ -222,92 +223,3 @@ def parse_map(table, text):
 def parse_action(table, text):
     from .gaction import GaAction
     return GaAction(table, _parse_image_list(table, text))
-
-
-_WORD_BLOCK = re.compile(r"\[\s*(aff|tri|E1|E2|H0|id)\s*(?::([^\]]*))?\]")
-
-
-def parse_word(table, text, t=1):
-    """Rebuild a serialized word: centralizer words from E1/E2/H0 blocks,
-    tame words from aff/tri blocks.  A centralizer word has at most one H0
-    block, and it comes last, as the product reads left to right."""
-    from .plane import AffineFactor, CentralizerWord, TameWord, TriangularFactor
-    blocks = []
-    pos = 0
-    stripped = text.strip()
-    while pos < len(stripped):
-        m = _WORD_BLOCK.match(stripped, pos)
-        if not m:
-            raise ParseError("expected a [tag: ...] block", pos)
-        blocks.append((m.group(1), (m.group(2) or "").strip(), pos))
-        pos = m.end()
-        while pos < len(stripped) and stripped[pos].isspace():
-            pos += 1
-    tags = {tag for tag, _, _ in blocks}
-    if tags <= {"E1", "E2", "H0"}:
-        gens = []
-        h0 = (1, 0, 0)
-        x1, x2 = table.names
-        for i, (tag, payload, start) in enumerate(blocks):
-            if tag == "H0":
-                if i != len(blocks) - 1:
-                    raise ParseError("an [H0] block must come last", start)
-                h0 = tuple(parse_coeff(table.p, v) for v in _block_fields(
-                    tag, payload, {"a": "1", "u1": "0", "u2": "0"}))
-            else:
-                g = _univariate(table, tag, payload, payload,
-                                x2 if tag == "E1" else x1)
-                gens.append((tag, g.substitute({x2: table.var(x1)})))
-        return CentralizerWord(table, t, gens, h0)
-    factors = []
-    for tag, payload, _ in blocks:
-        if tag == "id":
-            continue
-        if tag == "aff":
-            vals = [parse_coeff(table.p, part) for part in payload.split(",")]
-            if len(vals) != 6:
-                raise ParseError("affine factor needs 6 entries")
-            factor = AffineFactor(table, vals[:4], vals[4:])
-            if factor.det().is_zero():
-                raise BadParameters("affine factor %s is singular"
-                                    % factor.to_text())
-            factors.append(factor)
-        elif tag == "tri":
-            a, b, c, q = _block_fields(tag, payload, dict.fromkeys("abcq"), 3)
-            factors.append(TriangularFactor(
-                table, parse_coeff(table.p, a), parse_coeff(table.p, b),
-                parse_coeff(table.p, c),
-                _univariate(table, tag, payload, q, table.names[0])))
-        else:
-            raise ParseError("cannot mix word kinds in %r" % text)
-    return TameWord(table, factors)
-
-
-def _univariate(table, tag, payload, text, var):
-    """The polynomial text of a [tag: payload] block: a tri factor's q in
-    var alone, or an E1 or E2 argument g in var alone with g(0) = 0.  The
-    rule is plane's; the error names the block."""
-    from .plane import _check_univariate
-    f = parse_poly(table, text)
-    try:
-        if tag == "tri":
-            _check_univariate("q", f, var)
-        else:
-            _check_univariate("g", f, var, vanishes_at_0=True)
-    except BadParameters as err:
-        raise BadParameters("[%s: %s]: %s" % (tag, payload, err)) from None
-    return f
-
-
-def _block_fields(tag, payload, defaults, maxsplit=-1):
-    """The values of a block's key=value fields in the order of defaults; an
-    omitted key takes its default, and a default of None makes it needed."""
-    fields = dict(defaults)
-    for part in filter(None, payload.split(",", maxsplit)):
-        key, eq, value = part.partition("=")
-        if not eq or key.strip() not in fields:
-            raise ParseError("bad field %r in a [%s] block" % (part, tag))
-        fields[key.strip()] = value
-    if None in fields.values():
-        raise ParseError("a [%s] block needs %s" % (tag, ", ".join(fields)))
-    return fields.values()

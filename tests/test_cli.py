@@ -276,6 +276,10 @@ def test_unsupported_p_is_usage_error(capsys, argv):
      "ParseError: an [H0] block must come last (at position 0)"),
     (("parse", "word", "[E1: x2^2][H0: a=2][H0: u2=1]", "--p", "3"),
      "ParseError: an [H0] block must come last (at position 10)"),
+    (("parse", "word", "[aff: 1,0,0,1,0,0]", "--vars", "x1,x2,x3"),
+     "ParseError: a word needs two variables, got 3"),
+    (("parse", "word", "[E1: x2^2]", "--vars", "x1"),
+     "ParseError: a word needs two variables, got 1"),
 ])
 def test_construction_parameters_out_of_range_are_usage_errors(capsys, argv,
                                                                message):

@@ -48,10 +48,11 @@ def test_compose_associative():
 
 def test_order_examples():
     t = t2(2)
-    assert order_up_to(PolyMap(t, [t.parse("x1+1"), t.var("x2")])) == 2
+    assert order_up_to(PolyMap(t, [t.parse("x1+1"), t.var("x2")]), 4) == 2
     assert order_up_to(PolyMap(t, [t.parse("x1+1"),
-                                   t.parse("x2+x1^2+x1+1")])) == 2
-    assert order_up_to(PolyMap(t, [t.parse("x1+1"), t.parse("x2+x1")])) == 4
+                                   t.parse("x2+x1^2+x1+1")]), 4) == 2
+    assert order_up_to(PolyMap(t, [t.parse("x1+1"), t.parse("x2+x1")]),
+                       4) == 4
     # square really is (x1, x2+1)
     sq = compose(PolyMap(t, [t.parse("x1+1"), t.parse("x2+x1")]),
                  PolyMap(t, [t.parse("x1+1"), t.parse("x2+x1")]))

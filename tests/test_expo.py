@@ -113,7 +113,7 @@ def test_entry_points_reject_maps_not_of_order_p():
     # (x1+1, x2+x1) has order 4 over F_2; (x1+1, x2+x1^2) order 9 over F_3
     t = t2(2)
     order4 = PolyMap(t, [t.parse("x1+1"), t.parse("x2+x1")])
-    assert order_up_to(order4) == 4
+    assert order_up_to(order4, 4) == 4
     t3 = t2(3)
     order9 = PolyMap(t3, [t3.parse("x1+1"), t3.parse("x2+x1^2")])
     assert order_up_to(order9, 9) == 9

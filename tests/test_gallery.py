@@ -13,7 +13,7 @@ from charp_autos.gaction import GaAction, slice_action, slice_image
 from charp_autos.gallery import (StarReport, build_example_triangular,
                                  build_F_and_Fh, build_nonexp_family,
                                  build_rank3_family, build_rank_r_action,
-                                 epsilon_invariants)
+                                 epsilon_invariants, rank3_base)
 from charp_autos.poly import VarTable, is_polynomial_over
 from charp_autos.suites import SUITES, run_suite
 
@@ -458,7 +458,7 @@ def test_rank3_certified_identities_char2():
     Xi -> xi, S -> f^(l-1) g^(m-1) carries the generic identities to the
     concrete images."""
     for p, l, m in ((2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 1, 1)):
-        fam = build_rank3_family(p, l, m)
+        fam = build_rank3_family(rank3_base(p), l, m)
         t = fam.table
         # xi = g x2 exactly
         assert fam.xi == fam.g * t.var("x2")
@@ -472,9 +472,9 @@ def test_rank3_certified_identities_char2():
         lam = fam.f ** l * fam.g ** m * t.var("T")
         assert fam.f * e1 + e2 == fam.r_elt + lam
         # rescale consistency: (l,m) images are the (1,1) images at scaled T
-        base = build_rank3_family(p, 1, 1)
+        unit = build_rank3_family(rank3_base(p), 1, 1)
         scaled_T = {"T": fam.f ** (l - 1) * fam.g ** (m - 1) * t.var("T")}
-        assert [e.substitute(scaled_T) for e in _rank3_closed_forms(base)] \
+        assert [e.substitute(scaled_T) for e in _rank3_closed_forms(unit)] \
             == [e1, e2]
 
 
@@ -529,7 +529,7 @@ def test_rank3_projection_first_matches_the_expanded_numerator(p):
     """Each blocked member projects f, g and the variables before forming
     the residual; projecting the expanded numerator gives the same one."""
     for l, m in ((0, 0), (0, 1), (0, 2), (1, 0), (2, 0)):
-        fam = build_rank3_family(p, l, m)
+        fam = build_rank3_family(rank3_base(p), l, m)
         name, keep, n = _rank3_expanded_numerator(fam)
         residual = gallery._pi_map(n, keep)
         blocking = fam.report.checks[-1]
@@ -593,11 +593,11 @@ def test_rank3_corruption_fails_only_its_check(monkeypatch, p, attr, corrupt,
     """Each check of a member computes something that can fail: a
     corrupted input or library step makes that check, and only that one,
     report false."""
-    checks = build_rank3_family(p, *member).report.checks
+    checks = build_rank3_family(rank3_base(p), *member).report.checks
     assert [c.name for c in checks] == _RANK3_CHECKS[member]
     assert all(c.ok for c in checks)
     monkeypatch.setattr(gallery, attr, corrupt(getattr(gallery, attr)))
-    report = build_rank3_family(p, *member).report
+    report = build_rank3_family(rank3_base(p), *member).report
     assert [c.name for c in report.checks if not c.ok] == [check]
 
 
@@ -655,6 +655,18 @@ def test_rank3_xi_cases_check_xi_without_building_a_member(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("p", (2, 3))
+def test_rank3_member_reads_p_and_its_table_from_its_base(p):
+    """A member has one p, its base's: its table, f, g and checks are the
+    base's for every kind of member."""
+    base = rank3_base(p)
+    for l, m in ((1, 1), (1, 0), (2, 0), (0, 1)):
+        fam = build_rank3_family(base, l, m)
+        assert fam.p == fam.table.p == p
+        assert (fam.table, fam.f, fam.g) == (base.table, base.f, base.g)
+        assert fam.report.all_ok()
+
+
 def _record_calls(monkeypatch, *names):
     """Replace each named one-argument gallery function by one that logs
     its argument p and calls the original; return the logs by name."""
@@ -670,16 +682,16 @@ def _record_calls(monkeypatch, *names):
 def test_rank3_suite_proves_each_per_p_fact_once(monkeypatch):
     """A suite run makes one Rank3Base per p, which its xi case and its
     nine members share, and proves the generic identities once per p;
-    two direct builds of a member each make their own."""
-    calls = _record_calls(monkeypatch, "_rank3_xi", "_rank3_generic")
+    two members built on two bases each prove them on their own."""
+    calls = _record_calls(monkeypatch, "rank3_base", "_rank3_generic")
     result = run_suite("rank3")
     assert len(result.cases) == 20 and result.all_passed, result.to_text()
-    assert calls == {"_rank3_xi": [2, 3], "_rank3_generic": [2, 3]}
-    calls["_rank3_xi"].clear()
+    assert calls == {"rank3_base": [2, 3], "_rank3_generic": [2, 3]}
+    calls["rank3_base"].clear()
     calls["_rank3_generic"].clear()
-    assert build_rank3_family(3, 2, 2).report.all_ok()
-    assert build_rank3_family(3, 2, 2).report.all_ok()
-    assert calls == {"_rank3_xi": [3, 3], "_rank3_generic": [3, 3]}
+    assert build_rank3_family(gallery.rank3_base(3), 2, 2).report.all_ok()
+    assert build_rank3_family(gallery.rank3_base(3), 2, 2).report.all_ok()
+    assert calls == {"rank3_base": [3, 3], "_rank3_generic": [3, 3]}
 
 
 _RANK3_RESTRICTING = ["p%d-l%d-m%d" % (p, l, m)
@@ -707,7 +719,7 @@ def test_rank3_suite_retries_a_base_that_raised(monkeypatch):
     """The first case of a p to run makes its Rank3Base; if that raises,
     the case fails with the exception as its witness and the next case
     makes the base again."""
-    build = gallery._rank3_xi
+    build = gallery.rank3_base
     calls = []
 
     def flaky(p):
@@ -715,7 +727,7 @@ def test_rank3_suite_retries_a_base_that_raised(monkeypatch):
         if len(calls) == 1:
             raise NotDivisible("planted")
         return build(p)
-    monkeypatch.setattr(gallery, "_rank3_xi", flaky)
+    monkeypatch.setattr(gallery, "rank3_base", flaky)
     result = run_suite("rank3", p=2)
     failed = {c.name: c.detail for c in result.cases if not c.ok}
     assert failed == {"xi-p2": "NotDivisible: planted"}

@@ -2,7 +2,8 @@ import pytest
 
 from charp_autos.coeffs import Coeff
 from charp_autos.errors import (BadParameters, NotAutomorphism,
-                                NotInCentralizer, NotInWst)
+                                NotInCentralizer, NotInWst,
+                                WitnessNotCentralizing)
 from charp_autos.endo import PolyMap, compose, eps_map
 from charp_autos.plane import (AffineFactor, CentralizerWord,
                                TriangularFactor, TameWord,
@@ -24,7 +25,7 @@ def _rand_affine(lcg, t):
         a, b, c, d = (lcg.draw(p) for _ in range(4))
         if (a * d - b * c) % p:
             break
-    return AffineFactor(t, (a, b, c, d), (lcg.draw(p), lcg.draw(p))).to_map()
+    return AffineFactor(t, (a, b, c, d), (lcg.draw(p), lcg.draw(p)))
 
 
 def _rand_tri(lcg, t, max_deg=4):
@@ -36,7 +37,7 @@ def _rand_tri(lcg, t, max_deg=4):
         if cc:
             q = q + t.monomial(cc, x1=e)
     return TriangularFactor(t, lcg.draw_nonzero(p), lcg.draw_nonzero(p),
-                            lcg.draw(p), q).to_map()
+                            lcg.draw(p), q)
 
 
 def _rand_word(lcg, t, max_factors=6):
@@ -107,6 +108,28 @@ def test_factor_constructors_reject_inputs_outside_their_form(build,
     with pytest.raises(BadParameters) as err:
         build(t2(3))
     assert str(err.value) == message
+
+
+def test_factors_are_the_maps_of_their_images():
+    """A factor is a PolyMap equal to the map of its images, a TameWord
+    yields its factors themselves, and from_map hands a factor back as it
+    is but still refuses a map that is not affine."""
+    t = t2(3)
+    aff = AffineFactor(t, (1, 2, 0, 1), (1, 0))
+    tri = TriangularFactor(t, 2, 1, 1, t.parse("x1^2"))
+    assert isinstance(aff, PolyMap) and isinstance(tri, PolyMap)
+    assert aff == PolyMap(t, [t.parse("x1 + 2*x2 + 1"), t.var("x2")])
+    assert tri == PolyMap(t, [t.parse("2*x1 + 1"), t.parse("x2 + x1^2")])
+    word = TameWord(t, [aff, tri])
+    assert list(map(id, word)) == [id(aff), id(tri)]
+    assert recompose(word) == compose(aff, tri)
+    assert AffineFactor.from_map(aff) is aff
+    rebuilt = AffineFactor.from_map(PolyMap(t, aff.images))
+    assert (rebuilt.mat, rebuilt.shift) == (aff.mat, aff.shift)
+    with pytest.raises(NotAutomorphism):
+        AffineFactor.from_map(tri)
+    assert not aff.is_identity()
+    assert AffineFactor(t, (1, 0, 0, 1), (0, 0)).is_identity()
 
 
 def test_recompose_empty_word_is_identity():
@@ -201,7 +224,7 @@ def test_decompose_each_proof_case_fires():
 def test_swap_led_words_decompose_back_exactly(monkeypatch, tval, text):
     """Case (b) gives back the very word, and the swap case is reached."""
     from charp_autos import plane
-    from charp_autos.textio import parse_word
+    from charp_autos.plane import parse_word
     t = t2(3)
     calls = []
     original = plane._strip_swap_case
@@ -358,3 +381,22 @@ def test_fpf_witness_verdicts_cross_checked():
                       for g in psi_inv.images]
         images = [psi.apply(g) for g in translated]
         assert list(res["action"].images) == images
+
+
+def test_fpf_witness_check_refuses_a_psi_outside_H_f(monkeypatch):
+    """With E2 built as (x1, x2 + g(x1^p)), psi no longer commutes with
+    the translation, so E_1 of the slice action through it is not
+    (x1 + f, x2) and the check raises; the true E2 passes."""
+    t = t2(3)
+    word = CentralizerWord(t, 2, [("E2", t.parse("x1^2"))])
+    assert fpf_witness_check(word)["restricts"]
+    gen_map = CentralizerWord.gen_map
+
+    def frobenius_e2(self, kind, g):
+        if kind != "E2":
+            return gen_map(self, kind, g)
+        return PolyMap(t, [t.var("x1"),
+                           t.var("x2") + g.substitute({"x1": t.var("x1", 3)})])
+    monkeypatch.setattr(CentralizerWord, "gen_map", frobenius_e2)
+    with pytest.raises(WitnessNotCentralizing):
+        fpf_witness_check(word)

@@ -75,8 +75,7 @@ def test_action_text():
 
 
 def test_word_serialization():
-    from charp_autos.plane import CentralizerWord, recompose
-    from charp_autos.textio import parse_word
+    from charp_autos.plane import CentralizerWord, parse_word, recompose
     t = VarTable(3, ("x1", "x2"))
     word = CentralizerWord(t, 1, [("E1", t.parse("x1^3")),
                                   ("E2", t.parse("x1^2"))])
@@ -87,15 +86,14 @@ def test_word_serialization():
 
 
 def test_omitted_h0_fields_take_the_identity_values():
-    from charp_autos.textio import parse_word
+    from charp_autos.plane import parse_word
     t = VarTable(3, ("x1", "x2"))
     assert parse_word(t, "[H0]").to_text() == "[H0: a=1,u1=0,u2=0]"
     assert parse_word(t, "[H0: u2=2]").to_text() == "[H0: a=1,u1=0,u2=2]"
 
 
 def test_tame_word_round_trip():
-    from charp_autos.plane import jvdk_factor, recompose
-    from charp_autos.textio import parse_word
+    from charp_autos.plane import jvdk_factor, parse_word, recompose
     t = VarTable(2, ("x1", "x2"))
     phi = parse_map(t, "(x1 + x2^2 + 1, x1 + x2^2 + x2)")
     word = jvdk_factor(phi)
