@@ -1,4 +1,5 @@
-"""Endomorphisms of R[x1..xn] given by generator images.
+"""Endomorphisms of R[x1..xn] given by generator images, and their
+restriction to R = F_p[u].
 
 Two-line convention throughout: a PolyMap (g1,..,gn) sends xi to gi, and
 compose(phi, psi) has images (phi(g1),..,phi(gn)), i.e. it realizes the
@@ -7,6 +8,7 @@ product phi*psi of the paper-style word.
 
 from .coeffs import Coeff
 from .errors import NotStructured
+from .poly import is_polynomial_over
 # Unused here; perfbench/selftest.py checks that its tracer replaces this
 # binding of exact_div along with the ones in poly and gallery.
 from .poly import exact_div  # noqa: F401
@@ -42,6 +44,17 @@ class PolyMap:
     def apply(self, f):
         """The ring homomorphism applied to an arbitrary polynomial."""
         return f.substitute(self.assignment())
+
+    def restricts_to(self):
+        """(ok, witness): do all images lie over R = F_p[u]?  The witness
+        of a failure is (name, (exponents, coeff)): the first generator
+        whose image has a coefficient outside R, and its graded-lex least
+        such term."""
+        for name, g in zip(self.table.names, self.images):
+            ok, bad = is_polynomial_over(g)
+            if not ok:
+                return False, (name, bad)
+        return True, None
 
     def is_identity(self):
         return all(g == self.table.var(n)

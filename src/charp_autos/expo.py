@@ -27,7 +27,8 @@ The identities are asserted here, by raising InternalIntegralityFailure:
   does not divide i).  That path first raises NonIntegralCoefficient for a
   sigma with a coefficient outside F_p[u], which is bad input, not a bug;
 - exponentialize_field_n3: E_1 = sigma (and, on the path delegated to
-  n = 2, the images demoted from F_p[u] lie in F_p[x1]);
+  n = 2, the delegated action restricts to F_p[u], so that renaming u
+  back to x1 gives images in F_p[x1, x2, x3, T]);
 - theta_of: sigma_from_theta(a, theta) is sigma, so a result computed for
   another map is rejected;
 - sigma_from_theta: theta lies in sum_{p∤i} R x1^i (else BadThetaSupport)
@@ -38,8 +39,7 @@ from .coeffs import Coeff
 from .errors import (BadThetaSupport, InternalIntegralityFailure,
                      NonIntegralCoefficient, NotOrderP, NotTriangular,
                      NonUnitTranslation, UnsupportedField)
-from .poly import (MultiPoly, VarTable, _accumulate, express_in_invariant,
-                   is_polynomial_over)
+from .poly import MultiPoly, VarTable, _accumulate, express_in_invariant
 from .endo import PolyMap, classify, compose, eps_map
 from .gaction import GaAction, SliceData, slice_action
 
@@ -165,11 +165,10 @@ def _exponentialize_n2(sigma):
             table, [table.var(x1), table.var(x2) + b * table.var("T")]))
 
     # the restriction to R asserted below holds only for sigma over R
-    for g in sigma.images:
-        ok, bad = is_polynomial_over(g)
-        if not ok:
-            raise NonIntegralCoefficient("coefficient %s of sigma is not in "
-                                         "F_p[u]" % (bad[1],))
+    ok, witness = sigma.restricts_to()
+    if not ok:
+        raise NonIntegralCoefficient("coefficient %s of sigma is not in "
+                                     "F_p[u]" % (witness[1][1],))
     phi = _averaged_conjugator(sigma, a, _order_p_powers(sigma))
     f = phi.images[1] - table.var(x2)
     _, f_red = express_in_invariant(f, x1, a)
@@ -216,10 +215,8 @@ def sigma_from_theta(a, theta):
     shifted = theta.substitute({x1: table.var(x1) + table.const(a)})
     second = table.var(x2) + (theta - shifted).scale(a.inv())
     sigma = PolyMap(table, [table.var(x1) + table.const(a), second])
-    for g in sigma.images:
-        for c in g.terms.values():
-            if not c.is_integral():
-                raise InternalIntegralityFailure("sigma image escapes R")
+    if not sigma.restricts_to()[0]:
+        raise InternalIntegralityFailure("sigma image escapes R")
     return sigma
 
 
@@ -254,8 +251,9 @@ def exponentialize_field_n3(sigma):
             raise InternalIntegralityFailure("E_1 differs from sigma")
         return action
 
-    # rename x1 -> u, run the n = 2 construction over F_p[u] and rename its
-    # action back; small's exponent slots are table's without the first, x1
+    # rename x1 -> u, run the n = 2 construction over F_p[u] and, as its
+    # action restricts to F_p[u], rename it back; small's exponent slots are
+    # table's without the first, x1
     small = VarTable(p, (x2, x3))
     u = Coeff.u(p)
 
@@ -266,15 +264,15 @@ def exponentialize_field_n3(sigma):
 
     def demote(f):
         out = {}
-        for e, c in f.terms.items():
-            if not c.is_integral():
-                raise InternalIntegralityFailure("delegated image escapes R")
-            _accumulate(out, (((k,) + e, Coeff.from_int(p, n))
-                              for k, n in enumerate(c.num) if n))
+        _accumulate(out, (((k,) + e, Coeff.from_int(p, n))
+                          for e, c in f.terms.items()
+                          for k, n in enumerate(c.num) if n))
         return MultiPoly(table, out)
 
     sub_sigma = PolyMap(small, [promote(sigma.images[1]), promote(sigma.images[2])])
     sub = _exponentialize_n2(sub_sigma)
+    if not sub.action.restricts_to()[0]:
+        raise InternalIntegralityFailure("delegated image escapes R")
     images = [table.var(x1)] + [demote(e) for e in sub.action.images]
     action = GaAction(table, images)
     if action.evaluate(1) != sigma:

@@ -1,7 +1,8 @@
 """G_a-actions as coactions B -> B[T].
 
-A GaAction stores the generator images e_i in B[T].  Construction verifies
-(A1): substituting T = 0 gives back the generators, and (A2):
+A GaAction is a PolyMap whose generator images e_i lie in B[T].  It has
+its own constructor, as PolyMap's refuses images that involve T, and that
+verifies (A1): substituting T = 0 gives back the generators, and (A2):
 E(x; S+T) = E(E(x; S); T) for every generator x, i.e. e_i under T -> S+T
 equals e_i with the generators replaced by their S-images.  Checking (A2) on
 generators suffices because both sides are ring homomorphisms.  A slice
@@ -18,7 +19,7 @@ tuple there is the caller's with one more slot, for S, just before T.
 from .coeffs import Coeff
 from .errors import (AdditivityViolation, AxiomViolation,
                      NotInvariantGenerator, NotInvariantParameter)
-from .poly import MultiPoly, VarTable, is_polynomial_over, linear_span_dim
+from .poly import MultiPoly, VarTable, linear_span_dim
 from .endo import PolyMap, compose, invert_structured
 
 
@@ -57,8 +58,10 @@ def check_axioms(table, images):
     return {"A1": True, "A2": True, "witness": None}
 
 
-class GaAction:
-    __slots__ = ("table", "images")
+class GaAction(PolyMap):
+    """A PolyMap whose images may involve T, checked for the axioms."""
+
+    __slots__ = ()
 
     def __init__(self, table, images, _checked=False):
         images = tuple(images)
@@ -75,13 +78,6 @@ class GaAction:
                 raise AxiomViolation("axiom %s fails at generator %s" % (
                     "A1" if not report["A1"] else "A2", report["witness"]))
 
-    def assignment(self):
-        return dict(zip(self.table.names, self.images))
-
-    def apply(self, f):
-        """E(f) in B[T]."""
-        return f.substitute(self.assignment())
-
     def is_invariant(self, h):
         if h.uses_var("T"):
             raise ValueError("invariants live in B, not B[T]")
@@ -94,25 +90,6 @@ class GaAction:
         if not self.is_invariant(alpha):
             raise NotInvariantParameter("parameter %s is not invariant" % alpha)
         return PolyMap(self.table, [e.subs_T(alpha) for e in self.images])
-
-    def restricts_to(self):
-        """(bool, witness): do all images lie in R[x1..xn, T], R = F_p[u]?"""
-        for name, e in zip(self.table.names, self.images):
-            ok, bad = is_polynomial_over(e)
-            if not ok:
-                return False, (name, bad)
-        return True, None
-
-    def __eq__(self, other):
-        if not isinstance(other, GaAction):
-            return NotImplemented
-        return self.table == other.table and self.images == other.images
-
-    def __str__(self):
-        from .textio import map_to_str
-        return map_to_str(self)
-
-    __repr__ = __str__
 
 
 def additivity_check(lam):

@@ -222,9 +222,13 @@ def _block_fields(tag, payload, defaults, maxsplit=-1):
 
 
 def recompose(word):
-    """Left-to-right product of the maps of a TameWord or CentralizerWord."""
-    out = PolyMap.identity(word.table)
-    for f in word:
+    """Left-to-right product of the maps of a TameWord or CentralizerWord,
+    from its first factor on; the identity for an empty word."""
+    factors = iter(word)
+    out = next(factors, None)
+    if out is None:
+        return PolyMap.identity(word.table)
+    for f in factors:
         out = compose(out, f)
     return out
 
@@ -582,7 +586,7 @@ def fixed_point_elem_centralizer(phi, f):
 def fpf_witness_check(psi_word):
     """Theorem criterion for a fixed point free tau = (x1 + f, x2), f in k*:
     the slice action through psi in H(f), with f = psi_word.t, evaluates to
-    tau at 1; the verdict is whether it restricts to R = F_p[u]."""
+    tau at 1.  Returns that action; the verdict is its restricts_to()."""
     table = psi_word.table
     f = psi_word.t
     psi_map = recompose(psi_word)
@@ -591,5 +595,4 @@ def fpf_witness_check(psi_word):
     action = slice_action(SliceData(psi_map, lam, psi_inv))
     if action.evaluate(1) != eps_map(table, f):
         raise WitnessNotCentralizing("E_1 differs from the translation")
-    ok, witness = action.restricts_to()
-    return {"restricts": ok, "witness": witness, "action": action}
+    return action

@@ -115,7 +115,7 @@ def _sample_strict_triangular(lcg, table, maxdeg=3):
 def _sample_tame_word(lcg, table, max_factors=6, max_deg=4):
     p = table.p
     x1 = table.names[0]
-    phi = PolyMap.identity(table)
+    factors = []
     nfac = 1 + lcg.draw(max_factors)
     for k in range(nfac):
         if k % 2 == 0:
@@ -135,8 +135,8 @@ def _sample_tame_word(lcg, table, max_factors=6, max_deg=4):
             factor = plane.TriangularFactor(
                 table, lcg.draw_nonzero(p), lcg.draw_nonzero(p),
                 lcg.draw(p), q)
-        phi = compose(phi, factor)
-    return phi
+        factors.append(factor)
+    return plane.recompose(plane.TameWord(table, factors))
 
 
 def _sample_h_gen(lcg, table):
@@ -209,7 +209,7 @@ def _suite_axioms(params):
         def fpf_action(p=p):
             table = VarTable(p, ("x1", "x2"))
             word = plane.CentralizerWord(table, 1, [("E1", table.var("x1") ** 2)])
-            return plane.fpf_witness_check(word)["action"]
+            return plane.fpf_witness_check(word)
         action_case("plane-fpf-p%d" % p, fpf_action)
 
         def counter_action(p=p):
@@ -604,20 +604,18 @@ def _suite_fixed_point(params):
     def fpf_cases(e1=e1, e2=e2):
         fval = Coeff.from_int(p, 1)
         idw = plane.CentralizerWord(table, fval, [])
-        r0 = plane.fpf_witness_check(idw)
-        if not r0["restricts"]:
+        if not plane.fpf_witness_check(idw).restricts_to()[0]:
             return False, "identity witness should restrict"
         g_int = table.var("x1") ** e1
         w1 = plane.CentralizerWord(table, fval, [("E1", g_int)])
-        r1 = plane.fpf_witness_check(w1)
-        if not r1["restricts"]:
+        if not plane.fpf_witness_check(w1).restricts_to()[0]:
             return False, "integral word should restrict"
         g_frac = table.monomial(Coeff.u(p).inv(), x1=e2)
         w2 = plane.CentralizerWord(table, fval, [("E2", g_frac)])
-        r2 = plane.fpf_witness_check(w2)
-        if r2["restricts"] or r2["witness"] is None:
+        ok, witness = plane.fpf_witness_check(w2).restricts_to()
+        if ok:
             return False, "fractional word must fail with a witness"
-        return True, "witness in %s" % r2["witness"][0]
+        return True, "witness in %s" % witness[0]
     cases.append(("fpf-witness", fpf_cases))
     return cases
 

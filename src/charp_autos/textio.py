@@ -20,7 +20,7 @@ from .coeffs import Coeff
 from .errors import ParseError
 from .poly import VarTable
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|(\^|\*|\+|-|/|\(|\)|,|=|\[|\]|:))")
+_TOKEN = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9_]*)|(\^|\*|\+|-|/|\(|\)|,)")
 
 
 def tokenize(text):
@@ -32,7 +32,7 @@ def tokenize(text):
         if pos == len(text):
             break
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
+        if not m:
             raise ParseError("unexpected character %r" % text[pos], pos)
         if m.group(1) is not None:
             tokens.append(("int", int(m.group(1)), pos))
@@ -189,7 +189,7 @@ def poly_to_str(f):
 
 
 def map_to_str(pmap):
-    """A PolyMap or a GaAction as its image list "(g1, .., gn)"."""
+    """A PolyMap, a GaAction included, as its image list "(g1, .., gn)"."""
     return "(%s)" % ", ".join(poly_to_str(g) for g in pmap.images)
 
 
@@ -217,7 +217,10 @@ def _parse_image_list(table, text):
 
 def parse_map(table, text):
     from .endo import PolyMap
-    return PolyMap(table, _parse_image_list(table, text))
+    images = _parse_image_list(table, text)
+    if any(g.uses_var("T") for g in images):
+        raise ParseError("map images may not involve T")
+    return PolyMap(table, images)
 
 
 def parse_action(table, text):

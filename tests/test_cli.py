@@ -280,6 +280,15 @@ def test_unsupported_p_is_usage_error(capsys, argv):
      "ParseError: a word needs two variables, got 3"),
     (("parse", "word", "[E1: x2^2]", "--vars", "x1"),
      "ParseError: a word needs two variables, got 1"),
+    (("expo", "(x1+T, x2)"), "ParseError: map images may not involve T"),
+    (("plane", "factor", "(x1+T, x2)"),
+     "ParseError: map images may not involve T"),
+    (("parse", "map", "(x1+T, x2)"),
+     "ParseError: map images may not involve T"),
+    (("parse", "poly", "x1 = 2"),
+     "ParseError: unexpected character '=' (at position 3)"),
+    (("parse", "poly", "x1[2]"),
+     "ParseError: unexpected character '[' (at position 2)"),
 ])
 def test_construction_parameters_out_of_range_are_usage_errors(capsys, argv,
                                                                message):

@@ -57,6 +57,18 @@ def _evaluate_at(value):
     return corrupt
 
 
+def _fails_when_using(var, not_using=None):
+    """is_polynomial_over reporting (False, None) for an argument that
+    involves var (and not not_using), and the truth otherwise."""
+    def corrupt(is_polynomial_over):
+        def check(f):
+            if f.uses_var(var) and not (not_using and f.uses_var(not_using)):
+                return False, None
+            return is_polynomial_over(f)
+        return check
+    return corrupt
+
+
 _TRIANGULAR_CHECKS = ["mu_good_form", "E_x2_integral",
                       "E_x3_residual_integral", "E1_restricts", "E1_order_p",
                       "E_not_restricts"]
@@ -70,13 +82,22 @@ _TRIANGULAR_CHECKS = ["mu_good_form", "E_x2_integral",
     (GaAction, "evaluate", _evaluate_at(lambda p: 0), "E1_order_p"),
     # E_(1/u) has order p, but u^(p-1) x1 T^p in E(x2) gives it a 1/u
     (GaAction, "evaluate", _evaluate_at(lambda p: Coeff.u(p, -1)),
-     "E1_restricts")],
-    ids=["order-none", "at-0", "at-1/u"])
+     "E1_restricts"),
+    # gallery's own binding reads only E(x2) and the E(x3) residual, and
+    # of these only the residual involves x3
+    (gallery, "is_polynomial_over", _fails_when_using("x3"),
+     "E_x3_residual_integral"),
+    (gallery, "is_polynomial_over", _fails_when_using("x2", not_using="x3"),
+     "E_x2_integral"),
+    (PolyMap, "restricts_to", lambda real: lambda pmap: (True, None),
+     "E_not_restricts")],
+    ids=["order-none", "at-0", "at-1/u", "residual-x3", "image-x2",
+         "restricts"])
 def test_triangular_corruption_fails_only_its_check(monkeypatch, p, owner,
                                                     attr, corrupt, check):
-    """E1_order_p and E1_restricts each compute something that can fail: a
-    corrupted library step makes that check, and only that one, report
-    false."""
+    """Each of build_example_triangular's checks but mu_good_form computes
+    something that can fail: a corrupted library step makes that check,
+    and only that one, report false."""
     checks = build_example_triangular(p).report.checks
     assert [c.name for c in checks] == _TRIANGULAR_CHECKS
     assert all(c.ok for c in checks)

@@ -137,6 +137,36 @@ def test_recompose_empty_word_is_identity():
     assert recompose(TameWord(t, [])).is_identity()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_recompose_starts_from_the_first_factor(monkeypatch, k):
+    """A word of k factors costs k - 1 compositions, none of them with the
+    identity, and its product still reads left to right.  A centralizer
+    word of k - 1 generators has k factors, its H0 factor last."""
+    from charp_autos import plane
+    t = t2(3)
+    lcg = Lcg(11 + k)
+    tame = TameWord(t, [_rand_affine(lcg, t) if i % 2 == 0
+                        else TriangularFactor(t, 1, 2, 1, t.parse("x1^2"))
+                        for i in range(k)])
+    centralizer = CentralizerWord(
+        t, 1, [("E1", t.var("x1") ** (i + 2)) for i in range(k - 1)],
+        (2, 1, 0))
+    for word in (tame, centralizer):
+        expected = PolyMap.identity(t)
+        for f in word:
+            expected = compose(expected, f)
+        calls = []
+
+        def counting(phi, psi):
+            calls.append(phi)
+            return compose(phi, psi)
+        monkeypatch.setattr(plane, "compose", counting)
+        assert recompose(word) == expected
+        monkeypatch.undo()
+        assert len(calls) == k - 1
+        assert not any(phi.is_identity() for phi in calls)
+
+
 def test_membership():
     p = 3
     t = t2(p)
@@ -352,13 +382,14 @@ def test_fpf_witness_identity_and_transport():
     p = 2
     t = t2(p)
     fval = Coeff.from_int(p, 1)
-    res = fpf_witness_check(CentralizerWord(t, fval, []))
-    assert res["restricts"] and res["action"].images[0] == t.parse("x1 + T")
+    action = fpf_witness_check(CentralizerWord(t, fval, []))
+    assert action.restricts_to()[0]
+    assert action.images[0] == t.parse("x1 + T")
     # psi = [E1(x2^2)]: the slice transports to E(x2) = x2, E(x1) = x1 + f T
     word = CentralizerWord(t, fval, [("E1", t.var("x1") ** 2)])
-    res = fpf_witness_check(word)
-    assert res["action"].images[0] == t.parse("x1 + T")
-    assert res["action"].images[1] == t.var("x2")
+    action = fpf_witness_check(word)
+    assert action.images[0] == t.parse("x1 + T")
+    assert action.images[1] == t.var("x2")
 
 
 def test_fpf_witness_verdicts_cross_checked():
@@ -369,10 +400,11 @@ def test_fpf_witness_verdicts_cross_checked():
     for gens, expected in [([("E2", t.var("x1") ** 2)], True),
                            ([("E2", t.var("x1").scale(u.inv()))], False)]:
         word = CentralizerWord(t, fval, gens)
-        res = fpf_witness_check(word)
-        assert res["restricts"] is expected
+        action = fpf_witness_check(word)
+        ok, witness = action.restricts_to()
+        assert ok is expected
         if not expected:
-            assert res["witness"] is not None
+            assert witness is not None
         # independent route: conjugate the translation action by the word
         psi = recompose(word)
         psi_inv = word.inverse_map()
@@ -380,7 +412,7 @@ def test_fpf_witness_verdicts_cross_checked():
                                     + t.var("T").scale(fval)})
                       for g in psi_inv.images]
         images = [psi.apply(g) for g in translated]
-        assert list(res["action"].images) == images
+        assert list(action.images) == images
 
 
 def test_fpf_witness_check_refuses_a_psi_outside_H_f(monkeypatch):
@@ -389,7 +421,7 @@ def test_fpf_witness_check_refuses_a_psi_outside_H_f(monkeypatch):
     (x1 + f, x2) and the check raises; the true E2 passes."""
     t = t2(3)
     word = CentralizerWord(t, 2, [("E2", t.parse("x1^2"))])
-    assert fpf_witness_check(word)["restricts"]
+    assert fpf_witness_check(word).restricts_to()[0]
     gen_map = CentralizerWord.gen_map
 
     def frobenius_e2(self, kind, g):

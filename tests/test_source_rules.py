@@ -21,6 +21,9 @@
 - No call of `_canonical` or `object.__new__(Coeff)` outside coeffs.py:
   both build a Coeff without reducing it, so only the module that owns the
   num/den representation may vouch that a fraction is canonical.
+- No class outside endo.py defines `assignment`, `apply` or
+  `restricts_to`: a map's images are read, applied and tested over R in
+  one place, PolyMap, which GaAction and the word factors subclass.
 - No call passes `_checked=` outside `gaction.slice_action`: that keyword
   skips the axiom check of a GaAction, and slice_action is the one place
   that has just proved the axioms of the action it builds.
@@ -185,6 +188,25 @@ def _unchecked_actions(path):
             if (isinstance(node, ast.Call)
                     and any(k.arg == "_checked" for k in node.keywords)):
                 yield "%s:%d: passes _checked" % (path.name, node.lineno)
+
+
+IMAGE_RECORD_METHODS = ("assignment", "apply", "restricts_to")
+
+
+def _image_record_methods(path):
+    """Methods named in IMAGE_RECORD_METHODS, of any class outside
+    endo.py."""
+    if path.name == "endo.py":
+        return
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if (isinstance(item, ast.FunctionDef)
+                    and item.name in IMAGE_RECORD_METHODS):
+                yield "%s:%d: %s defines %s" % (path.name, item.lineno,
+                                                node.name, item.name)
 
 
 def _assertion_raises(path):
@@ -433,6 +455,30 @@ def test_unchecked_action_rule_catches_planted_calls(tmp_path):
         tmp_path / "gaction.py")] == ["5", "9", "11"]
     assert [v.split(":")[1] for v in _unchecked_actions(
         tmp_path / "planted.py")] == ["2", "5", "9", "11"]
+
+
+def test_only_polymap_reads_and_restricts_images():
+    endo_py = next(p for p in SOURCES if p.name == "endo.py")
+    assert all("def %s(" % name in endo_py.read_text()
+               for name in IMAGE_RECORD_METHODS)
+    assert [v for path in SOURCES for v in _image_record_methods(path)] == []
+
+
+def test_image_record_rule_catches_planted_methods(tmp_path):
+    source = ("class Action(PolyMap):\n"
+              "    def apply(self, f):\n        return f\n"
+              "    def restricts_to(self):\n        return True, None\n"
+              "    def evaluate(self, alpha):\n        return alpha\n"
+              "def assignment(pmap):\n    return {}\n"
+              "class Outer:\n    class Inner:\n"
+              "        def assignment(self):\n            return {}\n")
+    (tmp_path / "planted.py").write_text(source)
+    (tmp_path / "endo.py").write_text(source)
+    assert [v.split(":", 1)[1] for v in _image_record_methods(
+        tmp_path / "planted.py")] == ["2: Action defines apply",
+                                      "4: Action defines restricts_to",
+                                      "12: Inner defines assignment"]
+    assert list(_image_record_methods(tmp_path / "endo.py")) == []
 
 
 def test_library_raises_no_assertion_error():
