@@ -437,6 +437,58 @@ def test_rank_r_reports_a_delta_outside_the_coset(monkeypatch):
     assert all(checks.values()), checks
 
 
+def _frobenius_parameter(ga_action):
+    """GaAction with T sent to T^p in every image: still an action (T^p is
+    additive), with the same invariants and, as 1^p = 1, the same E_1, but
+    it moves g1 = xn x1 + xr^p by xn T^p instead of xn T."""
+    def corrupt(table, images):
+        t_to_tp = {"T": table.var("T", table.p)}
+        return ga_action(table, [g.substitute(t_to_tp) for g in images])
+    return corrupt
+
+
+def _g1_power_plus_one(power):
+    """MultiPoly.__pow__ with 1 added to the powers of g1 = xn x1 + xr^p,
+    the one two-term base with the term xn x1: the chain g1^p - xn^(p-1) g1
+    and so every g_i, i >= 2, gain the invariant constant 1, which moves
+    their images at xn = 0 and no linear part."""
+    def corrupt(f, e):
+        out = power(f, e)
+        last = f.table.names[-1]
+        if len(f.terms) == 2 and f.coeff_of(x1=1, **{last: 1}) == 1:
+            out = out + 1
+        return out
+    return corrupt
+
+
+_RANK_R_CHECKS = ["fixes_chain", "condition_c_cosets", "E1_is_translation",
+                  "invariant_generators", "xn_zero_images",
+                  "rank_certificate"]
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("n,r", [(3, 2), (4, 3)])
+@pytest.mark.parametrize("owner,attr,corrupt,check", [
+    (gallery, "GaAction", _frobenius_parameter, "fixes_chain"),
+    # E_0 is the identity, not the translation by 1
+    (GaAction, "evaluate", _evaluate_at(lambda p: 0), "E1_is_translation"),
+    (poly.MultiPoly, "__pow__", _g1_power_plus_one, "xn_zero_images")],
+    ids=["T-to-Tp", "at-0", "g1-power-plus-1"])
+def test_rank_r_corruption_fails_only_its_check(monkeypatch, p, n, r, owner,
+                                                attr, corrupt, check):
+    """Each of these checks of build_rank_r_action computes something that
+    can fail: a perturbed action or a corrupted library step makes that
+    check, and only that one, report false.  g1 ** p goes through the
+    memo of powers of the builder's table, and each build makes its own
+    table, so no power of the honest build reaches the corrupted one."""
+    checks = build_rank_r_action(n, r, p).report.checks
+    assert [c.name for c in checks] == _RANK_R_CHECKS
+    assert all(c.ok for c in checks)
+    monkeypatch.setattr(owner, attr, corrupt(getattr(owner, attr)))
+    report = build_rank_r_action(n, r, p).report
+    assert [c.name for c in report.checks if not c.ok] == [check]
+
+
 def test_rank_r_bad_parameters():
     with pytest.raises(BadParameters):
         build_rank_r_action(3, 3, 2)

@@ -1,12 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charp_autos.coeffs import Coeff
 from charp_autos.errors import (NegativeExponent, NonIntegralCoefficient,
                                 NotDivisible, ZeroPolynomial)
 from charp_autos.endo import PolyMap
 from charp_autos.gaction import GaAction
-from charp_autos.poly import (_PACK_MIN_PRODUCTS, MultiPoly, VarTable,
-                              content_primitive, exact_div,
+from charp_autos.poly import (_PACK_MIN_PRODUCTS, _POW_MEMO_MAX, MultiPoly,
+                              VarTable, content_primitive, exact_div,
                               express_in_invariant, is_polynomial_over,
                               linear_span_dim)
 from charp_autos.seeds import Lcg
@@ -285,6 +286,73 @@ def test_pow_matches_repeated_multiplication():
     for k in range(1, 8):
         acc = acc * f
         assert f ** k == acc
+
+
+@st.composite
+def _two_term_bases(draw):
+    """A polynomial of two terms in a fresh table over x, y (and T), p in
+    {2, 3, 5}: coefficients in F_p, in F_p[u, 1/u], or in F_p(u) with the
+    first one over u + 1."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    ring = draw(st.sampled_from(("F_p", "F_p[u, 1/u]", "F_p(u)")))
+    exps = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                   st.integers(0, 1)),
+                         min_size=2, max_size=2, unique=True))
+    terms = {}
+    for e in exps:
+        c = Coeff.from_int(p, draw(st.integers(1, p - 1)))
+        if ring != "F_p":
+            c = c * Coeff.u(p, draw(st.integers(-2, 2)))
+        if ring == "F_p(u)" and not terms:
+            c = c / Coeff(p, (1, 1))
+        terms[e] = c
+    return MultiPoly(VarTable(p, ("x", "y")), terms)
+
+
+@given(_two_term_bases(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_two_term_powers_are_memoized_per_table(f, data):
+    """f ** e is e copies of f multiplied together, on the call that fills
+    its table's memo and on the calls that read it.  An equal base in a
+    fresh object gets the memoized terms; a separately built equal table
+    shares none of them.  Powers below 2 cost nothing and are not kept."""
+    t = f.table
+    e = data.draw(st.integers(0, 2 * t.p * t.p + 1), label="e")
+    product = t.one()
+    for _ in range(e):
+        product = product * f
+    assert t._pow_memo == {}
+    first = f ** e
+    assert first == product
+    assert len(t._pow_memo) == (e >= 2)
+    assert f ** e == product
+    again = MultiPoly(t, dict(f.terms)) ** e
+    assert again == product
+    assert (again.terms is first.terms) == (e >= 2)
+    other = VarTable(t.p, t.names)
+    assert other == t and other._pow_memo == {}
+    apart = MultiPoly(other, dict(f.terms)) ** e
+    assert apart == product and apart.table is other
+    assert apart.terms is not first.terms
+    assert len(other._pow_memo) == len(t._pow_memo) == (e >= 2)
+    assert f ** (e + 1) == product * f
+
+
+def test_pow_memo_keeps_two_term_powers_up_to_its_bound():
+    """Only two-term bases are memoized.  The power that would take a
+    table's memo past _POW_MEMO_MAX entries clears it first, and every
+    power, a cleared one included, stays correct."""
+    t = table2(3)
+    x, y = t.var("x"), t.var("y")
+    assert x ** 5 == t.var("x", 5)
+    assert (x + y + 1) ** 3 == t.parse("x^3 + y^3 + 1")
+    assert t._pow_memo == {}
+    for k in range(1, _POW_MEMO_MAX + 2):
+        yk = t.var("y", k)
+        assert (x + yk) ** 2 == x * x + (x * yk).scale(2) + yk * yk
+        assert len(t._pow_memo) == (k if k <= _POW_MEMO_MAX else 1)
+    assert (x + y) ** 2 == t.parse("x^2 + 2*x*y + y^2")
+    assert len(t._pow_memo) == 2
 
 
 def test_only_products_that_may_pack_scan_their_coefficients(monkeypatch):

@@ -16,8 +16,13 @@
   `pop`, `popitem`, `update`, `clear` or `setdefault` call, and no
   augmented assignment to `.terms` itself.  A polynomial is read by
   everything built on it, such as the rank3 members sharing one per-p
-  record, which is safe only while no MultiPoly changes once built.  A
-  write through another name for the dict is not seen.
+  record, and a table's memo of two-term powers hands one term dict to
+  every power of an equal base, which is safe only while no MultiPoly
+  changes once built.  A write through another name for the dict is not
+  seen.
+- No `._pow_memo` attribute outside poly.py: MultiPoly.__pow__ alone
+  fills and reads a table's memo of powers, so every entry is a power it
+  computed for that key.  A use through getattr is not seen.
 - No call of `_canonical` or `object.__new__(Coeff)` outside coeffs.py:
   both build a Coeff without reducing it, so only the module that owns the
   num/den representation may vouch that a fraction is canonical.
@@ -153,6 +158,14 @@ def _terms_writes(path):
                         path.name, sub.lineno,
                         "deletes from" if isinstance(node, ast.Delete)
                         else "writes into")
+
+
+def _pow_memo_uses(path):
+    """Reads and writes of a `_pow_memo` attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_pow_memo":
+            yield "%s:%d: uses ._pow_memo" % (path.name, node.lineno)
 
 
 def _unreduced_coeffs(path):
@@ -410,6 +423,23 @@ def test_terms_write_rule_catches_planted_writes(tmp_path):
         "calls .terms.clear", "calls .terms.setdefault",
         "calls .terms.popitem", "updates .terms", "writes into .terms"],
         start=1))
+
+
+def test_only_poly_uses_the_pow_memo():
+    poly_py = next(p for p in SOURCES if p.name == "poly.py")
+    assert list(_pow_memo_uses(poly_py))
+    assert [v for path in SOURCES if path.name != "poly.py"
+            for v in _pow_memo_uses(path)] == []
+
+
+def test_pow_memo_rule_catches_planted_uses(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "memo = f.table._pow_memo\nt._pow_memo[key] = terms\n"
+        "t._pow_memo = {}\ndel t._pow_memo\nt._pow_memo.clear()\n"
+        "n = len(t._pow_memos)\ns = '_pow_memo'\n")
+    assert sorted(v.split(":", 1)[1] for v in _pow_memo_uses(planted)) == [
+        "%d: uses ._pow_memo" % line for line in range(1, 6)]
 
 
 def test_only_coeffs_builds_unreduced_coeffs():
