@@ -255,9 +255,10 @@ class Coeff:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Coeff or other.p != self.p:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         p = self.p
         if self.den == (1,) and other.den == (1,):
             a, b = self.num, other.num
@@ -290,9 +291,10 @@ class Coeff:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Coeff or other.p != self.p:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         p = self.p
         if self.den == (1,) and other.den == (1,):
             a, b = self.num, other.num

@@ -26,7 +26,7 @@ class PolyMap:
         for g in images:
             if isinstance(g, (int, Coeff)):
                 g = table.const(g)
-            if g.table != table:
+            if g.table is not table and g.table != table:
                 raise ValueError("image from a different table")
             if g.uses_var("T"):
                 raise ValueError("map images may not involve T")
@@ -57,8 +57,7 @@ class PolyMap:
         return True, None
 
     def is_identity(self):
-        return all(g == self.table.var(n)
-                   for n, g in zip(self.table.names, self.images))
+        return all(g._is_var(i) for i, g in enumerate(self.images))
 
     def __eq__(self, other):
         if not isinstance(other, PolyMap):
@@ -83,9 +82,10 @@ def eps_map(table, t):
 
 def compose(phi, psi):
     """(phi psi)(xi) = phi(psi(xi))."""
-    if phi.table != psi.table:
+    if phi.table is not psi.table and phi.table != psi.table:
         raise ValueError("mixed variable tables")
-    return PolyMap(phi.table, [phi.apply(g) for g in psi.images])
+    assignment = phi.assignment()
+    return PolyMap(phi.table, [g.substitute(assignment) for g in psi.images])
 
 
 def order_up_to(sigma, bound):
@@ -105,15 +105,13 @@ def classify(sigma):
     accepts any nonzero constant as the leading unit.  All order-p uses force
     that unit to be 1 anyway (strict triangularity).
     """
-    table = sigma.table
+    n = sigma.table.nvars
     flags = set()
     strict = True
-    for i, name in enumerate(table.names):
-        g = sigma.images[i]
-        c = g.coeff_of(**{name: 1})
-        rest = g - table.var(name).scale(c)
-        if c.is_zero() or any(
-                e[table.index[n]] for n in table.names[i:] for e in rest.terms):
+    # image i has a nonzero term c*xi, and no other term uses xi..xn
+    for i, (g, unit) in enumerate(zip(sigma.images, sigma.table._units)):
+        c = g.terms.get(unit)
+        if c is None or any(any(e[i:n]) for e in g.terms if e != unit):
             return flags
         if not c.is_one():
             strict = False

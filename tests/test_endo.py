@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from charp_autos.coeffs import Coeff
 from charp_autos.errors import NotStructured
 from charp_autos.endo import (PolyMap, classify, compose, conjugate,
                               invert_structured, order_up_to)
-from charp_autos.poly import VarTable
+from charp_autos.poly import MultiPoly, VarTable
 from charp_autos.seeds import Lcg
 
 
@@ -145,3 +147,99 @@ def test_chain_preservation_membership():
         rewritten = chi.apply(moved)
         for name in t.names[i:]:
             assert not rewritten.uses_var(name)
+
+
+def _old_is_identity(sigma):
+    """PolyMap.is_identity as first written: each image equals its
+    variable."""
+    t = sigma.table
+    return all(g == t.var(n) for n, g in zip(t.names, sigma.images))
+
+
+def _old_classify(sigma):
+    """endo.classify as first written: image i minus c*xi, c its
+    coefficient of xi, uses none of xi..xn."""
+    t = sigma.table
+    flags = set()
+    strict = True
+    for i, name in enumerate(t.names):
+        g = sigma.images[i]
+        c = g.coeff_of(**{name: 1})
+        rest = g - t.var(name).scale(c)
+        if c.is_zero() or any(
+                e[t.index[n]] for n in t.names[i:] for e in rest.terms):
+            return flags
+        if not c.is_one():
+            strict = False
+    flags.add("triangular")
+    if strict:
+        flags.add("strict_triangular")
+    return flags
+
+
+@st.composite
+def _maps(draw):
+    """A map on n = 1..4 variables, p in {2, 3, 5}.  Image i has a
+    diagonal coefficient of xi that is 0, the shared 1, a separately built
+    1, another constant or u, plus up to three terms that use only the
+    earlier variables, or any of them."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 4))
+    t = VarTable(p, ["x%d" % (i + 1) for i in range(n)])
+    images = []
+    for i in range(n):
+        terms = {}
+        span = i if draw(st.booleans()) else n
+        for _ in range(draw(st.integers(0, 3))):
+            e = [0] * (n + 1)
+            for j in range(span):
+                e[j] = draw(st.integers(0, 2))
+            terms[tuple(e)] = Coeff(p, (draw(st.integers(1, p - 1)),))
+        diagonal = draw(st.sampled_from(
+            (None, Coeff.from_int(p, 1), Coeff(p, (1,)),
+             Coeff.from_int(p, p - 1), Coeff.u(p))))
+        unit = tuple(int(j == i) for j in range(n + 1))
+        if diagonal is None:
+            terms.pop(unit, None)
+        else:
+            terms[unit] = diagonal
+        images.append(MultiPoly(t, terms))
+    return PolyMap(t, images)
+
+
+@given(_maps())
+@settings(max_examples=150, deadline=None)
+def test_classify_and_is_identity_keep_their_definitions(sigma):
+    assert classify(sigma) == _old_classify(sigma)
+    assert sigma.is_identity() == _old_is_identity(sigma)
+    bare = PolyMap(sigma.table, [
+        MultiPoly(sigma.table, {e: c for e, c in g.terms.items()
+                                if sum(e[:-1]) == 1 and e[i]})
+        for i, g in enumerate(sigma.images)])
+    assert bare.is_identity() == _old_is_identity(bare)
+    assert classify(bare) == _old_classify(bare)
+
+
+def test_compose_reads_the_assignment_once_and_builds_no_variable(
+        monkeypatch):
+    """compose substitutes into every image of psi with one assignment of
+    phi's images, and tells an image equal to its variable without
+    building that variable."""
+    t = VarTable(3, ("x1", "x2", "x3"))
+    phi = PolyMap(t, [t.parse("x1+1"), t.var("x2"), t.parse("x3+x1^2")])
+    psi = PolyMap(t, [t.parse("x1+x2"), t.parse("2*x2"), t.var("x3")])
+    expected = PolyMap(t, [t.parse("x1+x2+1"), t.parse("2*x2"),
+                           t.parse("x3+x1^2")])
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(VarTable, "var", counted("var", VarTable.var))
+    monkeypatch.setattr(PolyMap, "assignment",
+                        counted("assignment", PolyMap.assignment))
+    assert compose(phi, psi) == expected
+    assert calls == ["assignment"]

@@ -425,3 +425,86 @@ def test_truncate_u_reduces_each_coefficient_mod_a_power_of_u():
     assert g.truncate_u(2).terms[x.leading_term()[0]] is Coeff.from_int(3, 2)
     with pytest.raises(ValueError):
         x.scale((u + 1).inv()).truncate_u(2)
+
+
+@st.composite
+def _coeffs(draw, p, ring):
+    """A nonzero Coeff of F_p, of F_p[u] (degree up to 2) or of F_p(u)
+    (such a numerator over u, u + 1 or u^2 + 1)."""
+    num = draw(st.lists(st.integers(0, p - 1), min_size=1,
+                        max_size=1 if ring == "F_p" else 3)
+               .filter(any))
+    c = Coeff(p, tuple(num))
+    if ring == "F_p(u)":
+        c = c / Coeff(p, draw(st.sampled_from(((0, 1), (1, 1), (1, 0, 1)))))
+    return c
+
+
+@st.composite
+def _poly_pairs(draw):
+    """(f, g): two polynomials of up to five terms in one table over x, y
+    (and T), p in {2, 3, 5}, with coefficients in F_p, F_p[u] or F_p(u)."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    ring = draw(st.sampled_from(("F_p", "F_p[u]", "F_p(u)")))
+    t = VarTable(p, ("x", "y"))
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1))
+    return tuple(
+        MultiPoly(t, draw(st.dictionaries(exps, _coeffs(p, ring),
+                                          max_size=5)))
+        for _ in range(2))
+
+
+@given(_poly_pairs())
+@settings(max_examples=80, deadline=None)
+def test_sub_is_add_of_the_negation(pair):
+    """f - g is f + (-g), term for term and in the same term order, and a
+    difference of equal polynomials is zero."""
+    f, g = pair
+    for a, b in ((f, g), (g, f)):
+        diff = a - b
+        assert diff == a + (-b)
+        assert list(diff.terms) == list((a + (-b)).terms)
+        assert all(not c.is_zero() for c in diff.terms.values())
+    assert (f - MultiPoly(f.table, dict(f.terms))).is_zero()
+
+
+@given(_poly_pairs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_scale_by_one_returns_the_polynomial_itself(pair, data):
+    """scale(1) is f itself, for the shared 1, a separately built 1 and the
+    int 1; scaling by another nonzero c multiplies every coefficient, and
+    by 0 gives zero."""
+    f, _ = pair
+    p = f.table.p
+    for one in (1, Coeff.from_int(p, 1), Coeff(p, (1,)), p + 1):
+        assert f.scale(one) is f
+    c = data.draw(_coeffs(p, "F_p(u)"), label="c")
+    assert f.scale(c).terms == {e: k * c for e, k in f.terms.items()}
+    assert f.scale(0).is_zero() and f.scale(p).is_zero()
+
+
+@given(_poly_pairs())
+@settings(max_examples=60, deadline=None)
+def test_substitute_tables_and_the_identity_image(pair):
+    """substitute accepts images from an equal table built apart, and
+    raises ValueError for images from any other table.  An image that is
+    its own variable counts as left alone, also when its coefficient 1 is
+    not the shared constant: a call with only such images returns f."""
+    f, g = pair
+    t = f.table
+    p = t.p
+    twin = VarTable(p, t.names)
+    assert twin is not t and twin == t
+    moved = MultiPoly(twin, dict(g.terms))
+    assert f.substitute({"x": moved}) == f.substitute({"x": g})
+    others = [VarTable(p, ("x", "z")), VarTable(p, ("y", "x")),
+              VarTable(5 if p != 5 else 3, t.names)]
+    for other in others:
+        with pytest.raises(ValueError, match="different table"):
+            f.substitute({"x": MultiPoly(other, {})})
+    x = MultiPoly(t, {t.var("x").leading_term()[0]: Coeff(p, (1,))})
+    assert x.terms[next(iter(x.terms))] is not Coeff.from_int(p, 1)
+    assert f.substitute({"x": x}) is f
+    assert f.substitute({"x": x, "y": t.var("y")}) is f
+    assert PolyMap(t, [x, t.var("y")]).is_identity()
+    assert f.substitute({"x": x, "y": g}) == f.substitute({"y": g})

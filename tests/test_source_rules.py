@@ -46,6 +46,11 @@
   against the layers only as one of four printer and parser pairs: poly
   and endo import textio to print, and textio imports endo and gaction to
   build what it parsed.
+- No `.var(` call inside MultiPoly.substitute, endo.compose,
+  PolyMap.is_identity or endo.classify: each tells an image equal to its
+  variable by reading its terms against the table's unit exponent, so
+  that the path every composition and substitution takes builds no
+  polynomial only to compare with it.
 - Importing charp_autos.cli loads neither `dataclasses` nor `inspect`:
   `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize` and builds
   each record's methods with `exec`, which made the import 16.9 ms instead
@@ -220,6 +225,39 @@ def _image_record_methods(path):
                     and item.name in IMAGE_RECORD_METHODS):
                 yield "%s:%d: %s defines %s" % (path.name, item.lineno,
                                                 node.name, item.name)
+
+
+# (module file, qualified name) of the functions that may not build a
+# variable with VarTable.var
+NO_VAR_FUNCTIONS = {("poly.py", "MultiPoly.substitute"),
+                    ("endo.py", "compose"), ("endo.py", "PolyMap.is_identity"),
+                    ("endo.py", "classify")}
+
+
+def _qualified_functions(tree):
+    """(qualified name, node) of the module-level functions and of the
+    methods of module-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield "%s.%s" % (node.name, item.name), item
+
+
+def _var_calls(path):
+    """Calls of a `.var` attribute inside a NO_VAR_FUNCTIONS function of
+    path, nested functions and lambdas included."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for name, func in _qualified_functions(tree):
+        if (path.name, name) not in NO_VAR_FUNCTIONS:
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "var"):
+                yield "%s:%d: %s calls .var" % (path.name, node.lineno, name)
 
 
 def _assertion_raises(path):
@@ -509,6 +547,40 @@ def test_image_record_rule_catches_planted_methods(tmp_path):
                                       "4: Action defines restricts_to",
                                       "12: Inner defines assignment"]
     assert list(_image_record_methods(tmp_path / "endo.py")) == []
+
+
+def test_substitute_and_compose_build_no_variable():
+    defined = {(path.name, name) for path in SOURCES
+               for name, _ in _qualified_functions(
+                   ast.parse(path.read_text(), filename=str(path)))}
+    assert NO_VAR_FUNCTIONS <= defined
+    assert [v for path in SOURCES for v in _var_calls(path)] == []
+
+
+def test_var_call_rule_catches_planted_calls(tmp_path):
+    (tmp_path / "endo.py").write_text(
+        "def compose(phi, psi):\n    x = phi.table.var('x1')\n"
+        "    return [t.var(n) for n in t.names]\n"
+        "def classify(sigma):\n"
+        "    f = lambda n: sigma.table.var(n, 1)\n"
+        "    def inner():\n        return table.var('x2')\n"
+        "class PolyMap:\n    def is_identity(self):\n"
+        "        return self.var\n"
+        "    def identity(self):\n        return t.var('x1')\n"
+        "    def apply(self, f):\n        return f.variance(1)\n"
+        "def eps_map(table, t):\n    return table.var('x1')\n")
+    (tmp_path / "poly.py").write_text(
+        "class MultiPoly:\n    def substitute(self, assignment):\n"
+        "        return self.table.var('x')\n"
+        "    def scale(self, c):\n        return self.table.var('x')\n"
+        "def compose(phi, psi):\n    return phi.table.var('x1')\n")
+    assert [v.split(":", 1)[1] for v in _var_calls(
+        tmp_path / "endo.py")] == ["2: compose calls .var",
+                                   "3: compose calls .var",
+                                   "5: classify calls .var",
+                                   "7: classify calls .var"]
+    assert [v.split(":", 1)[1] for v in _var_calls(
+        tmp_path / "poly.py")] == ["3: MultiPoly.substitute calls .var"]
 
 
 def test_library_raises_no_assertion_error():
