@@ -1,10 +1,10 @@
 """charp-autos: verification runner and construction explorer.
 
 Exit codes: 0 all checks pass, 1 some check fails, 2 usage or parse error
-(an unsupported --p, a construction parameter out of range, or a suite
-parameter the suite does not read), 141 (128 + SIGPIPE, as a shell reports
-a command killed by a closed pipe)
-when the reader of stdout closes it early, e.g. `| head`.
+(an unsupported --p, a construction parameter out of range, or a flag or
+suite parameter that the command or the suite does not read), 141 (128 +
+SIGPIPE, as a shell reports a command killed by a closed pipe) when the
+reader of stdout closes it early, e.g. `| head`.
 Reports are deterministic for a fixed (suite, parameters, seed); timings are
 kept out of the canonical output (--timings prints each case's time and the
 total to stderr).
@@ -24,6 +24,10 @@ from .suites import SUITES, run_suite
 from . import criteria, expo, gallery, plane
 
 SUITE_FLAGS = ("p", "seed", "count")
+# The one-letter flags each gallery construction reads, and their defaults
+_GALLERY_FLAGS = {"triangular": "p", "nonexp": "pdl", "F": "pn",
+                  "rank-r": "pnr", "rank3": "plm", "eps-invariants": "pn"}
+_GALLERY_DEFAULTS = {"p": 2, "d": 3, "l": 1, "m": 1, "n": 3, "r": 2}
 
 
 def build_parser():
@@ -41,13 +45,15 @@ def build_parser():
     runp.add_argument("--timings", action="store_true")
 
     gal = sub.add_parser("gallery", help="build a construction and report")
-    gal.add_argument("name", choices=["triangular", "nonexp", "F", "rank-r",
-                                      "rank3", "eps-invariants"])
-    for flag, default in (("p", 2), ("d", 3), ("l", 1), ("m", 1), ("n", 3),
-                          ("r", 2)):
-        gal.add_argument("--%s" % flag, type=int, default=default)
-    gal.add_argument("--g", default=None,
-                     help="g for the nonexp family, in y (= u^((p+1)d) yt) and z")
+    gal_sub = gal.add_subparsers(dest="name", required=True)
+    for name, flags in _GALLERY_FLAGS.items():
+        con = gal_sub.add_parser(name)
+        for flag in flags:
+            con.add_argument("--%s" % flag, type=int,
+                             default=_GALLERY_DEFAULTS[flag])
+    gal_sub.choices["nonexp"].add_argument(
+        "--g", default=None,
+        help="g for the nonexp family, in y (= u^((p+1)d) yt) and z")
 
     pl = sub.add_parser("plane", help="plane automorphism tools")
     pl_sub = pl.add_subparsers(dest="plane_command", required=True)
@@ -73,12 +79,15 @@ def build_parser():
     cert.add_argument("--g", default=None)
 
     pr = sub.add_parser("parse", help="parse and reprint canonically")
-    pr.add_argument("entity", choices=["poly", "map", "action", "word",
-                                       "coeff"])
-    pr.add_argument("text")
-    pr.add_argument("--p", type=int, default=2)
-    pr.add_argument("--vars", default="x1,x2")
-    pr.add_argument("--t", default="1", help="t for centralizer words")
+    pr_sub = pr.add_subparsers(dest="entity", required=True)
+    for entity in ("poly", "map", "action", "word", "coeff"):
+        ent = pr_sub.add_parser(entity)
+        ent.add_argument("text")
+        ent.add_argument("--p", type=int, default=2)
+        if entity != "coeff":
+            ent.add_argument("--vars", default="x1,x2")
+        if entity == "word":
+            ent.add_argument("--t", default="1", help="t for centralizer words")
     return top
 
 

@@ -19,6 +19,16 @@ the builder returns.
 Cases that need one costly record (a rank3 Rank3Base, a nonexp member)
 share it through functools.cache on a thunk: the first case to run makes
 it, and one that raises leaves it unmade for the next.
+
+A suite is declared once, where its body is defined:
+@_suite(name, ps=..., primes=..., count=..., seeded=...) puts it in SUITES.
+The body runs at the primes ps, or at a given p, which must be one of
+primes (ps by default); a suite declared without ps reads no p.  count is
+the default count of a suite that reads one, and seeded=False marks a suite
+whose cases the seed does not draw.  SUITES[name](params) refuses a
+parameter the body does not read, a p outside primes and a count below 1
+before it builds any case, then calls the body with what it reads: ps,
+count and seed.
 """
 
 import json
@@ -168,8 +178,46 @@ def _sample_primitive_T_poly(lcg, table, maxdeg=6, zero_const=False):
 # suites
 # ---------------------------------------------------------------------------
 
-def _suite_axioms(params):
-    ps = _plist(params, (2, 3))
+SUITES = {}
+# name -> (the primes it accepts or None, its default count or None, whether
+# it reads the seed), written by _suite alone
+_DECLARED = {}
+
+
+def _suite(name, ps=None, primes=None, count=None, seeded=True):
+    """Register the decorated body as SUITES[name], as the module
+    docstring says."""
+    primes = primes or ps
+    reads = {"seed"} | {k for k, v in (("p", ps), ("count", count)) if v}
+
+    def register(body):
+        def build(params):
+            unread = sorted(set(params) - reads)
+            if unread:
+                raise BadParameters("suite %s does not read %s"
+                                    % (name, ", ".join(unread)))
+            args = {}
+            if ps:
+                p = params.get("p")
+                if p is not None and p not in primes:
+                    raise BadParameters("suite %s runs at p in %s, not %s"
+                                        % (name, primes, p))
+                args["ps"] = ps if p is None else (p,)
+            if count:
+                args["count"] = params.get("count", count)
+                if args["count"] < 1:
+                    raise BadParameters("count must be at least 1")
+            if seeded:
+                args["seed"] = params.get("seed", 7)
+            return body(**args)
+        SUITES[name] = build
+        _DECLARED[name] = (primes, count, seeded)
+        return body
+    return register
+
+
+@_suite("axioms", ps=(2, 3))
+def _suite_axioms(ps, seed):
     cases = []
 
     def action_case(cid, make):
@@ -199,7 +247,7 @@ def _suite_axioms(params):
                    lambda p=p: gallery.build_rank_r_action(4, 3, p))
 
         def expo_action(p=p):
-            lcg = Lcg(_seed(params) * 31 + p)
+            lcg = Lcg(seed * 31 + p)
             table = VarTable(p, ("x1", "x2"))
             theta = _sample_theta(lcg, table, maxdeg=5)
             sig = expo.sigma_from_theta(Coeff.u(p), theta)
@@ -263,10 +311,8 @@ def _suite_axioms(params):
     return cases
 
 
-def _suite_thm15_n2(params):
-    ps = _plist(params, (2, 3, 5))
-    count = params.get("count", 50)
-    seed = _seed(params)
+@_suite("thm15-n2", ps=(2, 3, 5), primes=SUPPORTED_PRIMES, count=50)
+def _suite_thm15_n2(ps, count, seed):
     cases = []
     for p in ps:
         table = VarTable(p, ("x1", "x2"))
@@ -288,10 +334,8 @@ def _suite_thm15_n2(params):
     return cases
 
 
-def _suite_maubach(params):
-    ps = _plist(params, (2, 3, 5))
-    count = params.get("count", 12)
-    seed = _seed(params)
+@_suite("maubach", ps=(2, 3, 5), primes=SUPPORTED_PRIMES, count=12)
+def _suite_maubach(ps, count, seed):
     cases = []
     for p in ps:
         # count cases per p: the odd one out goes to n = 2
@@ -310,16 +354,18 @@ def _suite_maubach(params):
     return cases
 
 
-def _suite_ex_triangular(params):
+@_suite("ex-triangular", ps=(2, 3), primes=(2, 3, 5), seeded=False)
+def _suite_ex_triangular(ps):
     cases = []
-    for p in _plist(params, (2, 3)):
+    for p in ps:
         def thunk(p=p):
             return gallery.build_example_triangular(p).report.outcome()
         cases.append(("p%d" % p, thunk))
     return cases
 
 
-def _suite_nonexp_family(params):
+@_suite("nonexp-family", seeded=False)
+def _suite_nonexp_family():
     cases = []
     for pdl in ((2, 3, 1), (3, 2, 1), (3, 4, 2)):
         member = cache(lambda pdl=pdl: gallery.build_nonexp_family(*pdl))
@@ -339,10 +385,11 @@ def _suite_nonexp_family(params):
     return cases
 
 
-def _suite_rank3(params):
+@_suite("rank3", ps=(2, 3), seeded=False)
+def _suite_rank3(ps):
     """The cases of a p share one gallery.Rank3Base."""
     cases = []
-    for p in _plist(params, (2, 3)):
+    for p in ps:
         base = cache(lambda p=p: gallery.rank3_base(p))
 
         def xi_case(base=base):
@@ -363,21 +410,21 @@ def _suite_rank3(params):
     return cases
 
 
-def _suite_rank_r(params):
+@_suite("rank-r", ps=(2, 3), seeded=False)
+def _suite_rank_r(ps):
     cases = []
     for (n, r) in ((3, 2), (4, 2), (4, 3)):
-        for p in _plist(params, (2, 3)):
+        for p in ps:
             def thunk(n=n, r=r, p=p):
                 return gallery.build_rank_r_action(n, r, p).report.outcome()
             cases.append(("n%d-r%d-p%d" % (n, r, p), thunk))
     return cases
 
 
-def _suite_jvdk(params):
-    count = params.get("count", 100)
-    seed = _seed(params)
+@_suite("jvdk", ps=(2, 3), primes=SUPPORTED_PRIMES, count=100)
+def _suite_jvdk(ps, count, seed):
     cases = []
-    for p in _plist(params, (2, 3)):
+    for p in ps:
         table = VarTable(p, ("x1", "x2"))
         lcg = Lcg(seed * 613 + p)
         for k in range(count):
@@ -403,12 +450,11 @@ def _suite_jvdk(params):
     return cases
 
 
-def _suite_centralizer(params):
-    count = params.get("count", 50)
+@_suite("centralizer", ps=(2, 3), primes=SUPPORTED_PRIMES, count=50)
+def _suite_centralizer(ps, count, seed):
     bad_count = 20
-    seed = _seed(params)
     cases = []
-    for p in _plist(params, (2, 3)):
+    for p in ps:
         table = VarTable(p, ("x1", "x2"))
         tvals = (Coeff.from_int(p, 1),) if p == 2 else \
             (Coeff.from_int(p, 1), Coeff.from_int(p, 2))
@@ -462,11 +508,10 @@ def _suite_centralizer(params):
     return cases
 
 
-def _suite_f_and_fh(params):
-    count = params.get("count", 10)
-    seed = _seed(params)
+@_suite("f-and-fh", ps=(2, 3), primes=SUPPORTED_PRIMES, count=10)
+def _suite_f_and_fh(ps, count, seed):
     cases = []
-    for p in _plist(params, (2, 3)):
+    for p in ps:
         def thunk(p=p):
             lcg = Lcg(seed * 97 + p)
             table = VarTable(p, ("x1", "x2", "x3", "x4"))
@@ -484,11 +529,9 @@ def _suite_f_and_fh(params):
     return cases
 
 
-def _suite_gauss(params):
-    count = params.get("count", 200)
-    seed = _seed(params)
+@_suite("gauss", ps=(2, 3), primes=SUPPORTED_PRIMES, count=200)
+def _suite_gauss(ps, count, seed):
     cases = []
-    ps = _plist(params, (2, 3))
     for i, p in enumerate(ps):
         # count pairs in all, the remainder one each to the first primes
         per_p = count // len(ps) + (i < count % len(ps))
@@ -533,11 +576,10 @@ def _sample_integral_poly(lcg, table):
     return f
 
 
-def _suite_fixed_point(params):
-    count = params.get("count", 20)
-    seed = _seed(params)
+@_suite("fixed-point", ps=(3,), primes=SUPPORTED_PRIMES, count=20)
+def _suite_fixed_point(ps, count, seed):
     cases = []
-    p = params.get("p", 3)
+    p, = ps
     table = VarTable(p, ("x1", "x2"))
     lcg = Lcg(seed * 11 + p)
 
@@ -620,73 +662,11 @@ def _suite_fixed_point(params):
     return cases
 
 
-SUITES = {
-    "axioms": _suite_axioms,
-    "thm15-n2": _suite_thm15_n2,
-    "maubach": _suite_maubach,
-    "ex-triangular": _suite_ex_triangular,
-    "nonexp-family": _suite_nonexp_family,
-    "rank3": _suite_rank3,
-    "rank-r": _suite_rank_r,
-    "jvdk": _suite_jvdk,
-    "centralizer": _suite_centralizer,
-    "f-and-fh": _suite_f_and_fh,
-    "gauss": _suite_gauss,
-    "fixed-point": _suite_fixed_point,
-}
-
-
-# The parameters each suite reads besides seed, which every suite accepts
-# (the seed-free ones ignore it): the characteristics its constructions
-# accept if it reads p, None if it does not, and whether it reads count.
-_READS = {
-    "axioms": ((2, 3), False),
-    "thm15-n2": (SUPPORTED_PRIMES, True),
-    "maubach": (SUPPORTED_PRIMES, True),
-    "ex-triangular": ((2, 3, 5), False),
-    "nonexp-family": (None, False),
-    "rank3": ((2, 3), False),
-    "rank-r": ((2, 3), False),
-    "jvdk": (SUPPORTED_PRIMES, True),
-    "centralizer": (SUPPORTED_PRIMES, True),
-    "f-and-fh": (SUPPORTED_PRIMES, True),
-    "gauss": (SUPPORTED_PRIMES, True),
-    "fixed-point": (SUPPORTED_PRIMES, True),
-}
-
-
-def _check_params(name, params):
-    """BadParameters unless the suite reads every given parameter, at a p
-    its constructions accept and a count of at least 1."""
-    primes, reads_count = _READS[name]
-    reads = {"seed"} | ({"p"} if primes else set()) \
-        | ({"count"} if reads_count else set())
-    unread = sorted(set(params) - reads)
-    if unread:
-        raise BadParameters("suite %s does not read %s"
-                            % (name, ", ".join(unread)))
-    if "p" in params and params["p"] not in primes:
-        raise BadParameters("suite %s runs at p in %s, not %s"
-                            % (name, primes, params["p"]))
-    if params.get("count", 1) < 1:
-        raise BadParameters("count must be at least 1")
-
-
-def _seed(params):
-    return params.get("seed", 7)
-
-
-def _plist(params, default):
-    p = params.get("p")
-    return (p,) if p else default
-
-
 def run_suite(name, **params):
     if name not in SUITES:
         raise UnknownSuite("unknown suite %r; known: %s"
                            % (name, ", ".join(sorted(SUITES))))
     params = {k: v for k, v in params.items() if v is not None}
-    _check_params(name, params)
     cases = SUITES[name](params)
     if not cases:
         raise BadParameters("suite %s has no cases at %s"

@@ -182,6 +182,22 @@ def test_suite_run_rejects_unused_parameters(capsys):
     assert "--n" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("gallery", "triangular", "--d", "7"),
+    ("gallery", "eps-invariants", "--l", "1"),
+    ("gallery", "F", "--m", "2"),
+    ("parse", "poly", "x1", "--t", "2"),
+    ("parse", "coeff", "3", "--vars", "a,b"),
+])
+def test_gallery_and_parse_refuse_a_flag_they_do_not_read(capsys, argv):
+    """Each construction and each entity takes only the flags it reads, so
+    a flag it would drop is a usage error rather than ignored."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "charp-autos: error: unrecognized arguments: %s %s" % argv[-2:])
+
+
 def test_timings_go_to_stderr_per_case(capsys):
     argv = ("suite", "run", "maubach", "--p", "2", "--count", "4")
     code1, out1, err1 = run(capsys, *argv)

@@ -51,6 +51,10 @@
   variable by reading its terms against the table's unit exponent, so
   that the path every composition and substitution takes builds no
   polynomial only to compare with it.
+- Every `_suite_*` function of suites.py is registered through an
+  `@_suite(...)` declaration and takes no parameter but `ps`, `count` and
+  `seed`, each of which it reads: what a suite reads is declared once, at
+  its definition, and no body reads a params dict.
 - Importing charp_autos.cli loads neither `dataclasses` nor `inspect`:
   `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize` and builds
   each record's methods with `exec`, which made the import 16.9 ms instead
@@ -65,6 +69,7 @@ import sys
 from pathlib import Path
 
 import charp_autos
+from charp_autos.suites import SUITES
 
 SOURCES = sorted(Path(charp_autos.__file__).parent.glob("*.py"))
 
@@ -272,6 +277,34 @@ def _assertion_raises(path):
                 else exc.attr if isinstance(exc, ast.Attribute) else None)
         if name == "AssertionError":
             yield "%s:%d: raises AssertionError" % (path.name, node.lineno)
+
+
+SUITE_PARAMETERS = ("ps", "count", "seed")
+
+
+def _suite_declarations(path):
+    """Module-level `_suite_*` functions that no `@_suite(...)` decorator
+    registers, that take a parameter outside SUITE_PARAMETERS, or that take
+    one their body never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in tree.body:
+        if not (isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_suite_")):
+            continue
+        where = "%s:%d: %s" % (path.name, node.lineno, node.name)
+        if not any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                   and d.func.id == "_suite" for d in node.decorator_list):
+            yield where + " is not registered through _suite"
+        args = node.args
+        taken = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                 + [args.vararg, args.kwarg] if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for name in taken:
+            if name not in SUITE_PARAMETERS:
+                yield "%s takes %s" % (where, name)
+            elif name not in read:
+                yield "%s never reads %s" % (where, name)
 
 
 # (module, name) pairs that may be imported without a use in the module:
@@ -689,6 +722,36 @@ def test_unnamed_rule_catches_planted_definitions(tmp_path):
         "class Box:\n    def put(self):\n        return self.put()\n"
         "    def _private(self):\n        pass\n")
     assert _unnamed_public_defs([planted]) == ["Box", "put", "unused"]
+
+
+def test_every_suite_is_declared_where_it_is_defined():
+    suites_py = next(p for p in SOURCES if p.name == "suites.py")
+    tree = ast.parse(suites_py.read_text(), filename=str(suites_py))
+    bodies = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name.startswith("_suite_")]
+    assert len(bodies) == len(SUITES)
+    assert list(_suite_declarations(suites_py)) == []
+
+
+def test_suite_declaration_rule_catches_planted_bodies(tmp_path):
+    planted = tmp_path / "suites.py"
+    planted.write_text(
+        "@_suite('a', ps=(2, 3))\ndef _suite_a(ps, seed):\n"
+        "    return [ps, seed]\n"
+        "def _suite_b(ps):\n    return ps\n"
+        "@_suite('c')\ndef _suite_c(params):\n    return params.get('p')\n"
+        "@cache\ndef _suite_d(ps, count, seed):\n    return ps, seed\n"
+        "@_suite('e', seeded=False)\ndef _suite_e(*args, **kwargs):\n"
+        "    return args, kwargs\n"
+        "@_suite('f', count=3)\ndef _suite_f(count, seed):\n"
+        "    def inner():\n        return count, seed\n    return inner\n"
+        "def _sample_g(params):\n    return params\n")
+    assert [v.split(":", 1)[1] for v in _suite_declarations(planted)] == [
+        "4: _suite_b is not registered through _suite",
+        "7: _suite_c takes params",
+        "10: _suite_d is not registered through _suite",
+        "10: _suite_d never reads count",
+        "13: _suite_e takes args", "13: _suite_e takes kwargs"]
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

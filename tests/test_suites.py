@@ -6,7 +6,7 @@ import pytest
 from charp_autos.errors import BadParameters
 from charp_autos.poly import VarTable
 from charp_autos import expo, plane
-from charp_autos.suites import _READS, SUITES, run_suite
+from charp_autos.suites import _DECLARED, SUITES, run_suite
 
 
 class _ReadLog(dict):
@@ -27,20 +27,21 @@ class _ReadLog(dict):
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_declared_parameters_are_the_ones_the_suite_reads(name):
-    primes, reads_count = _READS[name]
+    primes, count, seeded = _DECLARED[name]
     params = _ReadLog(seed=7)
-    SUITES[name](params)
+    assert SUITES[name](params)
     assert ("p" in params.read) == (primes is not None)
-    assert ("count" in params.read) == reads_count
+    assert ("count" in params.read) == (count is not None)
+    assert ("seed" in params.read) == seeded
 
 
 # axioms, rank3 and rank-r accept exactly their default p in (2, 3), whose
 # cases the seed-7 goldens pin; every other accepted p runs here
 @pytest.mark.parametrize("name,p", [
-    (name, p) for name, (primes, _) in sorted(_READS.items())
+    (name, p) for name, (primes, _, _) in sorted(_DECLARED.items())
     if name not in ("axioms", "rank3", "rank-r") for p in primes or ()])
 def test_every_accepted_p_runs(name, p):
-    count = {"count": 2} if _READS[name][1] else {}
+    count = {"count": 2} if _DECLARED[name][1] else {}
     result = run_suite(name, p=p, seed=7, **count)
     assert result.cases and result.all_passed, result.to_text()
 
@@ -48,7 +49,8 @@ def test_every_accepted_p_runs(name, p):
 @pytest.mark.parametrize("name,params", [
     ("rank3", {"p": 5}), ("axioms", {"p": 7}), ("ex-triangular", {"p": 7}),
     ("nonexp-family", {"p": 2}), ("rank-r", {"count": 3}),
-    ("gauss", {"count": 0}), ("jvdk", {"d": 3})])
+    ("gauss", {"count": 0}), ("jvdk", {"d": 3}), ("thm15-n2", {"p": 0}),
+    ("fixed-point", {"p": 11}), ("gauss", {"count": -1})])
 def test_run_suite_rejects_parameters_it_would_not_use(name, params):
     with pytest.raises(BadParameters):
         run_suite(name, **params)
