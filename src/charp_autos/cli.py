@@ -192,7 +192,7 @@ def _cmd_criteria(args):
     fam = gallery.build_nonexp_family(args.p, args.d, args.l,
                                       _nonexp_g(args))
     cert = criteria.non_exponentiality_certificate(
-        fam.data(), restriction=(False, fam.restriction_witness()))
+        fam.data(), restriction=fam.restriction())
     rep = fam.report
     rep.add("stability_" + cert.stability.kind.lower(),
             cert.stability.is_stable())

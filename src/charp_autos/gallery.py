@@ -196,20 +196,23 @@ class NonExpFamily:
                     "witness": "f_expr differs from the translation"}
         return report
 
-    def restriction_witness(self):
-        """The offending term of E(x) as (generator name, (exponents, coeff))."""
+    def restriction(self):
+        """PolyMap.restricts_to's (ok, witness) pair for the canonical
+        action, from the closed-form shift: E fixes the z's and E(y) - y =
+        xi is integral (star3), so E restricts exactly when the shift is
+        zero.  A failure's witness is ("x", the shift's leading term)."""
         shift = self.nonintegral_shift()
         if shift.is_zero():
-            return None
-        exps, coeff = shift.leading_term()
-        return ("x", (exps, coeff))
+            return True, None
+        return False, ("x", shift.leading_term())
 
 
 def build_nonexp_family(p, d, l, g_expr=None):
     """The family over R = F_p[u] built from lam, xt = x + lam and
     yt = y + xt^d; the action translates xt by u^b (1 + u g) and fixes yt
     and the z variables.  Verifies the four star congruences, that E_1
-    restricts to R[x,y,z], and that E does not (the u^-1 y^c witness)."""
+    restricts to R[x,y,z], and that E does not: star4's shift
+    d u^-1 y^c (T - T^p) is nonzero, as p does not divide d."""
     if d < 2 or d % p == 0 or l < 0:
         raise BadParameters("need d >= 2 prime to p and l >= 0")
     a = p - 2 + (p - 1) ** 2 * (d - 1)
@@ -279,9 +282,6 @@ def build_nonexp_family(p, d, l, g_expr=None):
     sigma_shift = family.nonintegral_shift(t_value=1)
     report.add("sigma_restricts", sigma_shift.is_zero() and ok3,
                str(sigma_shift))
-    witness = table.monomial(Coeff.from_int(p, d) * u.inv(), y=c, T=1)
-    report.add("E_not_restricts", not shift.is_zero(),
-               "witness %s in E(x)" % witness)
     family.report = report
     return family
 

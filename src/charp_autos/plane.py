@@ -257,7 +257,7 @@ def _jvdk_word(phi):
         raise ValueError("plane factorization needs two variables")
     x, y = table.names
     cur = list(phi.images)
-    runs = []          # (component_index, accumulated q as dict degree->Coeff)
+    runs = []          # (component_index, q as dict degree->Coeff)
     guard = 0
     while not (cur[0].total_degree() == 1 and cur[1].total_degree() == 1):
         guard += 1
@@ -283,7 +283,9 @@ def _jvdk_word(phi):
                 raise NotAutomorphism("no progress cancelling leading terms")
         cur[hi] = new_hi
         if runs and runs[-1][0] == hi:
-            runs[-1][1][m] = runs[-1][1].get(m, table.coeff(0)) + c
+            # m strictly falls within a run: an equal m would need the
+            # leading term of cur[lo]^m again, which new_hi's lies below
+            runs[-1][1][m] = c
         else:
             runs.append((hi, {m: c}))
 
@@ -293,28 +295,20 @@ def _jvdk_word(phi):
 
     factors = [terminal]
     for comp, qdict in reversed(runs):
-        # inverse of the peeled factor adds q back
+        # inverse of the peeled factor adds q back.  m = d[hi] // d[lo] >= 1,
+        # so q has no constant term, and c != 0 in every step
+        lin = qdict.pop(1, 0)
         q_hi = table.zero()
-        lin = table.coeff(0)
-        const = table.coeff(0)
         for m, c in qdict.items():
-            if c.is_zero():
-                continue
-            if m >= 2:
-                q_hi = q_hi + table.monomial(c, **{x: m})
-            elif m == 1:
-                lin = lin + c
-            else:
-                const = const + c
-        lin_aff = AffineFactor(table, (1, 0, lin, 1), (0, const)) if comp == 1 \
-            else AffineFactor(table, (1, lin, 0, 1), (const, 0))
-        if comp == 1 or q_hi.is_zero():
-            # (x, y + q(x)) = (x, y + q_hi(x)) * linear/const affine, and
-            # (x + q(y), y) is lin_aff itself when q has no q_hi part
-            if not q_hi.is_zero():
-                factors.append(TriangularFactor(table, 1, 1, 0, q_hi))
-            if not lin_aff.is_identity():
-                factors.append(lin_aff)
+            q_hi = q_hi + table.monomial(c, **{x: m})
+        if comp == 1:
+            # ties go to component 0, so a component-1 step has m >= 2
+            factors.append(TriangularFactor(table, 1, 1, 0, q_hi))
+            continue
+        lin_aff = AffineFactor(table, (1, lin, 0, 1), (0, 0))
+        if q_hi.is_zero():
+            # (x + q(y), y) is lin_aff itself when q is linear
+            factors.append(lin_aff)
         else:
             # (x + q(y), y) = swap * (x, y + q_hi(x)) * affine * swap
             swap = AffineFactor(table, (0, 1, 1, 0), (0, 0))

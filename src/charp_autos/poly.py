@@ -12,10 +12,9 @@ polynomials stay polynomials.  Only coefficients are inverted.  Powers use
 the base-p expansion of the exponent so that Frobenius powers f^(p^k) cost
 one pass over the terms.
 
-Sums, and the products and substitutions that do not pack, build their
-result through one in-place accumulator, _accumulate.  exact_div keeps its
-own merge loop, because a term it adds to the remainder must also be pushed
-onto its heap of live keys.
+Sums, the products and substitutions that do not pack, and the remainder
+of exact_div build their result through one in-place accumulator,
+_accumulate.
 
 Products and substitutions whose coefficients all lie in F_p[u, 1/u] (a
 denominator that is a power of u; F_p included) may run on packed
@@ -117,13 +116,22 @@ scale(1) returns self and compose builds one assignment: a seed-7 pass of
 seeded-instances builds 59,441 MultiPolys, not 88,612, 10,220 of them by
 var, not 27,185, and negates 113 operands, not 4,422.
 
-exact_div has no prime-field path: on the rank3 suite one measured
-2.59/2.26/2.16 s against 2.74/2.29/2.94 s without, within noise.  Term dicts
-stay keyed by exponent tuples; packing every table's monomials into ints
-measured no gain on rank3.
+exact_div is plain leading-term division: each step finds the leading
+term of the remainder with max over its keys, at a cost linear in the
+remainder's size.  A seed-7 run of every case of the three workloads makes
+60 calls (54 on gallery-axioms, 6 on rank3, none on seeded-instances), with
+at most 20 dividend and 10 divisor terms; replaying them takes 0.64 ms,
+against 0.86 ms with a min-heap of remainder keys (Johnson 1974; Monagan &
+Pearce, JSC 2011), which exact_div kept while rank3 divided operands of
+about 47k terms (best of 20 replays, 2 cores, Python 3.11).  The heap pays
+on larger remainders: dividing dense products of F_7 polynomials in two
+variables by a three-term divisor, the two break even near 12 dividend
+terms, and the plain loop takes 1.6, 4.2 and 13 times as long at 47, 214
+and 781 (0.41 against 0.25 ms, 5.5 against 1.3 ms, 64 against 4.9 ms).  No
+workload, suite or gallery parameter range divides more than 20 terms.  Term dicts stay keyed by exponent tuples;
+packing every table's monomials into ints measured no gain on rank3.
 """
 
-import heapq
 from itertools import compress, repeat
 from operator import add, eq, floordiv, mod, mul, sub
 
@@ -760,14 +768,12 @@ class MultiPoly:
 def exact_div(f, g):
     """Exact quotient f/g, or NotDivisible: leading-term division.
 
-    The remainder is one mutable dict keyed by negated exponents, so that the
-    key (sum, exponents) of a min-heap pops terms in descending graded-lex
-    order (the order of leading_term).  A term cancelled to zero leaves its
-    key in the heap; such stale keys are skipped when popped.  Each step
-    subtracts q*g in place, without the leading monomial, which cancels by
-    construction (Johnson 1974; Monagan & Pearce, JSC 2011).  A leading
+    Each step takes the graded-lex leading term of the remainder, the rule
+    of leading_term, and subtracts q*g from it in place through _accumulate,
+    without the leading monomial, which cancels by construction.  A leading
     remainder term that the leading term of g does not divide has no
-    quotient term, so f is then not a multiple of g.
+    quotient term, so f is then not a multiple of g.  Quotient terms come
+    out in descending graded-lex order.
     """
     if g.is_zero():
         raise ZeroPolynomial("division by the zero polynomial")
@@ -778,37 +784,19 @@ def exact_div(f, g):
         raise ValueError("mixed variable tables")
     lg_exp, lg_coeff = g.leading_term()
     lg_inv = lg_coeff.inv()
-    neg_lg = tuple(-x for x in lg_exp)
-    # -g without its leading term, exponents negated like the remainder's
-    neg_tail = [(tuple(-x for x in e), -c) for e, c in g.terms.items()
-                if e != lg_exp]
-    rem = {tuple(-x for x in e): c for e, c in f.terms.items()}
-    heap = [(sum(e), e) for e in rem]
-    heapq.heapify(heap)
+    # -g without its leading term
+    neg_tail = [(e, -c) for e, c in g.terms.items() if e != lg_exp]
+    rem = dict(f.terms)
     qterms = {}
-    while heap:
-        neg_lr = heapq.heappop(heap)[1]
-        lr_coeff = rem.pop(neg_lr, None)
-        if lr_coeff is None:
-            continue
-        neg_q = tuple(map(sub, neg_lr, neg_lg))
-        if any(x > 0 for x in neg_q):
+    while rem:
+        lr_exp = max(rem, key=_grlex_key)
+        q_exp = tuple(map(sub, lr_exp, lg_exp))
+        if min(q_exp) < 0:
             raise NotDivisible("no exact quotient")
-        qc = lr_coeff * lg_inv
-        qterms[tuple(-x for x in neg_q)] = qc
-        for e, c in neg_tail:
-            m = tuple(map(add, neg_q, e))
-            d = qc * c
-            cur = rem.get(m)
-            if cur is None:
-                rem[m] = d
-                heapq.heappush(heap, (sum(m), m))
-            else:
-                s = cur + d
-                if s.is_zero():
-                    del rem[m]
-                else:
-                    rem[m] = s
+        qc = rem.pop(lr_exp) * lg_inv
+        qterms[q_exp] = qc
+        _accumulate(rem, [(tuple(map(add, q_exp, e)), qc * c)
+                          for e, c in neg_tail])
     return MultiPoly(table, qterms)
 
 

@@ -377,7 +377,7 @@ def _suite_nonexp_family():
         def certificate(member=member):
             fam = member()
             cert = criteria.non_exponentiality_certificate(
-                fam.data(), restriction=(False, fam.restriction_witness()))
+                fam.data(), restriction=fam.restriction())
             return (cert.verdict == "NotExponentialOverR"
                     and cert.stability.pattern == "every-variable-monomial"), \
                 cert.verdict

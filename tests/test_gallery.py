@@ -317,7 +317,7 @@ def test_nonexp_certificate_round_trip():
     for (p, d, l) in [(2, 3, 1), (3, 2, 1)]:
         fam = build_nonexp_family(p, d, l)
         cert = non_exponentiality_certificate(
-            fam.data(), restriction=(False, fam.restriction_witness()))
+            fam.data(), restriction=fam.restriction())
         assert cert.verdict == "NotExponentialOverR"
         assert cert.stability.pattern == "every-variable-monomial"
     # direct route at the small parameters agrees
@@ -333,7 +333,7 @@ def test_nonexp_certificate_reads_A_from_the_slice_table():
     would hold in k[y] alone, but the record names no other A."""
     g = VarTable(2, ("x", "y", "z1")).var("y")
     fam = build_nonexp_family(2, 3, 1, g_expr=g)
-    for restriction in ((False, fam.restriction_witness()), None):
+    for restriction in (fam.restriction(), None):
         cert = non_exponentiality_certificate(fam.data(), restriction)
         assert (cert.verdict, cert.reason) == ("Inconclusive",
                                                "stability unknown")
@@ -341,11 +341,25 @@ def test_nonexp_certificate_reads_A_from_the_slice_table():
 
 
 @pytest.mark.parametrize("p,d", [(2, 3), (3, 2)])
+def test_nonexp_restriction_agrees_with_the_materialized_action(p, d):
+    """restriction() gives restricts_to's verdict on the materialized
+    action, names the same generator, and reads (True, None) once the
+    shift vanishes."""
+    fam = build_nonexp_family(p, d, 0)
+    ok, (name, (_, coeff)) = fam.restriction()
+    real_ok, (real_name, _) = slice_action(fam.data()).restricts_to()
+    assert (ok, name) == (real_ok, real_name) == (False, "x")
+    assert not coeff.is_integral()
+    fam.nonintegral_shift = lambda: fam.table.zero()
+    assert fam.restriction() == (True, None)
+
+
+@pytest.mark.parametrize("p,d", [(2, 3), (3, 2)])
 def test_nonexp_materialized_certificate_at_l_zero(p, d):
     """At l = 0 the certificate, given no precomputed restriction,
     materializes the canonical action: NotExponentialOverR with the
     univariate pattern, and its witness term of E(x) is the shift's term
-    there modulo R, which cross-checks restriction_witness's source."""
+    there modulo R, which cross-checks restriction()'s source."""
     fam = build_nonexp_family(p, d, 0)
     cert = non_exponentiality_certificate(fam.data())
     assert cert.verdict == "NotExponentialOverR"

@@ -299,6 +299,49 @@ def test_frac_substitute_matches_sympy(case):
     assert not (frac_mirror(oracle, got) - want)
 
 
+# coefficients in F_p[u] or in F_p(u); exact_div divides over F_p(u) either way
+_FRAC_OR_INTEGRAL = st.booleans().flatmap(
+    lambda integral: frac_operands(3, integral=integral))
+
+
+@given(_FRAC_OR_INTEGRAL)
+@ORACLE
+# a divisor whose leading coefficient u + 1 is not a unit of F_p[u]
+@example((2, ({X: ([1, 1], [1]), ONE: ([0, 1], [1])},
+              {XT: ([1], [1]), Y: ([1, 1], [1])}, {})))
+def test_frac_exact_div_round_trips_products(case):
+    p, (g, f, _) = case
+    table, oracle = frac_rings(p)
+    product = frac_ours(table, f) * frac_ours(table, g)
+    q = exact_div(product, frac_ours(table, g))
+    assert q == frac_ours(table, f)
+    want = (frac_theirs(oracle, f) * frac_theirs(oracle, g)).exquo(
+        frac_theirs(oracle, g))
+    assert not (frac_mirror(oracle, q) - want)
+
+
+@given(_FRAC_OR_INTEGRAL)
+@ORACLE
+# x (x + 1/u) + u leaves the remainder u on division by x + 1/u
+@example((3, ({X: ([1], [1]), ONE: ([1], [0, 1])}, {X: ([1], [1])},
+              {ONE: ([0, 1], [1])})))
+def test_frac_exact_div_agrees_on_divisibility(case):
+    """dividend = h*g + r over F_p(u): a quotient exactly when sympy's
+    remainder is 0, NotDivisible otherwise."""
+    p, (g, h, r) = case
+    table, oracle = frac_rings(p)
+    dividend = (frac_ours(table, h) * frac_ours(table, g)
+                + frac_ours(table, r))
+    want_q, want_r = (frac_theirs(oracle, h) * frac_theirs(oracle, g)
+                      + frac_theirs(oracle, r)).div(frac_theirs(oracle, g))
+    if want_r:
+        with pytest.raises(NotDivisible):
+            exact_div(dividend, frac_ours(table, g))
+    else:
+        got = exact_div(dividend, frac_ours(table, g))
+        assert not (frac_mirror(oracle, got) - want_q)
+
+
 def _dense(upoly, p):
     """A sympy element of GF(p)[u] as our dense tuple, index = degree."""
     out = [0] * (upoly.degree() + 1)

@@ -4,6 +4,10 @@
   silently stops checking.
 - No report entry whose verdict is a literal: `report.add(name, True, ...)`
   records a check that cannot fail.
+- No two `.add("<literal>", <verdict>, ...)` calls in the library share a
+  check name: a verdict, a test or a kill-table row keyed by the name
+  would cover only one of them.  A one-argument `.add`, such as a set's,
+  is not a check.
 - Every public module-level function or class, and every public method, is
   named somewhere in the library outside its own definition: code that only
   tests call is code with no callers.
@@ -96,6 +100,31 @@ def _violations(path):
                 if isinstance(v, ast.Constant) and isinstance(v.value, bool):
                     yield "%s:%d: check with the literal verdict %r" % (
                         path.name, node.lineno, v.value)
+
+
+def _check_name_sites(paths):
+    """Check names, as `file:line: check name 'x' also at file:line`,
+    passed as a literal to a second `.add` call with a verdict."""
+    first = {}
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls = sorted((node for node in ast.walk(tree)
+                        if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "add"
+                        and node.args
+                        and isinstance(node.args[0], ast.Constant)
+                        and isinstance(node.args[0].value, str)
+                        and len(node.args) + len(node.keywords) >= 2),
+                       key=lambda node: node.lineno)
+        for node in calls:
+            name = node.args[0].value
+            site = "%s:%d" % (path.name, node.lineno)
+            if name in first:
+                yield "%s: check name %r also at %s" % (site, name,
+                                                        first[name])
+            else:
+                first[name] = site
 
 
 def _foreign_imports(path):
@@ -442,6 +471,22 @@ def test_rules_catch_planted_violations(tmp_path):
     assert [v.split(": ", 1)[1] for v in _violations(planted)] == [
         "assert statement", "check with the literal verdict True",
         "check with the literal verdict False"]
+
+
+def test_report_check_names_are_unique():
+    assert list(_check_name_sites(SOURCES)) == []
+
+
+def test_check_name_rule_catches_planted_duplicates(tmp_path):
+    first, second = tmp_path / "first.py", tmp_path / "second.py"
+    first.write_text("report.add('a', x)\nflags.add('b')\n"
+                     "report.add('c', y, 'why')\nreport.add(name, z)\n")
+    second.write_text("flags.add('a')\nreport.add('b', x)\n"
+                      "report.add('c', ok=y)\nreport.add(name, z)\n"
+                      "rep.add('a', x == y)\n")
+    assert list(_check_name_sites([first, second])) == [
+        "second.py:3: check name 'c' also at first.py:3",
+        "second.py:5: check name 'a' also at first.py:1"]
 
 
 def test_library_imports_only_the_standard_library_and_itself():

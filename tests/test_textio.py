@@ -28,6 +28,15 @@ def test_parse_char_folding():
     assert poly_to_str(parse_poly(t2, "x1 - 1")) == "x1 + 1"
 
 
+@pytest.mark.parametrize("text,printed", [
+    ("-x1 + 2", "2*x1 + 2"),
+    ("+x1", "x1"),
+    ("-(x1+1)^2", "2*x1^2 + x1 + 2"),
+])
+def test_parse_leading_sign(text, printed):
+    assert poly_to_str(parse_poly(VarTable(3, ("x1", "x2")), text)) == printed
+
+
 def test_coeff_text_forms():
     assert str(parse_coeff(2, "u^2+u")) == "u^2+u"
     assert str(parse_coeff(2, "1/u")) == "1/u"
@@ -53,6 +62,9 @@ def test_parse_errors():
     except ParseError as exc:
         err = exc
     assert err is not None and err.position == 5
+    with pytest.raises(ParseError) as err:
+        parse_poly(t, "(x1 x2)")
+    assert str(err.value) == "expected ')', got 'x2' (at position 4)"
 
 
 def test_map_round_trip():
