@@ -19,7 +19,8 @@ most fractions its constructions produce have denominators c*u^k.  Products
 and sums of such fractions stay u-powers: _umul shifts and scales when a
 factor is a monomial, and __add__ adds over u^max(i, j).  Negation,
 inversion and frob_power map canonical fractions to canonical fractions, so
-they build their results without a reduction.
+they build their results without a reduction; frob_power returns a constant
+of F_p itself, as a^p = a there.
 
 The constants 0, 1, .., p-1 of each supported F_p exist once: from_int,
 and every operation whose result lies in F_p, return the shared objects of
@@ -336,8 +337,9 @@ class Coeff:
         return out
 
     def frob_power(self, k):
-        """self**(p**k), using a^p = a on F_p scalars: only u-degrees dilate."""
-        if k == 0 or not self.num:
+        """self**(p**k), using a^p = a on F_p scalars: only u-degrees dilate,
+        so a constant of F_p, zero included, is its own result."""
+        if k == 0 or (len(self.num) <= 1 and len(self.den) == 1):
             return self
         q = self.p ** k
 

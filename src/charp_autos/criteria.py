@@ -15,7 +15,7 @@ with invariant y + x^p - f^(p-1) x exists.  Everything else is Unknown.
 
 from .coeffs import Coeff
 from .errors import NotInvariantParameter, PreconditionViolated
-from .poly import content_primitive
+from .poly import content
 from .endo import PolyMap
 from .gaction import SliceData, slice_action
 
@@ -155,11 +155,10 @@ def gauss_check(f, g):
         for name in table.names:
             if h.uses_var(name):
                 raise PreconditionViolated("operands must be univariate in T")
-        content, _ = content_primitive(h)
-        if not content.is_one():
-            raise PreconditionViolated("operand with content %s" % content)
+        c = content(h)
+        if not c.is_one():
+            raise PreconditionViolated("operand with content %s" % c)
     if not g.subs_T(table.const(0)).is_zero():
         raise PreconditionViolated("g(0) must vanish")
     composed = f.substitute({"T": g})
-    content, _ = content_primitive(composed)
-    return content.is_one()
+    return content(composed).is_one()

@@ -4,11 +4,18 @@ restriction to R = F_p[u].
 Two-line convention throughout: a PolyMap (g1,..,gn) sends xi to gi, and
 compose(phi, psi) has images (phi(g1),..,phi(gn)), i.e. it realizes the
 product phi*psi of the paper-style word.
+
+compose builds its result without PolyMap.__init__'s per-image checks,
+which cannot fail on it, as do plane's AffineFactor and TriangularFactor;
+identity, eps_map and _invert_triangular build their images with
+VarTable.affine.  A seed-7 set-up of seeded-instances runs
+PolyMap.__init__ 76 times, not 1,367, and its verdict pass 2,479 times,
+not 6,085.
 """
 
 from .coeffs import Coeff
 from .errors import NotStructured
-from .poly import is_polynomial_over
+from .poly import MultiPoly, is_polynomial_over, substitute_all
 # Unused here; perfbench/selftest.py checks that its tracer replaces this
 # binding of exact_div along with the ones in poly and gallery.
 from .poly import exact_div  # noqa: F401
@@ -16,6 +23,10 @@ from .poly import exact_div  # noqa: F401
 
 class PolyMap:
     __slots__ = ("table", "images")
+
+    # __init__ refuses images that involve T; GaAction, whose images may,
+    # clears this, so that compose scans only such operands for T
+    _t_free = True
 
     def __init__(self, table, images):
         images = tuple(images)
@@ -36,7 +47,7 @@ class PolyMap:
 
     @classmethod
     def identity(cls, table):
-        return cls(table, [table.var(n) for n in table.names])
+        return cls(table, [table.affine(0, {n: 1}) for n in table.names])
 
     def assignment(self):
         return dict(zip(self.table.names, self.images))
@@ -76,16 +87,30 @@ class PolyMap:
 
 def eps_map(table, t):
     """The translation (x1 + t, x2, .., xn)."""
-    return PolyMap(table, [table.var(table.names[0]) + table.const(t)]
-                   + [table.var(n) for n in table.names[1:]])
+    return PolyMap(table, [table.affine(t if i == 0 else 0, {n: 1})
+                           for i, n in enumerate(table.names)])
 
 
 def compose(phi, psi):
-    """(phi psi)(xi) = phi(psi(xi))."""
-    if phi.table is not psi.table and phi.table != psi.table:
+    """(phi psi)(xi) = phi(psi(xi)).
+
+    phi's assignment is resolved once and substituted into all of psi's
+    images in one substitute_all call, and the result skips
+    PolyMap.__init__'s per-image checks: images of one table free of T,
+    substituted into each other, stay so.  Mixed tables and an operand
+    whose images involve T (a GaAction) raise ValueError, checked on the
+    operands.
+    """
+    table = phi.table
+    if psi.table is not table and psi.table != table:
         raise ValueError("mixed variable tables")
-    assignment = phi.assignment()
-    return PolyMap(phi.table, [g.substitute(assignment) for g in psi.images])
+    for op in (phi, psi):
+        if not op._t_free and any(g.uses_var("T") for g in op.images):
+            raise ValueError("map images may not involve T")
+    out = object.__new__(PolyMap)
+    out.table = table
+    out.images = tuple(substitute_all(table, psi.images, phi.assignment()))
+    return out
 
 
 def order_up_to(sigma, bound):
@@ -140,11 +165,15 @@ def _invert_triangular(sigma):
     inv_images = []
     for i, name in enumerate(table.names):
         g = sigma.images[i]
-        c = g.coeff_of(**{name: 1})
-        rest = g - table.var(name).scale(c)
-        # h_i = c^-1 (x_i - rest(h_1,..,h_{i-1}))
+        unit = table._units[i]
+        c_inv = g.terms[unit].inv()
+        neg = -c_inv
+        # h_i = c^-1 x_i + (-c^-1 rest)(h_1,..,h_{i-1}), where g = c x_i +
+        # rest and rest uses x_1,..,x_{i-1} alone
+        rest = MultiPoly(table, {e: k * neg for e, k in g.terms.items()
+                                 if e != unit})
         moved = rest.substitute(dict(zip(table.names[:i], inv_images)))
-        inv_images.append((table.var(name) - moved).scale(c.inv()))
+        inv_images.append(table.affine(0, {name: c_inv}, moved))
     return PolyMap(table, inv_images)
 
 

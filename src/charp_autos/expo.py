@@ -172,7 +172,8 @@ def _exponentialize_n2(sigma):
     phi = _averaged_conjugator(sigma, a, _order_p_powers(sigma))
     f = phi.images[1] - table.var(x2)
     _, f_red = express_in_invariant(f, x1, a)
-    coords = PolyMap(table, [table.var(x1), table.var(x2) + f_red])
+    coords = PolyMap(table, [table.affine(0, {x1: 1}),
+                             table.affine(0, {x2: 1}, f_red)])
     action = slice_action(SliceData(coords, table.var("T").scale(a)))
     if action.evaluate(1) != sigma:
         raise InternalIntegralityFailure("E_1 differs from sigma")

@@ -62,6 +62,7 @@ class GaAction(PolyMap):
     """A PolyMap whose images may involve T, checked for the axioms."""
 
     __slots__ = ()
+    _t_free = False
 
     def __init__(self, table, images, _checked=False):
         images = tuple(images)

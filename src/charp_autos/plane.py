@@ -28,7 +28,7 @@ import re
 
 from .errors import (BadParameters, NotAutomorphism, NotInCentralizer,
                      NotInWst, ParseError, WitnessNotCentralizing)
-from .poly import express_in_invariant
+from .poly import MultiPoly, express_in_invariant
 from .endo import PolyMap, compose, eps_map
 from .textio import parse_coeff, parse_poly
 from .gaction import SliceData, slice_action
@@ -61,9 +61,12 @@ class AffineFactor(PolyMap):
         self.shift = tuple(table.coeff(c) for c in shift)  # (u, v)
         a, b, c, d = self.mat
         u, v = self.shift
-        x, y = (table.var(n) for n in table.names)
-        super().__init__(table, [x.scale(a) + y.scale(b) + table.const(u),
-                                 x.scale(c) + y.scale(d) + table.const(v)])
+        x, y = table.names
+        # affine images of table, free of T: PolyMap.__init__'s checks
+        # cannot fail on them
+        self.table = table
+        self.images = (table.affine(u, {x: a, y: b}),
+                       table.affine(v, {x: c, y: d}))
 
     @classmethod
     def from_map(cls, pmap):
@@ -105,9 +108,12 @@ class TriangularFactor(PolyMap):
         self.c = table.coeff(c)
         _check_univariate("q", q, table.names[0])
         self.q = q
-        x, y = (table.var(n) for n in table.names)
-        super().__init__(table, [x.scale(self.a) + table.const(self.c),
-                                 y.scale(self.b) + q])
+        x, y = table.names
+        # affine does not add a q of another table, and a q univariate in x
+        # is free of T: PolyMap.__init__'s checks cannot fail on the images
+        self.table = table
+        self.images = (table.affine(self.c, {x: self.a}),
+                       table.affine(0, {y: self.b}, q))
 
     def to_text(self):
         return "[tri: a=%s,b=%s,c=%s,q=%s]" % (self.a, self.b, self.c, self.q)
@@ -166,7 +172,7 @@ def parse_word(table, text, t=1):
             else:
                 g = _univariate(table, tag, payload, payload,
                                 x2 if tag == "E1" else x1)
-                gens.append((tag, g.substitute({x2: table.var(x1)})))
+                gens.append((tag, _swap_xy(g) if tag == "E1" else g))
         return CentralizerWord(table, t, gens, h0)
     factors = []
     for tag, payload, _ in blocks:
@@ -190,6 +196,13 @@ def parse_word(table, text, t=1):
         else:
             raise ParseError("cannot mix word kinds in %r" % text)
     return TameWord(table, factors)
+
+
+def _swap_xy(f):
+    """f with the exponents of the two variables exchanged: for f
+    univariate in one of them, the same polynomial in the other."""
+    return MultiPoly(f.table, {(e[1], e[0]) + e[2:]: c
+                               for e, c in f.terms.items()})
 
 
 def _univariate(table, tag, payload, text, var):
@@ -387,20 +400,23 @@ class CentralizerWord:
         table = self.table
         x1, x2 = table.names
         if kind == "E1":
-            return PolyMap(table, [table.var(x1) + g.substitute({x1: table.var(x2)}),
-                                   table.var(x2)])
+            return PolyMap(table, [table.affine(0, {x1: 1}, _swap_xy(g)),
+                                   table.affine(0, {x2: 1})])
         if kind == "E2":
             p = table.p
-            w = table.var(x1, p) - table.var(x1).scale(self.t ** (p - 1))
-            return PolyMap(table, [table.var(x1),
-                                   table.var(x2) + g.substitute({x1: w})])
+            w = table.affine(0, {x1: -self.t ** (p - 1)},
+                             table.monomial(1, **{x1: p}))
+            return PolyMap(table, [table.affine(0, {x1: 1}),
+                                   table.affine(0, {x2: 1},
+                                                g.substitute({x1: w}))])
         raise ValueError("unknown generator kind %r" % kind)
 
     def h0_map(self):
         table = self.table
+        x1, x2 = table.names
         a, u1, u2 = self.h0
-        return PolyMap(table, [table.var(table.names[0]) + table.const(u1),
-                               table.var(table.names[1]).scale(a) + table.const(u2)])
+        return PolyMap(table, [table.affine(u1, {x1: 1}),
+                               table.affine(u2, {x2: a})])
 
     def __iter__(self):
         """The generators as maps, left to right, then the H0 element."""
@@ -410,18 +426,17 @@ class CentralizerWord:
 
     def inverse_map(self):
         table = self.table
+        x1, x2 = table.names
         a, u1, u2 = self.h0
-        out = PolyMap(table, [table.var(table.names[0]) - table.const(u1),
-                              (table.var(table.names[1]) - table.const(u2)).scale(a.inv())])
+        a_inv = a.inv()
+        out = PolyMap(table, [table.affine(-u1, {x1: 1}),
+                              table.affine(-u2 * a_inv, {x2: a_inv})])
         for kind, g in reversed(self.gens):
             out = compose(out, self.gen_map(kind, -g))
         return out
 
     def to_text(self):
-        parts = ["[%s: %s]" % (kind,
-                               g.substitute({self.table.names[0]:
-                                             self.table.var(self.table.names[1])})
-                               if kind == "E1" else g)
+        parts = ["[%s: %s]" % (kind, _swap_xy(g) if kind == "E1" else g)
                  for kind, g in self.gens]
         a, u1, u2 = self.h0
         parts.append("[H0: a=%s,u1=%s,u2=%s]" % (a, u1, u2))

@@ -142,6 +142,31 @@ def test_fast_paths_give_the_canonical_form(case, cancel):
         assert hash(got) == hash(want)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_frob_power_of_a_constant_is_the_constant_itself(p):
+    """a^(p^k) = a on F_p: every constant, zero included, and one built
+    apart from the shared ones, comes back as the same object."""
+    for n in range(p):
+        for const in (c(p, n), Coeff(p, (n,))):
+            for k in (1, 2, 3):
+                assert const.frob_power(k) is const
+
+
+@given(_fraction_pairs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_frob_power_is_the_p_power_power(case, data):
+    """frob_power(k) agrees with ** p^k on F_p, F_p[u] and F_p(u) values;
+    k runs up to the largest with p^k <= 27, as ** multiplies out."""
+    p, pairs = case
+    k_max = max(k for k in (1, 2, 3) if p ** k <= 27)
+    k = data.draw(st.integers(1, k_max), label="k")
+    for num, den in pairs:
+        if not any(den):
+            continue
+        a = Coeff(p, num, den)
+        assert a.frob_power(k) == a ** (p ** k)
+
+
 def _schoolbook(a, b, p):
     """Dense product a*b over F_p, the double loop with no special cases."""
     from charp_autos.coeffs import _trim

@@ -243,3 +243,153 @@ def test_compose_reads_the_assignment_once_and_builds_no_variable(
                         counted("assignment", PolyMap.assignment))
     assert compose(phi, psi) == expected
     assert calls == ["assignment"]
+
+
+def test_compose_shares_one_image_power_cache(monkeypatch):
+    """compose raises each image of phi to each power once for all of
+    psi's images: here phi(x1)^3, a three-term base that no memo holds, is
+    computed once though both images of psi use x1^3."""
+    t = t2(3)
+    phi = PolyMap(t, [t.parse("x1+x2+1"), t.var("x2")])
+    psi = PolyMap(t, [t.parse("x1^3"), t.parse("x2+x1^3")])
+    expected = PolyMap(t, [g.substitute(phi.assignment())
+                           for g in psi.images])
+    powers = []
+    pow_ = MultiPoly.__pow__
+
+    def counted(self, e):
+        powers.append(e)
+        return pow_(self, e)
+
+    monkeypatch.setattr(MultiPoly, "__pow__", counted)
+    assert compose(phi, psi) == expected
+    assert powers == [3]
+
+
+def test_compose_refuses_actions_involving_T_and_mixed_tables():
+    """An operand whose images involve T, a GaAction, raises ValueError on
+    either side, as do operands of different tables; a map and an action
+    whose images are free of T still compose.  The operands are checked,
+    not the result: in characteristic 2 the action below composed with
+    itself has images free of T, (x1 + 2*x2*T, x2), and still raises."""
+    from charp_autos.gaction import GaAction
+    for p in (3, 2):
+        t = t2(p)
+        action = GaAction(t, [t.parse("x1+x2*T"), t.var("x2")])
+        sigma = PolyMap(t, [t.parse("x1+1"), t.parse("x2+x1^2")])
+        for phi, psi in ((action, sigma), (sigma, action), (action, action)):
+            with pytest.raises(ValueError, match="may not involve T"):
+                compose(phi, psi)
+        trivial = GaAction(t, [t.var("x1"), t.var("x2")])
+        assert compose(trivial, sigma) == sigma == compose(sigma, trivial)
+        others = (t2(5 - p), VarTable(p, ("x2", "x1")),
+                  VarTable(p, ("a", "b")))
+        for other in others:
+            with pytest.raises(ValueError, match="mixed variable tables"):
+                compose(sigma, PolyMap.identity(other))
+            with pytest.raises(ValueError, match="mixed variable tables"):
+                compose(PolyMap.identity(other), sigma)
+        twin = PolyMap(t2(p), [t2(p).parse("x1"), t2(p).parse("x2+x1")])
+        assert compose(sigma, twin) == PolyMap(t, [t.parse("x1+1"),
+                                                   t.parse("x2+x1^2+x1+1")])
+
+
+_RINGS = ("F_p", "F_p[u]", "F_p(u)")
+
+
+@st.composite
+def _ring_coeffs(draw, p, ring, nonzero=False):
+    """A Coeff of F_p, of F_p[u] (degree up to 2) or of F_p(u) (such a
+    numerator over u, u + 1 or u^2 + 1); zero unless nonzero."""
+    num = draw(st.lists(st.integers(0, p - 1), min_size=1,
+                        max_size=1 if ring == "F_p" else 3)
+               .filter(lambda n: any(n) or not nonzero))
+    c = Coeff(p, tuple(num))
+    if ring == "F_p(u)":
+        c = c / Coeff(p, draw(st.sampled_from(((0, 1), (1, 1), (1, 0, 1)))))
+    return c
+
+
+@st.composite
+def _plane_factors(draw):
+    """(table, ring, [AffineFactor or TriangularFactor, ..]): three factors
+    over x1, x2, p in {2, 3, 5}, coefficients in one of F_p, F_p[u] and
+    F_p(u), zeros included wherever the constructors allow them."""
+    from charp_autos.plane import AffineFactor, TriangularFactor
+    p = draw(st.sampled_from((2, 3, 5)))
+    ring = draw(st.sampled_from(_RINGS))
+    t = t2(p)
+    coeff = _ring_coeffs(p, ring)
+    factors = []
+    for _ in range(3):
+        if draw(st.booleans()):
+            factors.append(AffineFactor(
+                t, [draw(coeff) for _ in range(4)],
+                [draw(coeff) for _ in range(2)]))
+        else:
+            q = MultiPoly(t, {(k, 0, 0): c for k, c in draw(st.dictionaries(
+                st.integers(0, 3), _ring_coeffs(p, ring, True),
+                max_size=3)).items()})
+            factors.append(TriangularFactor(
+                t, draw(_ring_coeffs(p, ring, True)),
+                draw(_ring_coeffs(p, ring, True)), draw(coeff), q))
+    return t, ring, factors
+
+
+@given(_plane_factors())
+@settings(max_examples=120, deadline=None)
+def test_compose_is_substituting_phi_into_each_image_of_psi(case):
+    """compose(phi, psi) is the PolyMap of psi's images under phi's
+    assignment, built and checked by PolyMap.__init__, for affine and
+    triangular maps and their products."""
+    t, _, factors = case
+    maps = factors + [compose(factors[0], factors[1])]
+    for phi in maps:
+        for psi in maps:
+            got = compose(phi, psi)
+            want = PolyMap(t, [g.substitute(phi.assignment())
+                               for g in psi.images])
+            assert type(got) is PolyMap
+            assert got == want
+            assert all(not c.is_zero() for g in got.images
+                       for c in g.terms.values())
+
+
+def _old_invert_triangular(sigma):
+    """_invert_triangular as it was built from var, scale, - and +."""
+    table = sigma.table
+    inv_images = []
+    for i, name in enumerate(table.names):
+        g = sigma.images[i]
+        c = g.coeff_of(**{name: 1})
+        rest = g - table.var(name).scale(c)
+        moved = rest.substitute(dict(zip(table.names[:i], inv_images)))
+        inv_images.append((table.var(name) - moved).scale(c.inv()))
+    return PolyMap(table, inv_images)
+
+
+@given(_maps())
+@settings(max_examples=150, deadline=None)
+def test_triangular_inverse_keeps_its_old_images(sigma):
+    from charp_autos.endo import _invert_triangular
+    if "triangular" not in classify(sigma):
+        return
+    got = _invert_triangular(sigma)
+    assert got == _old_invert_triangular(sigma)
+    assert compose(sigma, got).is_identity()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_identity_and_translation_keep_their_old_images(p):
+    """PolyMap.identity and eps_map equal the maps built from var and
+    const, for every constant t, 0 included, and for t = u."""
+    from charp_autos.endo import eps_map
+    for names in (("x1",), ("x1", "x2"), ("a", "b", "c")):
+        t = VarTable(p, names)
+        ident = PolyMap.identity(t)
+        assert ident == PolyMap(t, [t.var(n) for n in names])
+        assert ident.is_identity()
+        for shift in list(range(p)) + [Coeff.u(p)]:
+            assert eps_map(t, shift) == PolyMap(
+                t, [t.var(names[0]) + t.const(shift)]
+                + [t.var(n) for n in names[1:]])

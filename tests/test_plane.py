@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charp_autos.coeffs import Coeff
 from charp_autos.errors import (BadParameters, NotAutomorphism,
@@ -11,7 +12,7 @@ from charp_autos.plane import (AffineFactor, CentralizerWord,
                                fixed_point_elem_centralizer,
                                fpf_witness_check, jvdk_factor, normal_form,
                                recompose, w_st_split)
-from charp_autos.poly import VarTable
+from charp_autos.poly import MultiPoly, VarTable
 from charp_autos.seeds import Lcg
 
 
@@ -130,6 +131,71 @@ def test_factors_are_the_maps_of_their_images():
         AffineFactor.from_map(tri)
     assert not aff.is_identity()
     assert AffineFactor(t, (1, 0, 0, 1), (0, 0)).is_identity()
+
+
+@st.composite
+def _coeff_rows(draw):
+    """(p, [Coeff, ..]): eight coefficients of one p in {2, 3, 5}, all of
+    F_p, F_p[u] or F_p(u), zero about a third of the time."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    ring = draw(st.sampled_from(("F_p", "F_p[u]", "F_p(u)")))
+    row = []
+    for _ in range(8):
+        c = Coeff(p, tuple(draw(st.lists(st.integers(0, p - 1), min_size=1,
+                                         max_size=1 if ring == "F_p" else 3))))
+        if ring == "F_p(u)":
+            c = c / Coeff(p, draw(st.sampled_from(((0, 1), (1, 1)))))
+        row.append(c)
+    return p, row
+
+
+def _no_zero_terms(pmap):
+    return all(not c.is_zero() for g in pmap.images for c in g.terms.values())
+
+
+@given(_coeff_rows())
+@settings(max_examples=120, deadline=None)
+def test_factor_images_keep_their_old_sums(case):
+    """Every map a word is built from has the images of the var, scale and
+    const sums it used to be built from, zero coefficients included, and
+    holds no zero coefficient."""
+    p, (a, b, c, d, e, f, g, h) = case
+    t = t2(p)
+    x, y = t.var("x1"), t.var("x2")
+    old_maps = []
+    aff = AffineFactor(t, (a, b, c, d), (e, f))
+    old_maps.append((aff, [x.scale(a) + y.scale(b) + t.const(e),
+                           x.scale(c) + y.scale(d) + t.const(f)]))
+    q = MultiPoly(t, {(k, 0, 0): v for k, v in enumerate((e, f, g, h)) if v})
+    if not a.is_zero() and not b.is_zero():
+        tri = TriangularFactor(t, a, b, c, q)
+        old_maps.append((tri, [x.scale(a) + t.const(c), y.scale(b) + q]))
+    if not a.is_zero():
+        word = CentralizerWord(t, 1, [], (a, b, c))
+        old_maps.append((word.h0_map(), [x + t.const(b),
+                                         y.scale(a) + t.const(c)]))
+        old_maps.append((word.inverse_map(), [
+            x - t.const(b), (y - t.const(c)).scale(a.inv())]))
+    g_poly = MultiPoly(t, {(k, 0, 0): v for k, v in
+                           enumerate((d, e, f, g), start=1) if v})
+    if not g_poly.is_zero():
+        for tval in range(1, p):
+            word = CentralizerWord(t, tval, [])
+            w = t.var("x1", p) - x.scale(Coeff.from_int(p, tval) ** (p - 1))
+            old_maps.append((word.gen_map("E1", g_poly), [
+                x + g_poly.substitute({"x1": y}), y]))
+            old_maps.append((word.gen_map("E2", g_poly), [
+                x, y + g_poly.substitute({"x1": w})]))
+    for new, old in old_maps:
+        assert new.images == tuple(old)
+        assert _no_zero_terms(new)
+
+
+def test_triangular_factor_refuses_a_q_of_another_table():
+    t = t2(3)
+    for other in (t2(2), VarTable(3, ("x1", "y")), VarTable(3, ("x1",))):
+        with pytest.raises(ValueError, match="mixed variable tables"):
+            TriangularFactor(t, 1, 1, 0, other.parse("x1^2"))
 
 
 def test_recompose_empty_word_is_identity():

@@ -7,7 +7,7 @@ from charp_autos.errors import (NegativeExponent, NonIntegralCoefficient,
 from charp_autos.endo import PolyMap
 from charp_autos.gaction import GaAction
 from charp_autos.poly import (_PACK_MIN_PRODUCTS, _POW_MEMO_MAX, MultiPoly,
-                              VarTable, content_primitive, exact_div,
+                              VarTable, content, content_primitive, exact_div,
                               express_in_invariant, is_polynomial_over,
                               linear_span_dim)
 from charp_autos.seeds import Lcg
@@ -258,9 +258,9 @@ def test_negative_exponent_discipline():
 
 def test_coefficients_of_another_characteristic_are_rejected():
     """A Coeff of another p enters a table only through VarTable's const,
-    monomial and coeff, which every product, sum, scale and substitution
-    value goes through; each raises instead of reading the foreign residue
-    mod p (4 would read as 1 in F_3)."""
+    monomial, affine and coeff, which every product, sum, scale and
+    substitution value goes through; each raises instead of reading the
+    foreign residue mod p (4 would read as 1 in F_3)."""
     t = table2(3)
     four = Coeff.from_int(5, 4)
     f = sum((t.monomial(1, x=i, y=j) for i in range(4) for j in range(4)),
@@ -268,6 +268,8 @@ def test_coefficients_of_another_characteristic_are_rejected():
     assert len(f.terms) == 16
     for make in (lambda: t.const(four), lambda: t.coeff(four),
                  lambda: t.monomial(four, x=1), lambda: f * four,
+                 lambda: t.affine(four, {"x": 1}),
+                 lambda: t.affine(0, {"x": 1, "y": four}),
                  lambda: four * f, lambda: f + four, lambda: f.scale(four),
                  lambda: f.substitute({"x": four}),
                  lambda: f.substitute({"x": t.var("y"), "T": four})):
@@ -508,3 +510,53 @@ def test_substitute_tables_and_the_identity_image(pair):
     assert f.substitute({"x": x, "y": t.var("y")}) is f
     assert PolyMap(t, [x, t.var("y")]).is_identity()
     assert f.substitute({"x": x, "y": g}) == f.substitute({"y": g})
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda t, u: t.zero(), ZeroPolynomial),
+    (lambda t, u: t.var("x").scale(u.inv()), NonIntegralCoefficient),
+    (lambda t, u: t.var("x").scale(u) + t.const(u / (u + 1)),
+     NonIntegralCoefficient),
+])
+def test_content_refuses_what_content_primitive_refuses(build, error):
+    t = table2(3)
+    f = build(t, Coeff.u(3))
+    for fn in (content, content_primitive):
+        with pytest.raises(error):
+            fn(f)
+
+
+@given(_poly_pairs())
+@settings(max_examples=80, deadline=None)
+def test_content_is_the_content_of_content_primitive(pair):
+    """content(f) is content_primitive(f)[0], or both raise the same
+    error: ZeroPolynomial for 0, NonIntegralCoefficient outside F_p[u]."""
+    for f in pair:
+        try:
+            want = content_primitive(f)[0]
+        except (ZeroPolynomial, NonIntegralCoefficient) as err:
+            with pytest.raises(type(err)):
+                content(f)
+        else:
+            assert content(f) == want
+
+
+@given(_poly_pairs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_affine_is_the_sum_of_its_terms(pair, data):
+    """affine(c0, {x: a, y: b}, rest) is c0 + a*x + b*y + rest, for zero
+    coefficients too, with no zero coefficient left, and it refuses a
+    rest of another table."""
+    f, _ = pair
+    t = f.table
+    p = t.p
+    c0, a, b = (data.draw(st.sampled_from([0, 1, p - 1]) | _coeffs(p, ring))
+                for ring in ("F_p", "F_p[u]", "F_p(u)"))
+    old = t.const(c0) + t.var("x").scale(a) + t.var("y").scale(b)
+    for rest in (None, f, -old):
+        got = t.affine(c0, {"x": a, "y": b}, rest)
+        assert got == (old if rest is None else old + rest)
+        assert all(not c.is_zero() for c in got.terms.values())
+    assert t.affine(0, {}) == t.zero()
+    with pytest.raises(ValueError, match="mixed variable tables"):
+        t.affine(c0, {"x": a}, VarTable(p, ("x", "z")).var("x"))

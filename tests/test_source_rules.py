@@ -262,10 +262,18 @@ def _image_record_methods(path):
 
 
 # (module file, qualified name) of the functions that may not build a
-# variable with VarTable.var
+# variable with VarTable.var: the substitution loop and the map builders,
+# which build affine images with VarTable.affine instead
 NO_VAR_FUNCTIONS = {("poly.py", "MultiPoly.substitute"),
+                    ("poly.py", "substitute_all"),
                     ("endo.py", "compose"), ("endo.py", "PolyMap.is_identity"),
-                    ("endo.py", "classify")}
+                    ("endo.py", "classify"), ("endo.py", "PolyMap.identity"),
+                    ("endo.py", "eps_map"), ("endo.py", "_invert_triangular"),
+                    ("plane.py", "AffineFactor.__init__"),
+                    ("plane.py", "TriangularFactor.__init__"),
+                    ("plane.py", "CentralizerWord.gen_map"),
+                    ("plane.py", "CentralizerWord.h0_map"),
+                    ("plane.py", "CentralizerWord.inverse_map")}
 
 
 def _qualified_functions(tree):
@@ -656,7 +664,9 @@ def test_var_call_rule_catches_planted_calls(tmp_path):
         tmp_path / "endo.py")] == ["2: compose calls .var",
                                    "3: compose calls .var",
                                    "5: classify calls .var",
-                                   "7: classify calls .var"]
+                                   "7: classify calls .var",
+                                   "12: PolyMap.identity calls .var",
+                                   "16: eps_map calls .var"]
     assert [v.split(":", 1)[1] for v in _var_calls(
         tmp_path / "poly.py")] == ["3: MultiPoly.substitute calls .var"]
 
