@@ -8,9 +8,7 @@ product phi*psi of the paper-style word.
 compose builds its result without PolyMap.__init__'s per-image checks,
 which cannot fail on it, as do plane's AffineFactor and TriangularFactor;
 identity, eps_map and _invert_triangular build their images with
-VarTable.affine.  A seed-7 set-up of seeded-instances runs
-PolyMap.__init__ 76 times, not 1,367, and its verdict pass 2,479 times,
-not 6,085.
+VarTable.affine.
 """
 
 from .coeffs import Coeff
@@ -25,7 +23,8 @@ class PolyMap:
     __slots__ = ("table", "images")
 
     # __init__ refuses images that involve T; GaAction, whose images may,
-    # clears this, so that compose scans only such operands for T
+    # clears this, so that __init__ lets them pass and compose scans only
+    # such operands for T
     _t_free = True
 
     def __init__(self, table, images):
@@ -39,7 +38,7 @@ class PolyMap:
                 g = table.const(g)
             if g.table is not table and g.table != table:
                 raise ValueError("image from a different table")
-            if g.uses_var("T"):
+            if self._t_free and g.uses_var("T"):
                 raise ValueError("map images may not involve T")
             fixed.append(g)
         self.table = table

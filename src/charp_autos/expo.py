@@ -129,8 +129,7 @@ def maubach_conjugator(sigma):
     if "strict_triangular" not in classify(sigma):
         raise NotTriangular("conjugator needs a strict triangular input")
     powers = _order_p_powers(sigma)
-    table = sigma.table
-    a = (sigma.images[0] - table.var(table.names[0])).constant_term()
+    a = sigma.images[0].constant_term()
     if a.is_zero():
         raise NonUnitTranslation("sigma fixes x1")
     if not a.is_constant():
@@ -155,7 +154,7 @@ def _exponentialize_n2(sigma):
     p = table.p
     x1, x2 = table.names
 
-    a = (sigma.images[0] - table.var(x1)).constant_term()
+    a = sigma.images[0].constant_term()
     if a.is_zero():
         # sigma = (x1, x2 + b(x1)) is elementary, of order p iff b != 0
         b = sigma.images[1] - table.var(x2)
@@ -244,7 +243,7 @@ def exponentialize_field_n3(sigma):
     _check_shape(sigma)
     x1, x2, x3 = table.names
 
-    a = (sigma.images[0] - table.var(x1)).constant_term()
+    a = sigma.images[0].constant_term()
     if not a.is_zero():
         phi = _averaged_conjugator(sigma, a, _order_p_powers(sigma))
         action = slice_action(SliceData(phi, table.var("T").scale(a)))

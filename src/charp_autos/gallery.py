@@ -188,13 +188,13 @@ class NonExpFamily:
                 - table.var("y", p * self.a) * a_part).scale(u_inv)
 
     def slice_axioms(self):
-        """slice_axioms_report(self.data()), and that f_expr read in x, y, z
-        is the translation that xi and the stars use."""
-        report = slice_axioms_report(self.data())
-        if self.coords.apply(self.f_expr) != self.translation:
-            return {"A1": report["A1"], "A2": False,
-                    "witness": "f_expr differs from the translation"}
-        return report
+        """slice_axioms_report(self.data()), and then that f_expr read in x,
+        y, z is the translation that xi and the stars use, which fails with
+        the witness ("A2", "f_expr differs from the translation")."""
+        ok, witness = slice_axioms_report(self.data())
+        if ok and self.coords.apply(self.f_expr) != self.translation:
+            return False, ("A2", "f_expr differs from the translation")
+        return ok, witness
 
     def restriction(self):
         """PolyMap.restricts_to's (ok, witness) pair for the canonical

@@ -54,12 +54,7 @@ and 0.14 for the 12 F_p products above 2048.  Both ratios cross 1 between
 the threshold 32 is within 1 ms of the best of 16, 24, 32, 48, 64 and 128
 on every workload: 31.1 and 129.2 ms for the F_p and the other products of
 seeded-instances (45.5 and 134.1 ms with none packed), 38.5 ms on rank3
-(238.6) and 7.0 ms on gallery-axioms (12.5).  F_p products used to run a
-kernel of their own, and the others packed u as one more exponent slot
-before it; on the packed products of this replay the shared kernel takes
-0.71 and 0.89 of the time of the latter on seeded-instances and
-gallery-axioms, and 1.01 and 1.10 of the time of the former on rank3 and
-seeded-instances (57.2 against 56.7 ms, 10.0 against 9.0 ms).
+(238.6) and 7.0 ms on gallery-axioms (12.5).
 
 MultiPoly.substitute has two paths too.  A call where len(f.terms) times
 the total term count of the images of the variables that f uses (an image
@@ -112,9 +107,7 @@ cores, Python 3.11; faster in nine), and from 0.997 to 0.923 s at seed
 
 substitute tells an image equal to its variable by the unit exponents of
 VarTable._units instead of building var(name), __sub__ negates no copy,
-scale(1) returns self and compose builds one assignment: a seed-7 pass of
-seeded-instances builds 59,441 MultiPolys, not 88,612, 10,220 of them by
-var, not 27,185, and negates 113 operands, not 4,422.
+scale(1) returns self and compose builds one assignment.
 
 substitute_all is the one substitution loop.  MultiPoly.substitute is its
 one-polynomial case, and endo.compose resolves phi's assignment once and
@@ -122,9 +115,6 @@ substitutes it into all of psi's images with one cache of image powers.
 VarTable.affine builds an affine image c0 + sum(c_i * x_i), plus a
 polynomial when given, as one term dict; the map builders of endo, plane
 and expo use it in place of sums of var, scale and const temporaries.
-With both, a seed-7 set-up of seeded-instances builds 6,965 MultiPolys,
-not 11,645, 295 of them by var, not 1,831, and its verdict pass builds
-44,786, not 56,521, 3,227 by var, not 9,636.
 
 exact_div is plain leading-term division: each step finds the leading
 term of the remainder with max over its keys, at a cost linear in the

@@ -8,6 +8,7 @@ from charp_autos.endo import PolyMap, compose, invert_structured
 from charp_autos.gaction import (GaAction, SliceData, additivity_check,
                                  check_axioms, rank_certificate, slice_action,
                                  slice_axioms_report, slice_image)
+from charp_autos.gallery import build_rank_r_action
 from charp_autos.poly import VarTable
 
 
@@ -17,21 +18,59 @@ def t2(p=2):
 
 def test_check_axioms_examples():
     t = t2(2)
-    good = check_axioms(t, [t.parse("x1+T"), t.var("x2")])
-    assert good == {"A1": True, "A2": True, "witness": None}
-    mixed = check_axioms(t, [t.parse("x1+x2*T"), t.var("x2")])
-    assert mixed["A1"] and mixed["A2"]
-    bad = check_axioms(t, [t.parse("x1+x1*T"), t.var("x2")])
-    assert bad["A1"] and not bad["A2"] and bad["witness"] == "x1"
+    assert check_axioms(t, [t.parse("x1+T"), t.var("x2")]) == (True, None)
+    assert check_axioms(t, [t.parse("x1+x2*T"), t.var("x2")]) == (True, None)
+    assert check_axioms(t, [t.parse("x1+x1*T"), t.var("x2")]) == (
+        False, ("A2", "x1"))
+    # an (A1) failure reports no (A2) verdict
+    assert check_axioms(t, [t.parse("x1+T+1"), t.var("x2")]) == (
+        False, ("A1", "x1"))
 
+
+
+def test_check_axioms_answers_by_axiom_name():
+    """The pair also answers verdict["A1"] and verdict["A2"], which
+    perfbench/probes.py reads on the rank-r (4, 3) action at p = 3; an
+    (A2) that was never checked reads None."""
+    action = build_rank_r_action(4, 3, 3).action
+    verdict = check_axioms(action.table, action.images)
+    assert verdict == (True, None)
+    assert verdict["A1"] is True and verdict["A2"] is True
+    t = t2(2)
+    a2 = check_axioms(t, [t.parse("x1+x1*T"), t.var("x2")])
+    assert (a2["A1"], a2["A2"], a2[1], a2[:1]) == (
+        True, False, ("A2", "x1"), (False,))
+    a1 = check_axioms(t, [t.parse("x1+T+1"), t.var("x2")])
+    assert (a1["A1"], a1["A2"]) == (False, None)
+    ok, witness = a1
+    assert (ok, witness) == (False, ("A1", "x1"))
+    with pytest.raises(TypeError):
+        a1["witness"]
 
 def test_construction_enforces_axioms():
+    """An int image is the constant it stands for, which fails (A1)."""
     t = t2(3)
-    with pytest.raises(AxiomViolation):
+    with pytest.raises(AxiomViolation,
+                       match="^axiom A2 fails at generator x1$"):
         GaAction(t, [t.parse("x1+x1*T"), t.var("x2")])
-    with pytest.raises(AxiomViolation):
+    with pytest.raises(AxiomViolation,
+                       match="^axiom A1 fails at generator x1$"):
         GaAction(t, [t.parse("x1+T+1"), t.var("x2")])
+    with pytest.raises(AxiomViolation,
+                       match="^axiom A1 fails at generator x2$"):
+        GaAction(t, [t.parse("x1+T"), 1])
     GaAction(t, [t.parse("x1+T"), t.var("x2")])  # fine
+
+
+def test_construction_checks_images_like_polymap():
+    """GaAction builds through PolyMap.__init__, which refuses images from
+    another table before the axioms are checked."""
+    t = t2(3)
+    other = VarTable(3, ("y1", "y2"))
+    with pytest.raises(ValueError, match="^image from a different table$"):
+        GaAction(t, [other.parse("y1+T"), t.var("x2")])
+    with pytest.raises(ValueError, match="^expected 2 images, got 1$"):
+        GaAction(t, [t.parse("x1+T")])
 
 
 def test_evaluate():
@@ -119,21 +158,23 @@ def test_slice_rejects_non_additive():
 
 def test_slice_axioms_report_can_fail_either_way():
     """A non-additive lam and a lam involving p1 each make (A2) false, with
-    its own witness, and slice_action raises the matching error."""
+    its own witness, and slice_action raises the matching error; lam(0) != 0
+    makes (A1) false and reports no (A2) verdict."""
     t = t2(3)
     coords = PolyMap(t, [t.var("x1"), t.parse("x2 + x1^2")])
 
     def report(lam):
         return slice_axioms_report(SliceData(coords, t.parse(lam)))
-    assert report("x2*T + u*T^3") == {"A1": True, "A2": True, "witness": None}
-    non_additive, moving = report("T^2"), report("x1*T")
-    assert non_additive["A1"] and not non_additive["A2"]
-    assert moving["A1"] and not moving["A2"]
-    assert non_additive["witness"] != moving["witness"]
-    assert report("T + 1")["A1"] is False
-    with pytest.raises(AdditivityViolation):
+    assert report("x2*T + u*T^3") == (True, None)
+    assert report("T^2") == (False, ("A2", "lam is not additive"))
+    assert report("x1*T") == (False, ("A2", "lam involves p1"))
+    assert report("T + 1") == (False, ("A1", "lam(0) is not 0"))
+    with pytest.raises(AdditivityViolation, match=r"^T\^2 is not additive$"):
         slice_action(SliceData(coords, t.parse("T^2")))
-    with pytest.raises(AxiomViolation):
+    with pytest.raises(AdditivityViolation,
+                       match=r"^T \+ 1 is not additive$"):
+        slice_action(SliceData(coords, t.parse("T + 1")))
+    with pytest.raises(AxiomViolation, match=r"^A2 fails: x1\*T involves p1$"):
         slice_action(SliceData(coords, t.parse("x1*T")))
 
 
@@ -151,8 +192,7 @@ def _verdicts(coords, lam):
     target = coords.assignment()
     target[t.names[0]] = target[t.names[0]] + coords.apply(lam)
     images = [q.substitute(target) for q in invert_structured(coords).images]
-    report = check_axioms(t, images)
-    return accepted, report["A1"] and report["A2"]
+    return accepted, check_axioms(t, images)[0]
 
 
 @st.composite
@@ -313,18 +353,18 @@ def test_rank_certificate_rank3_lower_bound():
 
 def _axiom_cases(names):
     """(images, verdict) pairs for check_axioms on VarTable(3, names), with
-    the witness given as a generator index."""
+    a failure's witness given as (axiom, generator index)."""
     t = VarTable(3, names)
     a, b = (t.var(n) for n in names)
     T = t.var("T")
     return t, [
-        ([a + T, b], (True, True, None)),
-        ([a + b * T, b], (True, True, None)),
-        ([a + T + t.var("T", 3), b + a.scale(Coeff.u(3))], (False, False, 1)),
-        ([a + a * T, b], (True, False, 0)),
-        ([a + T + t.one(), b], (False, False, 0)),
-        ([a + T, b + a * T], (True, False, 1)),
-        ([a + T + t.var("T", 3), b], (True, True, None)),
+        ([a + T, b], None),
+        ([a + b * T, b], None),
+        ([a + T + t.var("T", 3), b + a.scale(Coeff.u(3))], ("A1", 1)),
+        ([a + a * T, b], ("A2", 0)),
+        ([a + T + t.one(), b], ("A1", 0)),
+        ([a + T, b + a * T], ("A2", 1)),
+        ([a + T + t.var("T", 3), b], None),
     ]
 
 
@@ -345,9 +385,9 @@ def test_axiom_verdicts_do_not_depend_on_variable_names():
     for names in (("x1", "x2"), ("S", "x2"), ("x1", "S"), ("S", "S_"),
                   ("x1", chosen), (chosen, chosen + "_")):
         t, cases = _axiom_cases(names)
-        for images, (a1, a2, witness) in cases:
-            assert check_axioms(t, images) == {
-                "A1": a1, "A2": a2,
-                "witness": None if witness is None else names[witness]}
+        for images, failure in cases:
+            assert check_axioms(t, images) == (
+                (True, None) if failure is None
+                else (False, (failure[0], names[failure[1]])))
         for lam, additive in _additivity_cases(t):
             assert additivity_check(lam) == additive
