@@ -248,13 +248,11 @@ def build_nonexp_family(p, d, l, g_expr=None):
     psi1 = PolyMap(table, [x + lam] + [table.var(n) for n in table.names[1:]])
     psi2 = PolyMap(table, [x, y + x ** d] + [table.var(z) for z in zs])
     coords = compose(psi1, psi2)
+    # not proved here: gaction._slice_images proves compose(inv, coords) = id
+    # before any image is read through it
     inv = compose(
         PolyMap(table, [x, y - x ** d] + [table.var(z) for z in zs]),
         PolyMap(table, [x - lam] + [table.var(n) for n in table.names[1:]]))
-    # one-sided check: the expensive direction explodes at large parameters
-    if not compose(inv, coords).is_identity():
-        raise InternalIntegralityFailure("coordinate inverse is not a "
-                                         "left inverse")
 
     f_expr = (table.one()
               + g_expr.substitute({"y": table.var("y").scale(u ** ((p + 1) * d))})
@@ -279,8 +277,10 @@ def build_nonexp_family(p, d, l, g_expr=None):
         * (table.var("T") - table.var("T", p))
     report.add("star4_E_x_coset", shift == expected, str(shift))
 
+    # sigma(y) - y is xi at T = 1, tested apart from star3's verdict
     sigma_shift = family.nonintegral_shift(t_value=1)
-    report.add("sigma_restricts", sigma_shift.is_zero() and ok3,
+    ok_y, _ = is_polynomial_over(xi.subs_T(1))
+    report.add("sigma_restricts", sigma_shift.is_zero() and ok_y,
                str(sigma_shift))
     family.report = report
     return family
@@ -641,12 +641,8 @@ def build_rank3_family(base, l, m):
         return fam
 
     if (l, m) == (1, 0):
-        # evaluation at 1 is eps; the action itself does not restrict
-        n2 = g * x2                           # g * E_1(x2)
-        n1 = g * (x1 + table.one())           # g * E_1(x1)
-        report.add("E1_extends_translation",
-                   exact_div(n2, g) == x2 and exact_div(n1, g) == x1 + table.one())
-        # pi1(g E(x2)), g E(x2) = g x2 - f^(p^2) (T^(p^2) - T^p)
+        # the action does not restrict (its evaluation at 1, eps, is not
+        # built): pi1(g E(x2)), g E(x2) = g x2 - f^(p^2) (T^(p^2) - T^p)
         f1, g1, x2_1 = (_pi_map(v, "x1") for v in (f, g, x2))
         pi1 = g1 * x2_1 - f1 ** p2 * (table.var("T", p2) - table.var("T", p))
         report.add("action_blocked_pi1", g1.is_zero() and not pi1.is_zero(),

@@ -231,9 +231,13 @@ def test_thm15_case_establishes_each_fact_once(monkeypatch, p):
     sigma, = expos[0]
     assert sum(args[0] == sigma for args in orders) <= 1
     assert sum(args[0] == sigma for args in shapes) == 1
-    # one list of powers: sigma^2, .., sigma^p, each composed once, and
-    # sigma*phi for the intertwining check of the conjugator
-    assert sum(args[0] == sigma for args in composes) == p
+    # one list of powers: sigma^2, .., sigma^p, each composed once; the
+    # conjugator is certified by E_1 = sigma, not composed with eps
+    made = list(composes)
+    powers = expo._order_p_powers(sigma)
+    assert [args[1] for args in made if args[0] == sigma] == powers[1:]
+    eps = eps_map(sigma.table, sigma.images[0].constant_term())
+    assert not any(args[1] == eps for args in made)
     assert len(evaluations) == 1 and len(restrictions) == 1
     # the suite builds sigma once and theta_of rebuilds it for its check
     assert len(built) == 2
@@ -242,30 +246,37 @@ def test_thm15_case_establishes_each_fact_once(monkeypatch, p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_fixed_x1_paths_make_no_compositions(monkeypatch, p):
     """sigma = (x1, x2 + b(x1)) has order p exactly when b != 0, so neither
-    n = 2 nor n = 3 with x1 and x2 fixed composes anything."""
+    n = 2 nor n = 3 with x1 and x2 fixed composes anything.  Nor does
+    either test the restriction of its action: the elementary action's b
+    is sigma's own, and at n = 3 it lies over F_p[u] by renaming."""
     composes = _count_calls(monkeypatch, endo, "compose")
+    restrictions = _count_calls(monkeypatch, GaAction, "restricts_to")
     t = t2(p)
     exponentialize_triangular_n2(PolyMap(t, [t.var("x1"),
                                              t.parse("x2 + x1^2 + u")]))
     t3 = VarTable(p, ("x1", "x2", "x3"))
     exponentialize_field_n3(PolyMap(t3, [t3.var("x1"), t3.var("x2"),
                                          t3.parse("x3 + x1*x2 + 1")]))
-    assert composes == []
+    assert composes == [] and restrictions == []
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_field_n3_delegated_path_tests_order_once(monkeypatch, p):
     """The order test runs once, on the renamed map inside n = 2: p - 1
-    compositions for the powers and one for the intertwining check, none of
-    them on sigma itself."""
+    compositions for the powers, none of them on sigma itself, and none
+    for an intertwining check.  The delegated action's restriction is
+    tested once, by the n = 2 construction."""
     t = VarTable(p, ("x1", "x2", "x3"))
     sigma = parse_map(t, "(x1, x2+x1, x3+x2^%d-x1^%d*x2)" % (p, p - 1))
     orders = _count_calls(monkeypatch, expo, "_order_p_powers")
     composes = _count_calls(monkeypatch, endo, "compose")
+    restrictions = _count_calls(monkeypatch, GaAction, "restricts_to")
     exponentialize_field_n3(sigma)
     (renamed,), = orders
     assert sum(args[0] == sigma for args in composes) == 0
-    assert sum(args[0] == renamed for args in composes) == p
+    assert sum(args[0] == renamed for args in composes) == p - 1
+    (action,), = restrictions
+    assert action.table == renamed.table
 
 
 def test_field_n3_delegated_path_classifies_sigma_once(monkeypatch):
@@ -301,7 +312,9 @@ def test_thm15_case_fails_when_a_library_check_fails(monkeypatch):
 def test_conjugator_with_one_coefficient_changed_is_rejected(monkeypatch, p):
     """Raising the coefficient of the top x1-power of f2 by one breaks
     phi*eps = sigma*phi: a nonconstant polynomial in x1 alone is never fixed
-    by x1 -> x1 + a as a single monomial."""
+    by x1 -> x1 + a as a single monomial.  maubach_conjugator, which
+    returns phi, rejects it by that intertwining check; the n = 2
+    exponentializer, which does not, by its E_1 = sigma."""
     t = t2(p)
     theta = t.parse("x1^%d + x1" % (p + 1))
     original = expo._average
@@ -314,22 +327,31 @@ def test_conjugator_with_one_coefficient_changed_is_rejected(monkeypatch, p):
     monkeypatch.setattr(expo, "_average", changed)
     with pytest.raises(InternalIntegralityFailure, match="bad conjugator"):
         maubach_conjugator(sigma_from_theta(Coeff.from_int(p, 1), theta))
-    with pytest.raises(InternalIntegralityFailure, match="bad conjugator"):
+    with pytest.raises(InternalIntegralityFailure,
+                       match="E_1 differs from sigma"):
         exponentialize_triangular_n2(sigma_from_theta(Coeff.u(p) + 1, theta))
 
 
 def test_degenerate_conjugator_fails_only_the_shape_check(monkeypatch):
     """phi = (x1, 0) meets phi*eps = sigma*phi for every sigma with
-    sigma(x1) = x1 + a; only the triangularity check stops it."""
+    sigma(x1) = x1 + a; only the triangularity check, which every entry
+    point runs, stops it."""
+    def degenerate_of(m, *args):
+        t = m.table
+        return PolyMap(t, [t.var("x1")] + [t.zero()] * (t.nvars - 1))
+
     t = t2(3)
     sigma = sigma_from_theta(Coeff.from_int(3, 1), t.parse("x1^4 + x1^2"))
-    degenerate = PolyMap(t, [t.var("x1"), t.zero()])
+    degenerate = degenerate_of(sigma)
     assert compose(degenerate, eps_map(t, 1)) == compose(sigma, degenerate)
-    monkeypatch.setattr(expo, "_average", lambda *args: degenerate)
+    monkeypatch.setattr(expo, "_average", degenerate_of)
     with pytest.raises(InternalIntegralityFailure, match="bad conjugator"):
         maubach_conjugator(sigma)
     with pytest.raises(InternalIntegralityFailure, match="bad conjugator"):
         exponentialize_triangular_n2(sigma)
+    t3 = VarTable(3, ("x1", "x2", "x3"))
+    with pytest.raises(InternalIntegralityFailure, match="bad conjugator"):
+        exponentialize_field_n3(parse_map(t3, "(x1+1, x2, x3+x2^2)"))
     monkeypatch.setattr(expo, "classify",
                         lambda m: endo.classify(m) | {"triangular"})
     assert maubach_conjugator(sigma) == degenerate
@@ -386,8 +408,11 @@ def _conjugated_translations(draw, p, n):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_intertwining_check_agrees_with_conjugation(p, n, data):
-    """The conjugator accepted by phi*eps = sigma*phi also passes the
-    inverse-based check phi*eps*phi^-1 = sigma."""
+    """The conjugator accepted by maubach_conjugator's intertwining check
+    phi*eps = sigma*phi also passes the inverse-based check
+    phi*eps*phi^-1 = sigma.  For a non-unit a, which maubach_conjugator
+    refuses, the averaged phi, whose callers certify it by E_1 = sigma
+    instead, passes it as well."""
     sigma, a = data.draw(_conjugated_translations(p, n))
     if a.is_constant():
         phi = maubach_conjugator(sigma)

@@ -107,22 +107,69 @@ def test_triangular_corruption_fails_only_its_check(monkeypatch, p, owner,
 
 
 def test_nonexp_wrong_inverse_raises(monkeypatch):
-    """The coordinate-inverse check raises a library error, so it also runs
-    under python -O.  The second compose call builds the inverse; shifting
-    its x image makes it wrong."""
+    """The builder makes the coordinate inverse with the second of its two
+    compose calls and does not prove it: gaction._slice_images proves it
+    before any image is read through it.  With its x image shifted,
+    slice_image raises, and of the axioms cases only the 231-image case,
+    the one that reads an image, fails."""
     calls = []
 
-    def compose_breaking_inverse(phi, psi):
-        out = compose(phi, psi)
-        calls.append(out)
-        if len(calls) == 2:
-            out = PolyMap(out.table, [out.images[0] + out.table.one()]
-                          + list(out.images[1:]))
-        return out
+    def counted(phi, psi):
+        calls.append((phi, psi))
+        return compose(phi, psi)
 
-    monkeypatch.setattr(gallery, "compose", compose_breaking_inverse)
-    with pytest.raises(InternalIntegralityFailure):
-        build_nonexp_family(2, 3, 1)
+    monkeypatch.setattr(gallery, "compose", counted)
+    fam = build_nonexp_family(2, 3, 1)
+    assert len(calls) == 2 and compose(*calls[1]) == fam.coords_inverse
+    real = gallery.build_nonexp_family
+
+    def wrong_inverse(*args):
+        fam = real(*args)
+        inv = fam.coords_inverse
+        fam.coords_inverse = PolyMap(
+            inv.table, (inv.images[0] + inv.table.one(),) + inv.images[1:])
+        return fam
+
+    with pytest.raises(ValueError, match="does not invert"):
+        slice_image(wrong_inverse(2, 3, 1).data(), "y")
+    monkeypatch.setattr(gallery, "build_nonexp_family", wrong_inverse)
+    result = run_suite("axioms")
+    assert [(c.name, c.detail) for c in result.cases if not c.ok] == [
+        ("gallery-nonexp-231-image", "ValueError: supplied inverse does not "
+         "invert the coordinates")]
+
+
+_NONEXP_CHECKS = ["star1_u_xt", "star1_u_xt_power", "star2_wt_in_Rxy",
+                  "star3_E_y_integral", "star4_E_x_coset", "sigma_restricts"]
+
+
+def _nonzero_shift_at_one(nonintegral_shift):
+    # the shift of sigma = E_1 moved off zero; that of E itself kept
+    def shift(family, t_value=None):
+        out = nonintegral_shift(family, t_value)
+        return out + family.table.one() if t_value == 1 else out
+    return shift
+
+
+@pytest.mark.parametrize("p,d,l", [(2, 3, 1), (3, 2, 1)])
+@pytest.mark.parametrize("owner,attr,corrupt,check", [
+    # of gallery's own is_polynomial_over calls only star3's xi involves T
+    (gallery, "is_polynomial_over", _fails_when_using("T"),
+     "star3_E_y_integral"),
+    (gallery.NonExpFamily, "nonintegral_shift", _nonzero_shift_at_one,
+     "sigma_restricts")],
+    ids=["xi", "shift-at-1"])
+def test_nonexp_corruption_fails_only_its_check(monkeypatch, p, d, l, owner,
+                                                attr, corrupt, check):
+    """star3_E_y_integral and sigma_restricts each compute something that
+    can fail alone: sigma_restricts tests sigma(y) - y = xi at T = 1
+    itself and does not read star3's verdict."""
+    checks = build_nonexp_family(p, d, l).report.checks
+    assert [c.name for c in checks] == _NONEXP_CHECKS
+    assert all(c.ok for c in checks)
+    monkeypatch.setattr(owner, attr, corrupt(getattr(owner, attr)))
+    report = build_nonexp_family(p, d, l).report
+    assert [c.name for c in report.checks if not c.ok] == [check]
 
 
 def test_nonexp_constants():
@@ -659,8 +706,7 @@ def _zero_projection(pi_map):
 # the checks each corrupted member reports, in order
 _RANK3_CHECKS = {
     (2, 1): ["xi_equals_g_x2", "slice_consistency", "x3_image_polynomial"],
-    (1, 0): ["xi_equals_g_x2", "E1_extends_translation",
-             "action_blocked_pi1"],
+    (1, 0): ["xi_equals_g_x2", "action_blocked_pi1"],
     (2, 0): ["xi_equals_g_x2", "E1_blocked_pi1"],
     (0, 1): ["xi_equals_g_x2", "E1_blocked_pi2"],
 }

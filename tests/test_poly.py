@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from charp_autos import poly
 from charp_autos.coeffs import Coeff
 from charp_autos.errors import (NegativeExponent, NonIntegralCoefficient,
                                 NotDivisible, ZeroPolynomial)
@@ -63,6 +64,37 @@ def test_substitute_is_ring_homomorphism():
         sub = {"x": image, "y": rand_poly()}
         assert (f + g).substitute(sub) == f.substitute(sub) + g.substitute(sub)
         assert (f * g).substitute(sub) == f.substitute(sub) * g.substitute(sub)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_packed_substitution_of_powers_past_p(monkeypatch, p):
+    """14 terms under a 5-term image make 70 term pairs, past the packing
+    threshold of 64, so the substitution is packed; every power of the
+    image is p + 1 or more, so each is put together from Frobenius powers.
+    It must equal the sum of repeated products of the image."""
+    calls = []
+    real = poly._packed_substitute
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(poly, "_packed_substitute", spy)
+    t = table2(p)
+    y = t.var("y")
+    image = t.parse("x + u*y + y^2 + x*y + 1")
+    f = t.zero()
+    for i in range(14):
+        f = f + t.monomial(1, x=p + 1 + i, y=i)
+    power = t.one()
+    for _ in range(p):
+        power = power * image
+    expected = t.zero()
+    for i in range(14):
+        power = power * image
+        expected = expected + power * y ** i
+    assert f.substitute({"x": image}) == expected
+    assert len(calls) == 1
 
 
 def test_exact_div_basic():

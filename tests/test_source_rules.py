@@ -265,6 +265,9 @@ def _image_record_methods(path):
 # variable with VarTable.var: the substitution loop and the map builders,
 # which build affine images with VarTable.affine instead
 NO_VAR_FUNCTIONS = {("poly.py", "MultiPoly.substitute"),
+                    ("expo.py", "sigma_from_theta"),
+                    ("expo.py", "_exponentialize_n2"),
+                    ("expo.py", "_average"),
                     ("poly.py", "substitute_all"),
                     ("endo.py", "compose"), ("endo.py", "PolyMap.is_identity"),
                     ("endo.py", "classify"), ("endo.py", "PolyMap.identity"),
