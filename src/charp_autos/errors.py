@@ -50,10 +50,6 @@ class NotInvariantParameter(CharpAutosError):
     pass
 
 
-class AdditivityViolation(CharpAutosError):
-    pass
-
-
 class NotInvariantGenerator(CharpAutosError):
     pass
 
@@ -73,7 +69,8 @@ class NonUnitTranslation(CharpAutosError):
 
 
 class InternalIntegralityFailure(CharpAutosError):
-    """Signals an implementation bug: the construction guarantees integrality."""
+    """Signals an implementation bug: a fact that the construction
+    guarantees, such as integrality or an inverse it supplies, fails."""
 
 
 class BadThetaSupport(CharpAutosError):

@@ -22,7 +22,7 @@ tuple there is the caller's with one more slot, for S, just before T.
 """
 
 from .coeffs import Coeff
-from .errors import (AdditivityViolation, AxiomViolation,
+from .errors import (AxiomViolation, InternalIntegralityFailure,
                      NotInvariantGenerator, NotInvariantParameter)
 from .poly import MultiPoly, VarTable, linear_span_dim
 from .endo import PolyMap, compose, invert_structured
@@ -149,28 +149,29 @@ def _slice_images(data, names):
     """The images of the generators named in names under the action fixing
     p2,..,pn and translating p1 by lam: the inverse coordinates' images of
     those names at p1 + lam, p2,..,pn.  The axioms are proved by
-    slice_axioms_report, and no x-image is checked again.
+    slice_axioms_report, whose (axiom, reason) an AxiomViolation carries
+    when they fail, and no x-image is checked again.
 
     A supplied coords_inverse is proved by compose(inverse, coords) = id
-    alone.  Read as ring endomorphisms of K[x], phi: x_i -> coords_i and
-    psi: x_i -> inverse_i, that says psi(phi(q)) = q for every q.  So psi
-    is onto, and an onto endomorphism of a Noetherian ring is one-to-one
-    (the kernels of psi, psi^2, .. stop growing), so psi is an automorphism
-    and phi = psi^(-1); the other side, phi(psi(q)) = q, follows.
+    alone, and one that fails it is a fault of the caller that built it:
+    InternalIntegralityFailure.  Read as ring endomorphisms of K[x],
+    phi: x_i -> coords_i and psi: x_i -> inverse_i, that identity says
+    psi(phi(q)) = q for every q.  So psi is onto, and an onto endomorphism
+    of a Noetherian ring is one-to-one (the kernels of psi, psi^2, .. stop
+    growing), so psi is an automorphism and phi = psi^(-1); the other side,
+    phi(psi(q)) = q, follows.
     """
     ok, witness = slice_axioms_report(data)
     if not ok:
-        if witness[1] == "lam involves p1":
-            raise AxiomViolation("A2 fails: %s involves p1" % data.lam)
-        # a lam with lam(0) != 0 is not additive either: additivity at
-        # S = T = 0 says lam(0) = 2 lam(0)
-        raise AdditivityViolation("%s is not additive" % data.lam)
+        raise AxiomViolation("%s fails: %s, lam = %s"
+                             % (witness + (data.lam,)))
     coords = data.coords
     inverse = data.coords_inverse
     if inverse is None:
         inverse = invert_structured(coords)
     elif not compose(inverse, coords).is_identity():
-        raise ValueError("supplied inverse does not invert the coordinates")
+        raise InternalIntegralityFailure(
+            "supplied inverse does not invert the coordinates")
     target = coords.assignment()
     first = coords.table.names[0]
     target[first] = target[first] + coords.apply(data.lam)

@@ -122,8 +122,8 @@ def build_example_triangular(p):
 # ---------------------------------------------------------------------------
 
 class NonExpFamily:
-    def __init__(self, p, d, l, a, b, c, table, lam, xt, g, translation, xi,
-                 coords, coords_inverse, f_expr, report=None):
+    def __init__(self, p, d, l, a, b, c, table, translation, xi, coords,
+                 coords_inverse, f_expr, report=None):
         self.p = p
         self.d = d
         self.l = l
@@ -131,18 +131,12 @@ class NonExpFamily:
         self.b = b
         self.c = c
         self.table = table
-        self.lam = lam
-        self.xt = xt
-        self.g = g
         self.translation = translation    # u^b (1 + u g)
         self.xi = xi                      # E(y) - y, exact
         self.coords = coords
         self.coords_inverse = coords_inverse
         self.f_expr = f_expr
         self.report = report
-
-    def zs(self):
-        return ["z%d" % (i + 1) for i in range(self.l)]
 
     def e_y(self):
         return self.table.var("y") + self.xi
@@ -223,6 +217,7 @@ def build_nonexp_family(p, d, l, g_expr=None):
     u = Coeff.u(p)
     x = table.var("x")
     y = table.var("y")
+    zvars = [table.var(z) for z in zs]
 
     lam = (table.monomial((u ** (p + 1)).inv(), y=p * (p - 1))
            + table.monomial((u ** 2).inv(), y=p * a + 1))
@@ -231,9 +226,9 @@ def build_nonexp_family(p, d, l, g_expr=None):
     wt = yt.scale(u ** ((p + 1) * d))
 
     if g_expr is None:
-        g_expr = table.var("y")
-        for z in zs:
-            g_expr = g_expr * table.var(z)
+        g_expr = y
+        for z in zvars:
+            g_expr = g_expr * z
     if g_expr.uses_var("x") or g_expr.uses_var("T"):
         raise BadParameters("g must be expressed in u^((p+1)d) yt and z")
     g = g_expr.substitute({"y": wt})
@@ -245,21 +240,19 @@ def build_nonexp_family(p, d, l, g_expr=None):
     wcap = translation * table.var("T")
     xi = xt ** d - (xt + wcap) ** d
 
-    psi1 = PolyMap(table, [x + lam] + [table.var(n) for n in table.names[1:]])
-    psi2 = PolyMap(table, [x, y + x ** d] + [table.var(z) for z in zs])
-    coords = compose(psi1, psi2)
-    # not proved here: gaction._slice_images proves compose(inv, coords) = id
-    # before any image is read through it
-    inv = compose(
-        PolyMap(table, [x, y - x ** d] + [table.var(z) for z in zs]),
-        PolyMap(table, [x - lam] + [table.var(n) for n in table.names[1:]]))
+    # the coordinates (xt, yt, z) and their inverse (x - lam(y - x^d),
+    # y - x^d, z), not proved here: gaction._slice_images proves
+    # compose(inv, coords) = id before any image is read through it
+    coords = PolyMap(table, [xt, yt] + zvars)
+    y_back = y - x ** d
+    inv = PolyMap(table, [x - lam.substitute({"y": y_back}), y_back] + zvars)
 
     f_expr = (table.one()
               + g_expr.substitute({"y": table.var("y").scale(u ** ((p + 1) * d))})
               .scale(u)).scale(u ** b)
 
-    family = NonExpFamily(p, d, l, a, b, c, table, lam, xt, g,
-                          translation, xi, coords, inv, f_expr)
+    family = NonExpFamily(p, d, l, a, b, c, table, translation, xi, coords,
+                          inv, f_expr)
 
     report = StarReport()
     res1a = xt.scale(u ** (p + 1)) - table.monomial(1, y=p * (p - 1))
@@ -466,16 +459,13 @@ def build_rank_r_action(n, r, p):
 # ---------------------------------------------------------------------------
 
 class Rank3Family:
-    def __init__(self, p, l, m, table, f, g, r_elt, xi, classification,
-                 report=None):
-        self.p = p
+    """A member (l, m) on its base, a Rank3Base, whose p, table, f, g, r
+    and xi it reads: it keeps only what depends on (l, m)."""
+
+    def __init__(self, base, l, m, classification, report):
+        self.base = base
         self.l = l
         self.m = m
-        self.table = table
-        self.f = f
-        self.g = g
-        self.r_elt = r_elt
-        self.xi = xi
         # ActionRestricts | OnlyE1Restricts | Neither
         self.classification = classification
         self.report = report
@@ -486,12 +476,12 @@ _RANK3_PARAMETERS = "need p in {2, 3} and 0 <= l, m <= 4"
 
 class Rank3Base:
     """The part of the rank-three family that depends only on p, which the
-    members built on it share: f, g, r, xi and the check xi_ok that
-    xi = g x2 by exact division, and (slice_ok, x3_ok) of _rank3_generic,
-    proved the first time a member with l, m >= 1 asks generic_ok.  The
-    polynomials are read, never changed, by every member."""
+    members built on it share: f, g, r, xi, the check xi_ok that xi = g x2
+    by exact division, and the identities (slice_ok, x3_ok) of
+    _rank3_generic.  The polynomials are read, never changed, by every
+    member."""
 
-    def __init__(self, p, table, f, g, r_elt, xi, xi_ok, generic=None):
+    def __init__(self, p, table, f, g, r_elt, xi, xi_ok, slice_ok, x3_ok):
         self.p = p
         self.table = table
         self.f = f
@@ -499,12 +489,8 @@ class Rank3Base:
         self.r_elt = r_elt
         self.xi = xi
         self.xi_ok = xi_ok
-        self.generic = generic
-
-    def generic_ok(self):
-        if self.generic is None:
-            self.generic = _rank3_generic(self.p)[2:]
-        return self.generic
+        self.slice_ok = slice_ok
+        self.x3_ok = x3_ok
 
 
 def _pi_map(poly, keep):
@@ -515,9 +501,10 @@ def _pi_map(poly, keep):
 
 def rank3_base(p):
     """A fresh Rank3Base for p: f, g, r with
-    xi := f^(p^2+1) - r^(p^2) + f^(p^2-p) r^p and the check xi = g x2 by
-    exact division.  Nothing is kept between calls, so a call after a
-    library step has been replaced sees the replacement."""
+    xi := f^(p^2+1) - r^(p^2) + f^(p^2-p) r^p, the check xi = g x2 by
+    exact division, and the generic identities of _rank3_generic(p).
+    Nothing is kept between calls, so a call after a library step has been
+    replaced sees the replacement."""
     if p not in (2, 3):
         raise BadParameters(_RANK3_PARAMETERS)
     table = VarTable(p, ("x1", "x2", "x3"))
@@ -527,7 +514,8 @@ def rank3_base(p):
     g = f ** p2 * x3 - table.var("x2", p2 - 1) + f ** (p2 - p) * table.var("x2", p - 1)
     r_elt = f * x1 + x2
     xi = f ** (p2 + 1) - r_elt ** p2 + f ** (p2 - p) * r_elt ** p
-    return Rank3Base(p, table, f, g, r_elt, xi, exact_div(xi, g) == x2)
+    return Rank3Base(p, table, f, g, r_elt, xi, exact_div(xi, g) == x2,
+                     *_rank3_generic(p)[2:])
 
 
 def _rank3_symbols(p):
@@ -600,8 +588,9 @@ def build_rank3_family(base, l, m):
     base to all cases of a p, so a suite run proves them once per p.
 
     Classification: the action restricts iff l, m >= 1; at (1, 0) only the
-    evaluation at 1 restricts (and extends eps); otherwise neither does, by
-    the substitution-map nonvanishing oracle.
+    evaluation at 1 restricts, and it is eps, which E1_equals_eps computes
+    from g E_1(x1) and g E_1(x2) by exact division; otherwise neither
+    does, by the substitution-map nonvanishing oracle.
 
     For l, m >= 1 the images are not built: they have tens of thousands of
     terms at p = 3.  The identities of _rank3_generic hold over the free
@@ -628,27 +617,31 @@ def build_rank3_family(base, l, m):
     report = StarReport()
     report.add("xi_equals_g_x2", base.xi_ok)
 
-    fam = Rank3Family(p, l, m, table, f, g, base.r_elt, base.xi, "",
-                      report=report)
-
     if l >= 1 and m >= 1:
         scale = _rank3_ring_map(f, g, l, m)["S"]
-        slice_ok, x3_ok = base.generic_ok()
         report.add("slice_consistency",
-                   slice_ok and f * g * scale == f ** l * g ** m)
-        report.add("x3_image_polynomial", x3_ok)
-        fam.classification = "ActionRestricts"
-        return fam
+                   base.slice_ok and f * g * scale == f ** l * g ** m)
+        report.add("x3_image_polynomial", base.x3_ok)
+        return Rank3Family(base, l, m, "ActionRestricts", report)
 
     if (l, m) == (1, 0):
-        # the action does not restrict (its evaluation at 1, eps, is not
-        # built): pi1(g E(x2)), g E(x2) = g x2 - f^(p^2) (T^(p^2) - T^p)
+        # g E(x1) = g x1 + g T + f^(p^2-1) (T^(p^2) - T^p) and
+        # g E(x2) = g x2 - f^(p^2) (T^(p^2) - T^p); at T = 1, set in the
+        # T-parts before the products are formed, the quotients by g are
+        # eps's images x1 + 1 and x2
+        one = table.one()
+        tpow = table.var("T", p2) - table.var("T", p)
+        tpow_1 = tpow.subs_T(one)
+        n1 = g * x1 + g + f ** (p2 - 1) * tpow_1
+        n2 = g * x2 - f ** p2 * tpow_1
+        report.add("E1_equals_eps", exact_div(n1, g) == x1 + one
+                   and exact_div(n2, g) == x2)
+        # the action does not restrict: pi1 of g E(x2)
         f1, g1, x2_1 = (_pi_map(v, "x1") for v in (f, g, x2))
-        pi1 = g1 * x2_1 - f1 ** p2 * (table.var("T", p2) - table.var("T", p))
+        pi1 = g1 * x2_1 - f1 ** p2 * tpow
         report.add("action_blocked_pi1", g1.is_zero() and not pi1.is_zero(),
                    "pi1 residual %s" % pi1)
-        fam.classification = "OnlyE1Restricts"
-        return fam
+        return Rank3Family(base, l, m, "OnlyE1Restricts", report)
 
     if l >= 2 and m == 0:
         # n = g E_1(x2) = g x2 - f^(p^2) (f^((l-1)p^2) - f^((l-1)p))
@@ -657,8 +650,7 @@ def build_rank3_family(base, l, m):
                                       - f1 ** ((l - 1) * p))
         report.add("E1_blocked_pi1", g1.is_zero() and not pi1.is_zero(),
                    "pi1 residual %s" % pi1)
-        fam.classification = "Neither"
-        return fam
+        return Rank3Family(base, l, m, "Neither", report)
 
     # l == 0, any m: n = f g E_1(x1)
     #                    = f g x1 + g^(m+1) + g^(mp^2) - f^(p^2-p) g^(mp)
@@ -669,8 +661,7 @@ def build_rank3_family(base, l, m):
                (f2 * g2).is_zero() and not pi2.is_zero()
                and pi2 == expected,
                "pi2 residual %s" % pi2)
-    fam.classification = "Neither"
-    return fam
+    return Rank3Family(base, l, m, "Neither", report)
 
 
 # ---------------------------------------------------------------------------

@@ -448,7 +448,7 @@ def centralizer_membership(phi, t):
     table = phi.table
     x1 = table.names[0]
     t = table.coeff(t)
-    shift = {x1: table.var(x1) + table.const(t)}
+    shift = {x1: table.affine(t, {x1: 1})}
     f1, f2 = phi.images
     return (f1.substitute(shift) == f1 + table.const(t)
             and f2.substitute(shift) == f2)
@@ -460,10 +460,10 @@ def w_st_split(q, t):
     table = q.table
     var = table.names[0]
     t = table.coeff(t)
-    diff = q.substitute({var: table.var(var) + table.const(t)}) - q
+    diff = q.substitute({var: table.affine(t, {var: 1})}) - q
     if not diff.is_constant():
         raise NotInWst("q(x+t) - q(x) = %s is not a constant" % diff)
-    core = q - table.var(var).scale(diff.constant_term() / t)
+    core = table.affine(0, {var: -(diff.constant_term() / t)}, q)
     q1, rem = express_in_invariant(core, var, t)
     if not rem.is_zero():
         raise NotInWst("residual part %s survives" % rem)
@@ -540,21 +540,20 @@ def _strip_swap_case(table, first, nf):
     x1, x2 = table.names
     if len(nf) < 3:
         raise NotInCentralizer("swap-led word is too short to centralize")
-    swap = PolyMap(table, [table.var(x2), table.var(x1)])
+    swap = PolyMap(table, [table.affine(0, {x2: 1}), table.affine(0, {x1: 1})])
     phi2p = compose(compose(swap, first), nf[1][1])
     f1, f2 = phi2p.images
     a2 = f1.coeff_of(**{x1: 1})
     c2 = f1.constant_term()
     b2 = f2.coeff_of(**{x2: 1})
-    q2 = f2 - table.var(x2).scale(b2)
-    if q2.uses_var(x2) or f1 != table.var(x1).scale(a2) + table.const(c2):
+    q2 = table.affine(0, {x2: -b2}, f2)
+    if q2.uses_var(x2) or f1 != table.affine(c2, {x1: a2}):
         raise NotInCentralizer("second factor is not triangular")
     ulin = q2.coeff_of(**{x1: 1})
     vconst = q2.constant_term()
-    pq = (q2 - table.var(x1).scale(ulin) - table.const(vconst)).scale(b2.inv())
-    affine_part = PolyMap(table, [f1, table.var(x2).scale(b2)
-                                  + table.var(x1).scale(ulin)
-                                  + table.const(vconst)])
+    pq = table.affine(-vconst, {x1: -ulin}, q2).scale(b2.inv())
+    affine_part = PolyMap(table, [f1,
+                                  table.affine(vconst, {x2: b2, x1: ulin})])
     phi3p = compose(affine_part, nf[2][1])
     g1 = phi3p.images[0]
     a3 = g1.coeff_of(**{x1: 1})
@@ -562,7 +561,7 @@ def _strip_swap_case(table, first, nf):
     if b3.is_zero():
         raise NotInCentralizer("third factor lies in G-cap-J")
     u_hat = a3 / b3
-    return pq + table.var(x1).scale(u_hat)
+    return table.affine(0, {x1: u_hat}, pq)
 
 
 # ---------------------------------------------------------------------------
@@ -578,15 +577,16 @@ def fixed_point_elem_centralizer(phi, f):
         raise ValueError("f must be a nonconstant univariate in %s" % x2)
     g1, g2 = phi.images
     a = g1.coeff_of(**{x1: 1})
-    g = g1 - table.var(x1).scale(a)
+    g = table.affine(0, {x1: -a}, g1)
     b = g2.coeff_of(**{x2: 1})
     c = g2.constant_term()
+    y_image = table.affine(c, {x2: b})
     if (a.is_zero() or not a.is_constant() or g.uses_var(x1)
             or b.is_zero() or not b.is_constant() or not c.is_constant()
-            or g2 != table.var(x2).scale(b) + table.const(c)):
+            or g2 != y_image):
         return None
     lhs = f.scale(a)
-    rhs = f.substitute({x2: table.var(x2).scale(b) + table.const(c)})
+    rhs = f.substitute({x2: y_image})
     if lhs != rhs:
         return None
     return a, b, c, g

@@ -107,11 +107,12 @@ def test_triangular_corruption_fails_only_its_check(monkeypatch, p, owner,
 
 
 def test_nonexp_wrong_inverse_raises(monkeypatch):
-    """The builder makes the coordinate inverse with the second of its two
-    compose calls and does not prove it: gaction._slice_images proves it
-    before any image is read through it.  With its x image shifted,
-    slice_image raises, and of the axioms cases only the 231-image case,
-    the one that reads an image, fails."""
+    """The builder writes the coordinates (xt, yt, z) and their inverse
+    down without a compose call and does not prove the inverse:
+    gaction._slice_images proves it before any image is read through it.
+    With its x image shifted, slice_image raises InternalIntegralityFailure,
+    and of the axioms cases only the 231-image case, the one that reads an
+    image, fails."""
     calls = []
 
     def counted(phi, psi):
@@ -120,7 +121,9 @@ def test_nonexp_wrong_inverse_raises(monkeypatch):
 
     monkeypatch.setattr(gallery, "compose", counted)
     fam = build_nonexp_family(2, 3, 1)
-    assert len(calls) == 2 and compose(*calls[1]) == fam.coords_inverse
+    assert calls == []
+    assert compose(fam.coords_inverse, fam.coords).is_identity()
+    assert compose(fam.coords, fam.coords_inverse).is_identity()
     real = gallery.build_nonexp_family
 
     def wrong_inverse(*args):
@@ -130,13 +133,13 @@ def test_nonexp_wrong_inverse_raises(monkeypatch):
             inv.table, (inv.images[0] + inv.table.one(),) + inv.images[1:])
         return fam
 
-    with pytest.raises(ValueError, match="does not invert"):
+    with pytest.raises(InternalIntegralityFailure, match="does not invert"):
         slice_image(wrong_inverse(2, 3, 1).data(), "y")
     monkeypatch.setattr(gallery, "build_nonexp_family", wrong_inverse)
     result = run_suite("axioms")
     assert [(c.name, c.detail) for c in result.cases if not c.ok] == [
-        ("gallery-nonexp-231-image", "ValueError: supplied inverse does not "
-         "invert the coordinates")]
+        ("gallery-nonexp-231-image", "InternalIntegralityFailure: supplied "
+         "inverse does not invert the coordinates")]
 
 
 _NONEXP_CHECKS = ["star1_u_xt", "star1_u_xt_power", "star2_wt_in_Rxy",
@@ -239,7 +242,7 @@ def test_nonexp_canonical_image_of_y_and_z(p, d, l):
     data = fam.data()
     assert slice_image(data, "y") == fam.e_y()
     assert all(slice_image(data, z) == fam.table.var(z)
-               for z in fam.zs())
+               for z in fam.table.names[2:])
 
 
 def test_perturbed_xi_fails_only_the_231_image_case(monkeypatch):
@@ -291,7 +294,7 @@ def test_nonexp_dual_route_small_parameters(p, d, l):
     names = list(table.names)
     assert action.images[names.index("y")] == fam.e_y()
     assert all(action.images[names.index(z)] == table.var(z)
-               for z in fam.zs())
+               for z in names[2:])
     shift = fam.nonintegral_shift()
     assert not shift.is_zero()
     e_x = action.images[names.index("x")]
@@ -446,7 +449,8 @@ def test_nonexp_sigma_is_order_p_structurally():
     sigma = action.evaluate(1)
     # sigma moves xt by the nonzero translation, so sigma != id; order
     # divides p because sigma = E_1 of an action
-    assert sigma.apply(fam.xt) == fam.xt + fam.translation
+    xt = fam.coords.images[0]
+    assert sigma.apply(xt) == xt + fam.translation
     assert not fam.translation.is_zero()
 
 
@@ -577,10 +581,11 @@ def _ring_map(poly, images, table):
 def _rank3_closed_forms(fam):
     """The images (e1, e2) of x1, x2 at (l, m) >= (1, 1): the closed forms
     for (1, 1) with T rescaled to f^(l-1) g^(m-1) T."""
-    t, f, g, p2 = fam.table, fam.f, fam.g, fam.p ** 2
+    base = fam.base
+    t, f, g, p2 = base.table, base.f, base.g, base.p ** 2
     scale = f ** (fam.l - 1) * g ** (fam.m - 1)
     block = (g ** (p2 - 1) * scale ** p2 * t.var("T", p2)
-             - g ** (fam.p - 1) * scale ** fam.p * t.var("T", fam.p))
+             - g ** (base.p - 1) * scale ** base.p * t.var("T", base.p))
     e1 = t.var("x1") + g * scale * t.var("T") + f ** (p2 - 1) * block
     e2 = t.var("x2") - f ** p2 * block
     return e1, e2
@@ -592,22 +597,23 @@ def test_rank3_certified_identities_char2():
     Xi -> xi, S -> f^(l-1) g^(m-1) carries the generic identities to the
     concrete images."""
     for p, l, m in ((2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 1, 1)):
-        fam = build_rank3_family(rank3_base(p), l, m)
-        t = fam.table
+        base = rank3_base(p)
+        fam = build_rank3_family(base, l, m)
+        t, f, g = base.table, base.f, base.g
         # xi = g x2 exactly
-        assert fam.xi == fam.g * t.var("x2")
+        assert base.xi == g * t.var("x2")
         e1, e2 = _rank3_closed_forms(fam)
         gen_e1, gen_e2, slice_ok, x3_ok = gallery._rank3_generic(p)
         assert slice_ok and x3_ok
-        images = gallery._rank3_ring_map(fam.f, fam.g, l, m)
+        images = gallery._rank3_ring_map(f, g, l, m)
         assert _ring_map(gen_e1, images, t) == e1
         assert _ring_map(gen_e2, images, t) == e2
         # slice relation on the concrete images
-        lam = fam.f ** l * fam.g ** m * t.var("T")
-        assert fam.f * e1 + e2 == fam.r_elt + lam
+        lam = f ** l * g ** m * t.var("T")
+        assert f * e1 + e2 == base.r_elt + lam
         # rescale consistency: (l,m) images are the (1,1) images at scaled T
-        unit = build_rank3_family(rank3_base(p), 1, 1)
-        scaled_T = {"T": fam.f ** (l - 1) * fam.g ** (m - 1) * t.var("T")}
+        unit = build_rank3_family(base, 1, 1)
+        scaled_T = {"T": f ** (l - 1) * g ** (m - 1) * t.var("T")}
         assert [e.substitute(scaled_T) for e in _rank3_closed_forms(unit)] \
             == [e1, e2]
 
@@ -645,17 +651,18 @@ def test_rank3_x3_certificate_matches_its_expanded_form(p):
 def _rank3_expanded_numerator(fam):
     """(projection, kept variable, n) for a member with l = 0 or m = 0: the
     numerator of its blocking argument, expanded before it is projected."""
-    f, g, t, p2 = fam.f, fam.g, fam.table, fam.p ** 2
+    p, f, g, t = fam.base.p, fam.base.f, fam.base.g, fam.base.table
+    p2 = p * p
     x1, x2 = t.var("x1"), t.var("x2")
     l, m = fam.l, fam.m
     if (l, m) == (1, 0):
         return "pi1", "x1", g * x2 - f ** p2 * (t.var("T", p2)
-                                               - t.var("T", fam.p))
+                                               - t.var("T", p))
     if l >= 2:
         return "pi1", "x1", g * x2 - f ** p2 * (
-            f ** ((l - 1) * p2) - f ** ((l - 1) * fam.p))
+            f ** ((l - 1) * p2) - f ** ((l - 1) * p))
     return "pi2", "x2", (f * g * x1 + g ** (m + 1) + g ** (m * p2)
-                         - f ** (p2 - fam.p) * g ** (m * fam.p))
+                         - f ** (p2 - p) * g ** (m * p))
 
 
 @pytest.mark.parametrize("p", (2, 3))
@@ -703,34 +710,45 @@ def _zero_projection(pi_map):
     return lambda f, keep: f.table.zero()
 
 
+def _quotient_plus_one(exact_div):
+    # every quotient off by 1
+    return lambda f, g: exact_div(f, g) + g.table.one()
+
+
 # the checks each corrupted member reports, in order
 _RANK3_CHECKS = {
     (2, 1): ["xi_equals_g_x2", "slice_consistency", "x3_image_polynomial"],
-    (1, 0): ["xi_equals_g_x2", "action_blocked_pi1"],
+    (1, 0): ["xi_equals_g_x2", "E1_equals_eps", "action_blocked_pi1"],
     (2, 0): ["xi_equals_g_x2", "E1_blocked_pi1"],
     (0, 1): ["xi_equals_g_x2", "E1_blocked_pi2"],
 }
 
 
 @pytest.mark.parametrize("p", (2, 3))
-@pytest.mark.parametrize("attr,corrupt,member,check", [
-    ("_rank3_symbols", _drop_g_term, (2, 1), "x3_image_polynomial"),
-    ("_rank3_symbols", _scale_block_term, (2, 1), "x3_image_polynomial"),
-    ("_rank3_ring_map", _wrong_scale, (2, 1), "slice_consistency"),
-    ("_pi_map", _zero_projection, (1, 0), "action_blocked_pi1"),
-    ("_pi_map", _zero_projection, (2, 0), "E1_blocked_pi1"),
-    ("_pi_map", _zero_projection, (0, 1), "E1_blocked_pi2")],
-    ids=["G", "B", "scale", "pi1-l1", "pi1-l2", "pi2"])
+@pytest.mark.parametrize("attr,corrupt,member,check,base_first", [
+    ("_rank3_symbols", _drop_g_term, (2, 1), "x3_image_polynomial", False),
+    ("_rank3_symbols", _scale_block_term, (2, 1), "x3_image_polynomial",
+     False),
+    ("_rank3_ring_map", _wrong_scale, (2, 1), "slice_consistency", False),
+    ("_pi_map", _zero_projection, (1, 0), "action_blocked_pi1", False),
+    ("_pi_map", _zero_projection, (2, 0), "E1_blocked_pi1", False),
+    ("_pi_map", _zero_projection, (0, 1), "E1_blocked_pi2", False),
+    # the base has divided xi by g before the corruption
+    ("exact_div", _quotient_plus_one, (1, 0), "E1_equals_eps", True)],
+    ids=["G", "B", "scale", "pi1-l1", "pi1-l2", "pi2", "E1-quotient"])
 def test_rank3_corruption_fails_only_its_check(monkeypatch, p, attr, corrupt,
-                                               member, check):
+                                               member, check, base_first):
     """Each check of a member computes something that can fail: a
     corrupted input or library step makes that check, and only that one,
-    report false."""
-    checks = build_rank3_family(rank3_base(p), *member).report.checks
+    report false.  rank3_base proves the per-p facts, so a row whose step
+    the base also takes builds the base before the corruption."""
+    base = rank3_base(p)
+    checks = build_rank3_family(base, *member).report.checks
     assert [c.name for c in checks] == _RANK3_CHECKS[member]
     assert all(c.ok for c in checks)
     monkeypatch.setattr(gallery, attr, corrupt(getattr(gallery, attr)))
-    report = build_rank3_family(rank3_base(p), *member).report
+    report = build_rank3_family(base if base_first else rank3_base(p),
+                                *member).report
     assert [c.name for c in report.checks if not c.ok] == [check]
 
 
@@ -790,13 +808,15 @@ def test_rank3_xi_cases_check_xi_without_building_a_member(monkeypatch):
 
 @pytest.mark.parametrize("p", (2, 3))
 def test_rank3_member_reads_p_and_its_table_from_its_base(p):
-    """A member has one p, its base's: its table, f, g and checks are the
-    base's for every kind of member."""
+    """A member has one p, its base's: for every kind of member it keeps
+    its base and reads p, the table, f, g, r and xi there, with no copy of
+    its own."""
     base = rank3_base(p)
     for l, m in ((1, 1), (1, 0), (2, 0), (0, 1)):
         fam = build_rank3_family(base, l, m)
-        assert fam.p == fam.table.p == p
-        assert (fam.table, fam.f, fam.g) == (base.table, base.f, base.g)
+        assert fam.base is base and base.table.p == p
+        assert sorted(vars(fam)) == ["base", "classification", "l", "m",
+                                     "report"]
         assert fam.report.all_ok()
 
 
@@ -911,9 +931,7 @@ def _eps_plus_x3(eps_map):
 
 @pytest.mark.parametrize("p", (2, 3))
 @pytest.mark.parametrize("n,with_h,owner,attr,corrupt,check", [
-    (4, True, gallery, "exact_div",
-     lambda real: lambda f, g: real(f, g) + g.table.one(),
-     "F_x2_divisibility"),
+    (4, True, gallery, "exact_div", _quotient_plus_one, "F_x2_divisibility"),
     (4, True, GaAction, "restricts_to",
      lambda real: lambda action: (False, None), "F_restricts"),
     # evaluate asks is_invariant of its parameter, so this row evaluates

@@ -276,7 +276,11 @@ NO_VAR_FUNCTIONS = {("poly.py", "MultiPoly.substitute"),
                     ("plane.py", "TriangularFactor.__init__"),
                     ("plane.py", "CentralizerWord.gen_map"),
                     ("plane.py", "CentralizerWord.h0_map"),
-                    ("plane.py", "CentralizerWord.inverse_map")}
+                    ("plane.py", "CentralizerWord.inverse_map"),
+                    ("plane.py", "centralizer_membership"),
+                    ("plane.py", "w_st_split"),
+                    ("plane.py", "_strip_swap_case"),
+                    ("plane.py", "fixed_point_elem_centralizer")}
 
 
 def _qualified_functions(tree):

@@ -5,7 +5,7 @@ import pytest
 
 from charp_autos.errors import BadParameters
 from charp_autos.poly import VarTable
-from charp_autos import expo, plane
+from charp_autos import expo, gallery, plane
 from charp_autos.suites import _DECLARED, SUITES, run_suite
 
 
@@ -70,6 +70,23 @@ def test_axioms_runs_only_cases_at_the_selected_p(monkeypatch, p):
     result = run_suite("axioms", p=p, seed=7)
     assert result.all_passed, result.to_text()
     assert seen == {p}
+
+
+@pytest.mark.parametrize("count,used", [(1, 1), (2, 2), (None, 10)])
+def test_f_and_fh_passes_exactly_count_hs(monkeypatch, count, used):
+    """f-and-fh hands build_F_and_Fh exactly count h's at each p, also
+    below the three fixed ones (0, f and x4), so the count it reports is
+    the count it used; the default is 10."""
+    lengths = []
+    build = gallery.build_F_and_Fh
+
+    def spy(n, p, h_exprs=()):
+        lengths.append(len(h_exprs))
+        return build(n, p, h_exprs)
+    monkeypatch.setattr(gallery, "build_F_and_Fh", spy)
+    result = run_suite("f-and-fh", count=count, seed=7)
+    assert result.all_passed, result.to_text()
+    assert lengths == [used, used]
 
 
 def _broken_merge(real):
